@@ -41,6 +41,7 @@ from .linalg import (
     rank1_svd,
 )
 from .solver import (
+    BudgetError,
     ObjectiveTrace,
     RowWorkspace,
     amplitude_adjust,
@@ -53,6 +54,7 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BudgetError",
     "ErrorReport",
     "LearnConfig",
     "NumericalError",

@@ -8,19 +8,18 @@ truthful nonzero accounting.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .coding import (
     LearnConfig,
     SparseCoeff,
-    block_omp,
+    _code_per_sample,
     dict_approx_init,
     initial_dictionary,
-    omp,
 )
-from .linalg import as_matrix
+from .linalg import _sq_norm, as_matrix
 from .solver import ObjectiveTrace, batch_svd, ksvd
 
 ALGO_LABELS = ("batch", "ksvd", "rnd-omp")
@@ -32,7 +31,6 @@ class PatchSpec:
 
     patch_size: int
     patch_count: int
-    overlap: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -40,8 +38,6 @@ class PatchSpec:
             raise ValueError("patch_size must be at least 1")
         if self.patch_count < 1:
             raise ValueError("patch_count must be at least 1")
-        if not self.overlap:
-            raise ValueError("non-overlapping sampling is not supported")
 
 
 def extract_patches(image, spec: PatchSpec, maxval: int = 255) -> np.ndarray:
@@ -116,19 +112,14 @@ class RunResult:
     coefficients: SparseCoeff
     budget: int
 
-
-def _config_dict(cfg: LearnConfig) -> dict:
-    return {
-        "budget": cfg.budget,
-        "init_iters": cfg.init_iters,
-        "inner_sweeps": cfg.inner_sweeps,
-        "amplitude_iters": cfg.amplitude_iters,
-        "epsilon": cfg.epsilon,
-        "trigger": cfg.trigger,
-        "pair_fraction": cfg.pair_fraction,
-        "seed": cfg.seed,
-        "max_outer": cfg.max_outer,
-    }
+    @classmethod
+    def from_factors(cls, Y, A, X: SparseCoeff, label: str, seed: int, budget: int,
+                     trace: ObjectiveTrace | None = None) -> "RunResult":
+        """Score factors; without a solver trace, record the final objective once."""
+        if trace is None:
+            trace = ObjectiveTrace()
+            trace.append("outer", _sq_norm(Y - A @ X.to_dense()))
+        return cls(ErrorReport.from_factors(Y, A, X, label, seed), trace, A, X, budget)
 
 
 def report_to_dict(result: RunResult, cfg: LearnConfig | None) -> dict:
@@ -150,25 +141,8 @@ def report_to_dict(result: RunResult, cfg: LearnConfig | None) -> dict:
         "total_nnz": rep.total_nonzeros,
         "avg_nnz_per_sample": rep.avg_nonzeros_per_sample,
         "objective_trace": result.trace.to_list(),
-        "config": _config_dict(cfg) if cfg is not None else None,
+        "config": asdict(cfg) if cfg is not None else None,
     }
-
-
-def _per_sample_code(Y, A, k: int) -> SparseCoeff:
-    n, p = A.shape[1], Y.shape[1]
-    X = SparseCoeff(n, p)
-    for j in range(p):
-        supp, coef = omp(Y[:, j], A, k)
-        if supp.size:
-            X.set_col(j, supp, coef)
-    return X
-
-
-def _single_objective_trace(Y, A, X) -> ObjectiveTrace:
-    trace = ObjectiveTrace()
-    R = Y - A @ X.to_dense()
-    trace.append("outer", float(np.dot(R.ravel(), R.ravel())))
-    return trace
 
 
 def run_benchmark(
@@ -232,21 +206,16 @@ def run_benchmark(
         else:  # rnd-omp
             A = rng_rnd.standard_normal((m, n_atoms))
             A /= np.linalg.norm(A, axis=0)
-            X = _per_sample_code(Y, A, per_sample_k)
-            trace = _single_objective_trace(Y, A, X)
+            X, trace = _code_per_sample(Y, A, per_sample_k), None
         budget = cfg.budget if algo == "batch" else per_sample_k * p
-        report = ErrorReport.from_factors(Y, A, X, algo, cfg.seed)
-        results.append(RunResult(report, trace, A, X, budget))
+        result = RunResult.from_factors(Y, A, X, algo, cfg.seed, budget, trace)
+        results.append(result)
 
         if holdout is not None:
-            avg = max(1, int(round(report.avg_nonzeros_per_sample)))
+            avg = max(1, int(round(result.report.avg_nonzeros_per_sample)))
             k_open = min(avg, m, n_atoms)
-            X_open = _per_sample_code(holdout, A, k_open)
-            open_report = ErrorReport.from_factors(
-                holdout, A, X_open, f"{algo}-open", cfg.seed
-            )
-            open_trace = _single_objective_trace(holdout, A, X_open)
-            results.append(
-                RunResult(open_report, open_trace, A, X_open, k_open * holdout.shape[1])
-            )
+            X_open = _code_per_sample(holdout, A, k_open)
+            results.append(RunResult.from_factors(
+                holdout, A, X_open, f"{algo}-open", cfg.seed, k_open * holdout.shape[1]
+            ))
     return results

@@ -22,7 +22,7 @@ from .bench import (
     report_to_dict,
     run_benchmark,
 )
-from .coding import LearnConfig, SparseCoeff, block_omp, omp
+from .coding import LearnConfig, _code_per_sample, block_omp
 from .io import (
     ParseError,
     load_matrix,
@@ -33,7 +33,6 @@ from .io import (
     write_report_json,
 )
 from .linalg import NumericalError
-from .solver import ObjectiveTrace
 
 
 def _add_solver_flags(sub, iters_default=None):
@@ -54,7 +53,7 @@ def _add_solver_flags(sub, iters_default=None):
                      help="scale input columns to unit norm before learning")
 
 
-def _config_from_args(args, max_outer) -> LearnConfig:
+def _config_from_args(args) -> LearnConfig:
     return LearnConfig(
         budget=args.budget,
         init_iters=args.init_iters,
@@ -64,7 +63,7 @@ def _config_from_args(args, max_outer) -> LearnConfig:
         trigger=args.trigger,
         pair_fraction=args.pair_fraction,
         seed=args.seed,
-        max_outer=max_outer,
+        max_outer=args.iters,
     )
 
 
@@ -85,7 +84,10 @@ def _emit_result(args, result: RunResult, cfg):
         save_sparse(args.coef_out, result.coefficients)
     if getattr(args, "report_out", None):
         write_report_json(args.report_out, report_to_dict(result, cfg))
-    rep = result.report
+    _print_summary(result.report)
+
+
+def _print_summary(rep: ErrorReport):
     print(
         f"{rep.algo_label}: mean_error={rep.mean:.6g} std={rep.std:.6g} "
         f"nnz={rep.total_nonzeros}"
@@ -104,7 +106,7 @@ def cmd_learn(args) -> int:
     Y = _load_samples(args)
     if args.iters is None:
         args.iters = 20 if args.algo == "batch" else 100
-    cfg = _config_from_args(args, max_outer=args.iters)
+    cfg = _config_from_args(args)
     ksvd_iters = args.iters if args.algo == "ksvd" else None
     results = run_benchmark(Y, cfg, [args.algo], args.atoms, ksvd_iters=ksvd_iters)
     _emit_result(args, results[0], cfg)
@@ -117,20 +119,12 @@ def cmd_encode(args) -> int:
     if (args.per_sample is None) == (args.budget is None):
         raise ValueError("encode needs exactly one of --per-sample or --budget")
     if args.per_sample is not None:
-        X = SparseCoeff(A.shape[1], Y.shape[1])
-        for j in range(Y.shape[1]):
-            supp, coef = omp(Y[:, j], A, args.per_sample)
-            if supp.size:
-                X.set_col(j, supp, coef)
+        X = _code_per_sample(Y, A, args.per_sample)
         label, budget = "encode-omp", args.per_sample * Y.shape[1]
     else:
         X = block_omp(Y, A, args.budget)
         label, budget = "encode-block", args.budget
-    trace = ObjectiveTrace()
-    R = Y - A @ X.to_dense()
-    trace.append("outer", float(np.dot(R.ravel(), R.ravel())))
-    report = ErrorReport.from_factors(Y, A, X, label, args.seed)
-    _emit_result(args, RunResult(report, trace, A, X, budget), None)
+    _emit_result(args, RunResult.from_factors(Y, A, X, label, args.seed, budget), None)
     return 0
 
 
@@ -138,18 +132,14 @@ def cmd_eval(args) -> int:
     Y = _load_samples(args)
     A = load_matrix(args.dict)
     X = load_sparse(args.coef)
-    trace = ObjectiveTrace()
-    R = Y - A @ X.to_dense()
-    trace.append("outer", float(np.dot(R.ravel(), R.ravel())))
-    report = ErrorReport.from_factors(Y, A, X, "eval", args.seed)
-    _emit_result(args, RunResult(report, trace, A, X, X.nnz), None)
+    _emit_result(args, RunResult.from_factors(Y, A, X, "eval", args.seed, X.nnz), None)
     return 0
 
 
 def cmd_compare(args) -> int:
     Y = _load_samples(args)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    cfg = _config_from_args(args, max_outer=args.iters if args.iters else 20)
+    cfg = _config_from_args(args)
     holdout = load_matrix(args.holdout) if args.holdout else None
     results = run_benchmark(
         Y, cfg, algos, args.atoms, ksvd_iters=args.ksvd_iters, holdout=holdout
@@ -158,11 +148,7 @@ def cmd_compare(args) -> int:
     if args.report_out:
         write_report_json(args.report_out, payload)
     for r in results:
-        rep = r.report
-        print(
-            f"{rep.algo_label}: mean_error={rep.mean:.6g} std={rep.std:.6g} "
-            f"nnz={rep.total_nonzeros}"
-        )
+        _print_summary(r.report)
     return 0
 
 

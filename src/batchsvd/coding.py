@@ -1,10 +1,10 @@
 """Greedy sparse coding over sample batches.
 
-The coefficient matrix keeps explicit row and column supports so the
-switching procedures can relocate structural nonzeros without ever losing
-track of the global budget. Coding itself is greedy pursuit: classic
-per-sample OMP, and a batchwise variant that spends a single nonzero budget
-across all samples at once.
+The coefficient matrix keeps one ``col -> value`` dict per row, so the
+switching procedures can relocate structural nonzeros row by row while the
+global budget stays a plain entry count. Coding itself is greedy pursuit:
+classic per-sample OMP, and a batchwise variant that spends a single nonzero
+budget across all samples at once.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, least_squares, solve_gram
+from .linalg import _sq_norm, as_matrix, as_vector, least_squares, solve_gram
 
 log = logging.getLogger(__name__)
 
@@ -23,15 +23,15 @@ ZERO_RESIDUAL_RTOL = 1e-12
 
 
 class SparseCoeff:
-    """Sparse n x p coefficient matrix with explicit row and column supports.
+    """Sparse n x p coefficient matrix keyed by row.
 
     Entries are structural: a stored value may be numerically zero and still
-    counts toward the nonzero budget. Row and column views are updated
-    together by every mutator, so the two are cross-consistent at all times
-    (``audit`` verifies this in tests).
+    counts toward the nonzero budget. Each row is a ``col -> value`` dict;
+    column-ordered access goes through :meth:`entries`, and the per-column
+    helpers (``col_support``, ``col_size``, ``set_col``) scan every row.
     """
 
-    __slots__ = ("n", "p", "_rows", "_cols")
+    __slots__ = ("n", "p", "_rows")
 
     def __init__(self, n: int, p: int):
         n = int(n)
@@ -41,7 +41,6 @@ class SparseCoeff:
         self.n = n
         self.p = p
         self._rows: list[dict] = [{} for _ in range(n)]  # col -> value
-        self._cols: list[set] = [set() for _ in range(p)]  # row indices
 
     @classmethod
     def from_dense(cls, arr) -> "SparseCoeff":
@@ -60,14 +59,12 @@ class SparseCoeff:
         """Insert or overwrite the structural entry at (i, j)."""
         self._check(i, j)
         self._rows[i][j] = float(value)
-        self._cols[j].add(i)
 
     def unset(self, i: int, j: int):
         self._check(i, j)
         if j not in self._rows[i]:
             raise ValueError(f"no structural entry at ({i}, {j})")
         del self._rows[i][j]
-        self._cols[j].discard(i)
 
     def has(self, i: int, j: int) -> bool:
         self._check(i, j)
@@ -85,13 +82,13 @@ class SparseCoeff:
         return len(self._rows[i])
 
     def col_size(self, j: int) -> int:
-        return len(self._cols[j])
+        return sum(j in row for row in self._rows)
 
     def row_support(self, i: int) -> list:
         return sorted(self._rows[i])
 
     def col_support(self, j: int) -> list:
-        return sorted(self._cols[j])
+        return [i for i, row in enumerate(self._rows) if j in row]
 
     def row_entries(self, i: int):
         """Return (cols, values) for row i, sorted by column index."""
@@ -99,43 +96,29 @@ class SparseCoeff:
         vals = [self._rows[i][c] for c in cols]
         return np.asarray(cols, dtype=np.intp), np.asarray(vals, dtype=np.float64)
 
-    def col_entries(self, j: int):
-        rows = sorted(self._cols[j])
-        vals = [self._rows[r][j] for r in rows]
-        return np.asarray(rows, dtype=np.intp), np.asarray(vals, dtype=np.float64)
+    @staticmethod
+    def _line(index, values, size: int, kind: str) -> dict:
+        """Validated ``index -> value`` dict for one whole row or column."""
+        if len(index) != len(values):
+            raise ValueError(f"{kind} indices and values differ in length")
+        line = dict(zip((int(k) for k in index), (float(v) for v in values)))
+        if len(line) != len(index):
+            raise ValueError(f"duplicate {kind} indices")
+        for k in line:
+            if not (0 <= k < size):
+                raise ValueError(f"{kind} {k} out of range")
+        return line
 
     def set_row(self, i: int, cols, values):
         """Replace the whole support of row i."""
-        cols = [int(c) for c in cols]
-        values = [float(v) for v in values]
-        if len(cols) != len(values):
-            raise ValueError("cols and values length mismatch")
-        if len(set(cols)) != len(cols):
-            raise ValueError(f"duplicate columns in row {i} support")
-        for c in cols:
-            if not (0 <= c < self.p):
-                raise ValueError(f"column {c} out of range")
-        for c in self._rows[i]:
-            self._cols[c].discard(i)
-        self._rows[i] = dict(zip(cols, values))
-        for c in cols:
-            self._cols[c].add(i)
+        self._rows[i] = self._line(cols, values, self.p, "column")
 
     def set_col(self, j: int, rows, values):
         """Replace the whole support of column j."""
-        rows = [int(r) for r in rows]
-        values = [float(v) for v in values]
-        if len(rows) != len(values):
-            raise ValueError("rows and values length mismatch")
-        if len(set(rows)) != len(rows):
-            raise ValueError(f"duplicate rows in column {j} support")
-        for r in rows:
-            if not (0 <= r < self.n):
-                raise ValueError(f"row {r} out of range")
-        for r in self._cols[j]:
-            del self._rows[r][j]
-        self._cols[j] = set(rows)
-        for r, v in zip(rows, values):
+        line = self._line(rows, values, self.n, "row")
+        for row in self._rows:
+            row.pop(j, None)
+        for r, v in line.items():
             self._rows[r][j] = v
 
     def scale_row(self, i: int, factor: float):
@@ -149,8 +132,6 @@ class SparseCoeff:
         if sorted(order) != list(range(self.n)):
             raise ValueError("order must be a permutation of the row indices")
         self._rows = [self._rows[i] for i in order]
-        inverse = {old: new for new, old in enumerate(order)}
-        self._cols = [{inverse[r] for r in s} for s in self._cols]
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.p))
@@ -162,27 +143,16 @@ class SparseCoeff:
     def copy(self) -> "SparseCoeff":
         out = SparseCoeff(self.n, self.p)
         out._rows = [dict(r) for r in self._rows]
-        out._cols = [set(s) for s in self._cols]
         return out
 
-    def entries(self):
-        """Yield (row, col, value) sorted by (col, row), the serialization order."""
-        for j in range(self.p):
-            for i in sorted(self._cols[j]):
-                yield i, j, self._rows[i][j]
+    def entries(self) -> list:
+        """(row, col, value) triplets sorted by (col, row), the serialization order."""
+        triplets = [(i, j, v) for i, row in enumerate(self._rows) for j, v in row.items()]
+        triplets.sort(key=lambda t: (t[1], t[0]))
+        return triplets
 
     def support_set(self) -> frozenset:
         return frozenset((i, j) for i, row in enumerate(self._rows) for j in row)
-
-    def audit(self):
-        """Verify the row and column views describe the same entry set."""
-        from_rows = {(i, j) for i, row in enumerate(self._rows) for j in row}
-        from_cols = {(i, j) for j, col in enumerate(self._cols) for i in col}
-        if from_rows != from_cols:
-            raise AssertionError(
-                f"support views inconsistent: {len(from_rows)} row entries vs "
-                f"{len(from_cols)} column entries"
-            )
 
     def __eq__(self, other):
         if not isinstance(other, SparseCoeff):
@@ -241,6 +211,38 @@ def _residual_is_zero(res_norm: float, ref_norm: float) -> bool:
     return res_norm <= ZERO_RESIDUAL_RTOL * max(1.0, ref_norm)
 
 
+def _require_unit_atoms(A, name: str):
+    if np.any(np.abs(np.linalg.norm(A, axis=0) - 1.0) > UNIT_NORM_TOL):
+        raise ValueError(f"{name} columns must be unit-normalized")
+
+
+def _normalize_atoms(A: np.ndarray, X: SparseCoeff, rows):
+    """Rescale atoms ``rows`` of A to unit norm in place, keeping A X unchanged.
+
+    Each rescaled atom's coefficient row is multiplied by the old norm. Atoms
+    that are zero or already exactly unit are left alone.
+    """
+    for i in rows:
+        nrm = np.linalg.norm(A[:, i])
+        if nrm > 0.0 and nrm != 1.0:
+            A[:, i] /= nrm
+            X.scale_row(i, nrm)
+
+
+def _fit_atoms(Y, A: np.ndarray, X: SparseCoeff, Xd: np.ndarray) -> np.ndarray:
+    """Refit in place the atoms whose rows of X are nonempty (dense copy Xd).
+
+    Solves the dictionary least squares ``min ||Y - A_u X_u||_F`` over the
+    used atoms ``u`` and returns the boolean mask of used rows; the other
+    atoms are left untouched.
+    """
+    used = np.asarray([X.row_size(i) > 0 for i in range(X.n)])
+    if used.any():
+        Xu = Xd[used, :]
+        A[:, used] = solve_gram(Xu @ Xu.T, Xu @ Y.T).T
+    return used
+
+
 def omp(y, A, k: int):
     """Orthogonal matching pursuit for a single sample.
 
@@ -295,8 +297,7 @@ def block_omp(Y, A, budget: int) -> SparseCoeff:
     p = Y.shape[1]
     if not (1 <= budget <= n * p):
         raise ValueError(f"budget must satisfy 1 <= budget <= n*p = {n * p}, got {budget}")
-    if np.any(np.abs(np.linalg.norm(A, axis=0) - 1.0) > UNIT_NORM_TOL):
-        raise ValueError("dictionary columns must be unit-normalized")
+    _require_unit_atoms(A, "dictionary")
 
     ynorm = np.linalg.norm(Y)
     R = Y.copy()
@@ -327,8 +328,18 @@ def block_omp(Y, A, budget: int) -> SparseCoeff:
 
     X = SparseCoeff(n, p)
     for j in range(p):
-        if supports[j]:
-            X.set_col(j, supports[j], coeffs[j])
+        for i, c in zip(supports[j], coeffs[j]):
+            X.set(i, j, c)
+    return X
+
+
+def _code_per_sample(Y, A, k: int) -> SparseCoeff:
+    """OMP-code every column of Y against A with at most ``k`` atoms each."""
+    X = SparseCoeff(A.shape[1], Y.shape[1])
+    for j in range(Y.shape[1]):
+        supp, coef = omp(Y[:, j], A, k)
+        for i, c in zip(supp, coef):
+            X.set(int(i), j, c)
     return X
 
 
@@ -404,43 +415,26 @@ def dict_approx_init(Y, A0, budget: int, iters: int):
     A0 = as_matrix(A0, "A0")
     if iters < 1:
         raise ValueError("iters must be at least 1")
-    if np.any(np.abs(np.linalg.norm(A0, axis=0) - 1.0) > UNIT_NORM_TOL):
-        raise ValueError("A0 columns must be unit-normalized")
-    m, p = Y.shape
+    _require_unit_atoms(A0, "A0")
     n = A0.shape[1]
     A = A0.copy()
-    X = SparseCoeff(n, p)
     trace: list[float] = []
     used_ever = np.zeros(n, dtype=bool)
 
     for _ in range(iters):
         X = block_omp(Y, A, budget)
         Xd = X.to_dense()
-        trace.append(_objective_dense(Y, A, Xd))
-
-        used = np.asarray([X.row_size(i) > 0 for i in range(n)])
+        trace.append(_sq_norm(Y - A @ Xd))
+        used = _fit_atoms(Y, A, X, Xd)
         used_ever |= used
-        if used.any():
-            Xu = Xd[used, :]
-            Z = solve_gram(Xu @ Xu.T, Xu @ Y.T)
-            A[:, used] = Z.T
-        # re-normalize so the next coding round sees unit atoms; the
-        # compensating row rescale keeps the product A X unchanged
-        for i in np.flatnonzero(used):
-            nrm = np.linalg.norm(A[:, i])
-            if nrm > 0.0:
-                A[:, i] /= nrm
-                X.scale_row(i, nrm)
-                Xd[i, :] *= nrm
-        trace.append(_objective_dense(Y, A, Xd))
+        # re-normalize so the next coding round sees unit atoms; only used
+        # atoms, since rescaling an untouched atom by a norm a rounding error
+        # away from 1 would change its bits
+        _normalize_atoms(A, X, np.flatnonzero(used))
+        trace.append(_sq_norm(Y - A @ X.to_dense()))
 
     dead = np.flatnonzero(~used_ever)
     if dead.size:
         reseed_dead_atoms(A, dead, Y, Y - A @ X.to_dense())
         log.info("dictionary init: re-seeded %d never-used atoms", dead.size)
     return A, X, trace
-
-
-def _objective_dense(Y, A, Xd) -> float:
-    R = Y - A @ Xd
-    return float(np.dot(R.ravel(), R.ravel()))

@@ -24,27 +24,43 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def load_matrix(path) -> np.ndarray:
-    """Read a dense matrix from the plain-text format."""
+def _read_table(path, fields: str):
+    """Return a text file's lines and its integer header, named by ``fields``."""
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().split("\n")
-    header = lines[0].split() if lines else []
-    if len(header) != 2:
-        raise ParseError(f"{path}: line 1: expected header 'rows cols'")
+    header = lines[0].split()
+    if len(header) != len(fields.split()):
+        raise ParseError(f"{path}: line 1: expected header '{fields}'")
     try:
-        m, p = int(header[0]), int(header[1])
+        return lines, [int(t) for t in header]
     except ValueError:
-        raise ParseError(f"{path}: line 1: non-integer dimensions") from None
+        raise ParseError(f"{path}: line 1: non-integer header") from None
+
+
+def _data_lines(path, lines, count: int, what: str):
+    """Yield (line number, tokens) for the ``count`` lines after the header.
+
+    A missing or blank data line and any non-blank line after the last one
+    raise ParseError; trailing blank lines are allowed.
+    """
+    for lineno in range(2, count + 2):
+        if lineno > len(lines) or not lines[lineno - 1].strip():
+            raise ParseError(
+                f"{path}: expected {count} {what}, file ends after line {lineno - 1}"
+            )
+        yield lineno, lines[lineno - 1].split()
+    for idx in range(count + 1, len(lines)):
+        if lines[idx].strip():
+            raise ParseError(f"{path}: line {idx + 1}: unexpected data after {count} {what}")
+
+
+def load_matrix(path) -> np.ndarray:
+    """Read a dense matrix from the plain-text format."""
+    lines, (m, p) = _read_table(path, "rows cols")
     if m < 1 or p < 1:
         raise ParseError(f"{path}: line 1: dimensions must be positive")
     out = np.empty((m, p))
-    for i in range(m):
-        lineno = i + 2
-        if lineno - 1 >= len(lines) or not lines[lineno - 1].strip():
-            raise ParseError(
-                f"{path}: expected {m} data rows, file ends after line {lineno - 1}"
-            )
-        tokens = lines[lineno - 1].split()
+    for i, (lineno, tokens) in enumerate(_data_lines(path, lines, m, "data rows")):
         if len(tokens) != p:
             raise ParseError(
                 f"{path}: line {lineno}: expected {p} entries, found {len(tokens)}"
@@ -75,25 +91,11 @@ def save_matrix(path, M):
 
 def load_sparse(path) -> SparseCoeff:
     """Read a sparse coefficient matrix from the triplet format."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().split("\n")
-    header = lines[0].split() if lines else []
-    if len(header) != 3:
-        raise ParseError(f"{path}: line 1: expected header 'rows cols nnz'")
-    try:
-        n, p, nnz = (int(t) for t in header)
-    except ValueError:
-        raise ParseError(f"{path}: line 1: non-integer header") from None
+    lines, (n, p, nnz) = _read_table(path, "rows cols nnz")
     if n < 1 or p < 1 or nnz < 0:
         raise ParseError(f"{path}: line 1: bad dimensions")
     X = SparseCoeff(n, p)
-    for t in range(nnz):
-        lineno = t + 2
-        if lineno - 1 >= len(lines) or not lines[lineno - 1].strip():
-            raise ParseError(
-                f"{path}: expected {nnz} entries, file ends after line {lineno - 1}"
-            )
-        tokens = lines[lineno - 1].split()
+    for lineno, tokens in _data_lines(path, lines, nnz, "entries"):
         if len(tokens) != 3:
             raise ParseError(f"{path}: line {lineno}: expected 'row col value'")
         try:

@@ -176,5 +176,9 @@ def objective(Y, A, X) -> float:
         raise ValueError(
             f"shape mismatch: Y {Y.shape}, A {A.shape}, X {Xd.shape}"
         )
-    R = Y - A @ Xd
+    return _sq_norm(Y - A @ Xd)
+
+
+def _sq_norm(R) -> float:
+    """Squared Frobenius norm of a residual: the objective every trace records."""
     return float(np.dot(R.ravel(), R.ravel()))

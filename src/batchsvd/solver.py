@@ -16,14 +16,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coding import SparseCoeff, LearnConfig, UNIT_NORM_TOL, omp, reseed_dead_atoms
-from .linalg import NumericalError, as_matrix, least_squares, rank1_svd, solve_gram
+from .coding import (
+    LearnConfig,
+    SparseCoeff,
+    _code_per_sample,
+    _fit_atoms,
+    _normalize_atoms,
+    _require_unit_atoms,
+    reseed_dead_atoms,
+)
+from .linalg import NumericalError, _sq_norm, as_matrix, least_squares, rank1_svd
 
 log = logging.getLogger(__name__)
 
 PHASES = ("inner", "inter", "amplitude", "outer")
 # phases whose consecutive trace values must never increase
 MONOTONE_PHASES = frozenset({"inner", "inter", "amplitude"})
+
+
+class BudgetError(NumericalError):
+    """The structural nonzero count drifted away from the fixed budget."""
+
+
+def _rises(a: float, b: float, rtol: float) -> bool:
+    return b - a > rtol * max(abs(a), abs(b))
 
 
 class ObjectiveTrace:
@@ -54,26 +70,18 @@ class ObjectiveTrace:
     def __len__(self):
         return len(self._entries)
 
-    @staticmethod
-    def _increases(seq, rtol):
-        bad = []
-        for a, b in zip(seq, seq[1:]):
-            if b - a > rtol * max(abs(a), abs(b)):
-                bad.append((a, b))
-        return bad
-
     def phase_violations(self, rtol: float = 1e-9) -> list:
         """Monotonicity breaks within contiguous runs of a monotone phase."""
         bad = []
         for (ph_a, a), (ph_b, b) in zip(self._entries, self._entries[1:]):
-            if ph_a == ph_b and ph_b in MONOTONE_PHASES:
-                if b - a > rtol * max(abs(a), abs(b)):
-                    bad.append((ph_b, a, b))
+            if ph_a == ph_b and ph_b in MONOTONE_PHASES and _rises(a, b, rtol):
+                bad.append((ph_b, a, b))
         return bad
 
     def outer_violations(self, rtol: float = 1e-9) -> list:
         """Monotonicity breaks across the outer objective sequence."""
-        return self._increases(self.values("outer"), rtol)
+        seq = self.values("outer")
+        return [(a, b) for a, b in zip(seq, seq[1:]) if _rises(a, b, rtol)]
 
 
 @dataclass
@@ -120,7 +128,7 @@ def inner_row_switch(ws: RowWorkspace, n_iters: int):
         raise ValueError("support and values length mismatch")
     a = np.asarray(ws.atom, dtype=np.float64).copy()
 
-    fnorm_sq = float(np.dot(Yt.ravel(), Yt.ravel()))
+    fnorm_sq = _sq_norm(Yt)
     c_supp = Yt[:, supp].T @ a
     entry_obj = (
         fnorm_sq - 2.0 * float(vals @ c_supp) + float(a @ a) * float(vals @ vals)
@@ -175,9 +183,7 @@ def inter_row_switch(residual, row_i: RowWorkspace, row_j: RowWorkspace):
     a_j = np.asarray(row_j.atom, dtype=np.float64)
     if a_i.shape[0] != Yt.shape[0] or a_j.shape[0] != Yt.shape[0]:
         raise ValueError("atom length does not match the residual row count")
-    for name, atom in (("first", a_i), ("second", a_j)):
-        if abs(np.linalg.norm(atom) - 1.0) > UNIT_NORM_TOL:
-            raise ValueError(f"{name} atom must have unit norm")
+    _require_unit_atoms(np.column_stack((a_i, a_j)), "row-pair atom")
     set_i = {int(c) for c in row_i.support}
     set_j = {int(c) for c in row_j.support}
     if any(c >= p or c < 0 for c in set_i | set_j):
@@ -213,6 +219,15 @@ def inter_row_switch(residual, row_i: RowWorkspace, row_j: RowWorkspace):
     return _pack(row_i, new_i), _pack(row_j, new_j)
 
 
+def _working_copies(Y, A, X: SparseCoeff):
+    """Validated Y plus private copies of A and X for a solver to update."""
+    Y = as_matrix(Y, "Y")
+    A = as_matrix(A, "A").copy()
+    if X.n != A.shape[1] or X.p != Y.shape[1] or A.shape[0] != Y.shape[0]:
+        raise ValueError(f"shape mismatch: Y {Y.shape}, A {A.shape}, X {X.n}x{X.p}")
+    return Y, A, X.copy()
+
+
 def amplitude_adjust(Y, A, X: SparseCoeff, n_iters: int):
     """Alternating least squares on amplitudes with the support frozen.
 
@@ -223,30 +238,21 @@ def amplitude_adjust(Y, A, X: SparseCoeff, n_iters: int):
     rows are empty are left untouched (a singular coefficient Gram falls back
     to a ridge inside the solve).
     """
-    Y = as_matrix(Y, "Y")
-    A = as_matrix(A, "A").copy()
     if n_iters < 1:
         raise ValueError("n_iters must be at least 1")
-    m, p = Y.shape
-    n = A.shape[1]
-    if X.n != n or X.p != p or A.shape[0] != m:
-        raise ValueError(f"shape mismatch: Y {Y.shape}, A {A.shape}, X {X.n}x{X.p}")
-    X = X.copy()
+    Y, A, X = _working_copies(Y, A, X)
+    # the support is frozen, so each column's rows are gathered once
+    col_rows: list[list[int]] = [[] for _ in range(X.p)]
+    for i, j, _ in X.entries():
+        col_rows[j].append(i)
 
     for _ in range(n_iters):
-        used = [i for i in range(n) if X.row_size(i) > 0]
-        if used:
-            Xd = X.to_dense()
-            Xu = Xd[used, :]
-            Z = solve_gram(Xu @ Xu.T, Xu @ Y.T)
-            A[:, used] = Z.T
-        for j in range(p):
-            rows = X.col_support(j)
-            if not rows:
-                continue
-            coef = least_squares(A[:, rows], Y[:, j])
-            for r, c in zip(rows, coef):
-                X.set(r, j, c)
+        _fit_atoms(Y, A, X, X.to_dense())
+        for j, rows in enumerate(col_rows):
+            if rows:
+                coef = least_squares(A[:, rows], Y[:, j])
+                for r, c in zip(rows, coef):
+                    X.set(r, j, c)
     return A, X
 
 
@@ -276,13 +282,8 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
     together with the recorded objective trace. The structural nonzero count
     of X is identical before and after.
     """
-    Y = as_matrix(Y, "Y")
-    A = as_matrix(A, "A").copy()
-    m, p = Y.shape
-    n = A.shape[1]
-    if X.n != n or X.p != p or A.shape[0] != m:
-        raise ValueError(f"shape mismatch: Y {Y.shape}, A {A.shape}, X {X.n}x{X.p}")
-    X = X.copy()
+    Y, A, X = _working_copies(Y, A, X)
+    n = X.n
     nnz_total = X.nnz
 
     # visit heavier rows first; the order is fixed for the whole run
@@ -293,14 +294,12 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
 
     rng = np.random.default_rng(cfg.seed)
     trace = ObjectiveTrace()
-    R = Y - A @ X.to_dense()
-    obj = float(np.dot(R.ravel(), R.ravel()))
-    trace.append("outer", obj)
+    trace.append("outer", _sq_norm(Y - A @ X.to_dense()))
 
     for _ in range(cfg.max_outer):
         # refresh the residual to cap incremental drift
         R = Y - A @ X.to_dense()
-        obj = float(np.dot(R.ravel(), R.ravel()))
+        obj = _sq_norm(R)
         outer_start = obj
 
         # --- inner-row phase ---
@@ -318,12 +317,7 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
             trace.append("inner", obj)
         inner_decrement = outer_start - obj
 
-        # --- rescale atoms to unit norm (objective-neutral) ---
-        for i in range(n):
-            nrm = np.linalg.norm(A[:, i])
-            if nrm > 0.0 and nrm != 1.0:
-                A[:, i] /= nrm
-                X.scale_row(i, nrm)
+        _normalize_atoms(A, X, range(n))  # objective-neutral
 
         # --- inter-row phase, only when the inner phase stalls ---
         if inner_decrement < cfg.trigger:
@@ -360,20 +354,16 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
         for _ in range(cfg.amplitude_iters):
             A, X = amplitude_adjust(Y, A, X, 1)
             R = Y - A @ X.to_dense()
-            obj = float(np.dot(R.ravel(), R.ravel()))
+            obj = _sq_norm(R)
             trace.append("amplitude", obj)
 
         trace.append("outer", obj)
-        assert X.nnz == nnz_total, "nonzero budget violated"
+        if X.nnz != nnz_total:
+            raise BudgetError(f"nonzero budget violated: {X.nnz} entries, budget {nnz_total}")
         if outer_start - obj <= cfg.epsilon:
             break
 
-    # unit-norm atoms on the way out (objective-neutral)
-    for i in range(n):
-        nrm = np.linalg.norm(A[:, i])
-        if nrm > 0.0 and nrm != 1.0:
-            A[:, i] /= nrm
-            X.scale_row(i, nrm)
+    _normalize_atoms(A, X, range(n))  # unit-norm atoms on the way out
     return A, X, trace
 
 
@@ -394,27 +384,18 @@ def ksvd(Y, A0, k: int, iters: int):
         raise ValueError(f"dimension mismatch: Y is {m}x{p}, A0 is {A0.shape[0]}x{n}")
     if not (1 <= k <= min(m, n)):
         raise ValueError(f"k must satisfy 1 <= k <= min(m, n) = {min(m, n)}, got {k}")
-    if np.any(np.abs(np.linalg.norm(A0, axis=0) - 1.0) > UNIT_NORM_TOL):
-        raise ValueError("A0 columns must be unit-normalized")
+    _require_unit_atoms(A0, "A0")
     if iters < 1:
         raise ValueError("iters must be at least 1")
 
     A = A0.copy()
     trace = ObjectiveTrace()
-    Xd = np.zeros((n, p))
-    row_users: list[list[int]] = [[] for _ in range(n)]
 
     for _ in range(iters):
-        # sparse coding
-        Xd[:] = 0.0
-        row_users = [[] for _ in range(n)]
-        for j in range(p):
-            supp, coef = omp(Y[:, j], A, k)
-            Xd[supp, j] = coef
-            for i in supp:
-                row_users[int(i)].append(j)
-        R = Y - A @ Xd
-        trace.append("outer", float(np.dot(R.ravel(), R.ravel())))
+        coded = _code_per_sample(Y, A, k)
+        Xd = coded.to_dense()
+        row_users = [coded.row_support(i) for i in range(n)]
+        trace.append("outer", _sq_norm(Y - A @ Xd))
 
         # atom-by-atom rank-1 updates
         for i in range(n):
@@ -430,11 +411,8 @@ def ksvd(Y, A0, k: int, iters: int):
             triple = rank1_svd(E)
             A[:, i] = triple.u
             Xd[i, cols] = triple.sigma * triple.v
-        R = Y - A @ Xd
-        trace.append("outer", float(np.dot(R.ravel(), R.ravel())))
+        trace.append("outer", _sq_norm(Y - A @ Xd))
 
-    X = SparseCoeff(n, p)
-    for i in range(n):
-        if row_users[i]:
-            X.set_row(i, row_users[i], Xd[i, np.asarray(row_users[i], dtype=np.intp)])
-    return A, X, trace
+    for i, j, _ in coded.entries():  # last coding pass's support, updated values
+        coded.set(i, j, Xd[i, j])
+    return A, coded, trace

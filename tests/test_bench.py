@@ -64,10 +64,6 @@ class TestPatchExtraction:
         with pytest.raises(ValueError, match="smaller"):
             extract_patches(np.zeros((4, 4)), PatchSpec(patch_size=8, patch_count=1))
 
-    def test_overlap_required(self):
-        with pytest.raises(ValueError):
-            PatchSpec(patch_size=4, patch_count=1, overlap=False)
-
     def test_column_major_within_patch(self):
         image = np.array([[1, 2], [3, 4]], dtype=np.uint8)
         P = extract_patches(image, PatchSpec(patch_size=2, patch_count=1, seed=0), maxval=255)

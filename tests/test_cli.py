@@ -122,6 +122,14 @@ def test_compare_writes_report_array(sample_matrix, tmp_path):
     assert all(r["seed"] == 3 for r in reports)
 
 
+def test_compare_rejects_zero_iters(sample_matrix, tmp_path, capsys):
+    rc = main(["compare", "--in", str(sample_matrix), "--atoms", "10",
+               "--budget", "60", "--iters", "0", "--report-out", str(tmp_path / "c.json")])
+    assert rc == 1
+    assert "max_outer must be at least 1" in json.loads(capsys.readouterr().err.strip())["error"]
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.mat"
     bad.write_text("2 2\n1 2\n")

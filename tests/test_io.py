@@ -54,6 +54,14 @@ class TestMatrixFormat:
         with pytest.raises(ParseError, match="line 1"):
             load_matrix(path)
 
+    def test_trailing_rows_rejected(self, tmp_path):
+        path = tmp_path / "long.mat"
+        path.write_text("1 2\n1 2\n3 4\n")
+        with pytest.raises(ParseError, match="line 3"):
+            load_matrix(path)
+        path.write_text("1 2\n1 2\n\n  \n")  # trailing blank lines are fine
+        assert np.array_equal(load_matrix(path), [[1.0, 2.0]])
+
 
 class TestSparseFormat:
     def test_round_trip(self, tmp_path):
@@ -102,6 +110,14 @@ class TestSparseFormat:
         path.write_text("2 2 3\n1 1 5.0\n")
         with pytest.raises(ParseError, match="2"):
             load_sparse(path)
+
+    def test_trailing_entries_rejected(self, tmp_path):
+        path = tmp_path / "long.txt"
+        path.write_text("2 2 1\n1 1 5.0\n2 2 6.0\n")
+        with pytest.raises(ParseError, match="line 3"):
+            load_sparse(path)
+        path.write_text("2 2 1\n1 1 5.0\n\n")  # trailing blank lines are fine
+        assert load_sparse(path).nnz == 1
 
     def test_index_out_of_range(self, tmp_path):
         path = tmp_path / "oob.txt"

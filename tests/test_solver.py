@@ -1,16 +1,23 @@
+import json
+
 import numpy as np
 import pytest
 
 from batchsvd import (
+    BudgetError,
     LearnConfig,
     ObjectiveTrace,
+    RowWorkspace,
     SparseCoeff,
     batch_svd,
     block_omp,
     initial_dictionary,
     ksvd,
     objective,
+    save_matrix,
 )
+from batchsvd import solver
+from batchsvd.cli import main
 from batchsvd.linalg import NumericalError
 
 from oracles import make_planted
@@ -80,7 +87,6 @@ class TestBatchSvd:
             )
             A, X, trace = batch_svd(Y, A0, X0, cfg)
             assert X.nnz == nnz
-            X.audit()
             assert trace.phase_violations(rtol=1e-9) == []
             assert trace.outer_violations(rtol=1e-9) == []
             outer = trace.values("outer")
@@ -155,6 +161,41 @@ class TestBatchSvd:
         )
 
 
+class TestBudgetCheck:
+    """A broken switching step that loses a nonzero must fail loudly."""
+
+    @pytest.fixture
+    def leaky_inner(self, monkeypatch):
+        real = solver.inner_row_switch
+        dropped = []
+
+        def leaky(ws, n_iters):
+            out, local = real(ws, n_iters)
+            if not dropped and out.support.size > 1:  # lose exactly one entry
+                dropped.append(out.row_index)
+                out = RowWorkspace(out.row_index, out.residual, out.atom,
+                                   out.support[:-1], out.values[:-1])
+            return out, local
+
+        monkeypatch.setattr(solver, "inner_row_switch", leaky)
+
+    def test_library_raises_typed_error(self, leaky_inner):
+        Y, A0, X0 = _prepared_instance(2)
+        cfg = LearnConfig(budget=X0.nnz, max_outer=2, seed=0)
+        with pytest.raises(BudgetError, match="budget"):
+            batch_svd(Y, A0, X0, cfg)
+        assert issubclass(BudgetError, NumericalError)
+
+    def test_cli_reports_json_error(self, leaky_inner, tmp_path, capsys):
+        Y, _, _ = _prepared_instance(2)
+        path = tmp_path / "Y.mat"
+        save_matrix(path, Y)
+        rc = main(["learn", "--in", str(path), "--algo", "batch", "--atoms", "10",
+                   "--budget", "80", "--iters", "2", "--init-iters", "2"])
+        assert rc == 1
+        assert "budget" in json.loads(capsys.readouterr().err.strip())["error"]
+
+
 class TestKsvd:
     def test_exact_recovery_orthonormal(self):
         rng = np.random.default_rng(1)
@@ -183,7 +224,6 @@ class TestKsvd:
         assert X.nnz <= 2 * 20
         for j in range(20):
             assert X.col_size(j) <= 2
-        X.audit()
         assert len(trace.values("outer")) == 8  # two samples per pass
 
     def test_invalid_k(self):
