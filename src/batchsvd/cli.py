@@ -107,8 +107,7 @@ def cmd_learn(args) -> int:
     if args.iters is None:
         args.iters = 20 if args.algo == "batch" else 100
     cfg = _config_from_args(args)
-    ksvd_iters = args.iters if args.algo == "ksvd" else None
-    results = run_benchmark(Y, cfg, [args.algo], args.atoms, ksvd_iters=ksvd_iters)
+    results = run_benchmark(Y, cfg, [args.algo], args.atoms)
     _emit_result(args, results[0], cfg)
     return 0
 

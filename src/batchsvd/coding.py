@@ -55,6 +55,11 @@ class SparseCoeff:
         if not (0 <= i < self.n and 0 <= j < self.p):
             raise ValueError(f"index ({i}, {j}) out of range for {self.n}x{self.p}")
 
+    def _row(self, i: int) -> dict:
+        if not 0 <= i < self.n:
+            raise ValueError(f"row index {i} out of range for {self.n}x{self.p}")
+        return self._rows[i]
+
     def set(self, i: int, j: int, value: float):
         """Insert or overwrite the structural entry at (i, j)."""
         self._check(i, j)
@@ -79,21 +84,22 @@ class SparseCoeff:
         return sum(len(r) for r in self._rows)
 
     def row_size(self, i: int) -> int:
-        return len(self._rows[i])
+        return len(self._row(i))
 
     def col_size(self, j: int) -> int:
         return sum(j in row for row in self._rows)
 
     def row_support(self, i: int) -> list:
-        return sorted(self._rows[i])
+        return sorted(self._row(i))
 
     def col_support(self, j: int) -> list:
         return [i for i, row in enumerate(self._rows) if j in row]
 
     def row_entries(self, i: int):
         """Return (cols, values) for row i, sorted by column index."""
-        cols = sorted(self._rows[i])
-        vals = [self._rows[i][c] for c in cols]
+        row = self._row(i)
+        cols = sorted(row)
+        vals = [row[c] for c in cols]
         return np.asarray(cols, dtype=np.intp), np.asarray(vals, dtype=np.float64)
 
     @staticmethod
@@ -111,6 +117,7 @@ class SparseCoeff:
 
     def set_row(self, i: int, cols, values):
         """Replace the whole support of row i."""
+        self._row(i)  # range check before replacing the row
         self._rows[i] = self._line(cols, values, self.p, "column")
 
     def set_col(self, j: int, rows, values):
@@ -122,9 +129,10 @@ class SparseCoeff:
             self._rows[r][j] = v
 
     def scale_row(self, i: int, factor: float):
+        row = self._row(i)
         factor = float(factor)
-        for c in self._rows[i]:
-            self._rows[i][c] *= factor
+        for c in row:
+            row[c] *= factor
 
     def permute_rows(self, order):
         """Reorder rows so that new row k is old row ``order[k]``."""

@@ -38,20 +38,20 @@ def _read_table(path, fields: str):
 
 
 def _data_lines(path, lines, count: int, what: str):
-    """Yield (line number, tokens) for the ``count`` lines after the header.
+    """Check the layout, then iterate (line number, tokens) over the ``count`` data lines.
 
     A missing or blank data line and any non-blank line after the last one
-    raise ParseError; trailing blank lines are allowed.
+    raise ParseError before any line is parsed; trailing blank lines are allowed.
     """
     for lineno in range(2, count + 2):
         if lineno > len(lines) or not lines[lineno - 1].strip():
             raise ParseError(
                 f"{path}: expected {count} {what}, file ends after line {lineno - 1}"
             )
-        yield lineno, lines[lineno - 1].split()
     for idx in range(count + 1, len(lines)):
         if lines[idx].strip():
             raise ParseError(f"{path}: line {idx + 1}: unexpected data after {count} {what}")
+    return ((lineno, lines[lineno - 1].split()) for lineno in range(2, count + 2))
 
 
 def load_matrix(path) -> np.ndarray:
@@ -59,12 +59,14 @@ def load_matrix(path) -> np.ndarray:
     lines, (m, p) = _read_table(path, "rows cols")
     if m < 1 or p < 1:
         raise ParseError(f"{path}: line 1: dimensions must be positive")
-    out = np.empty((m, p))
+    out = None
     for i, (lineno, tokens) in enumerate(_data_lines(path, lines, m, "data rows")):
         if len(tokens) != p:
             raise ParseError(
                 f"{path}: line {lineno}: expected {p} entries, found {len(tokens)}"
             )
+        if out is None:  # allocate only once the file has shown m lines of p entries
+            out = np.empty((m, p))
         for j, tok in enumerate(tokens):
             try:
                 val = float(tok)
@@ -94,8 +96,9 @@ def load_sparse(path) -> SparseCoeff:
     lines, (n, p, nnz) = _read_table(path, "rows cols nnz")
     if n < 1 or p < 1 or nnz < 0:
         raise ParseError(f"{path}: line 1: bad dimensions")
+    entries = _data_lines(path, lines, nnz, "entries")
     X = SparseCoeff(n, p)
-    for lineno, tokens in _data_lines(path, lines, nnz, "entries"):
+    for lineno, tokens in entries:
         if len(tokens) != 3:
             raise ParseError(f"{path}: line {lineno}: expected 'row col value'")
         try:

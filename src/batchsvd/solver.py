@@ -86,58 +86,53 @@ class ObjectiveTrace:
 
 @dataclass
 class RowWorkspace:
-    """One coefficient row mid-update.
+    """One coefficient row mid-update: its atom and its aligned entries.
 
-    ``residual`` is the batch residual with this row's own contribution added
-    back (None when the caller passes the shared residual separately, as the
-    pairwise switch does). ``support`` and ``values`` are aligned; the
-    support is what the nonzero budget counts.
+    ``support`` and ``values`` are aligned; the support is what the nonzero
+    budget counts. ``degenerate`` is set by :func:`inner_row_switch` when
+    the row's residual block was all zero and its values were zeroed.
     """
 
-    row_index: int
-    residual: np.ndarray | None
     atom: np.ndarray
     support: np.ndarray
     values: np.ndarray
     degenerate: bool = field(default=False)
 
 
-def inner_row_switch(ws: RowWorkspace, n_iters: int):
+def inner_row_switch(residual, row: RowWorkspace, n_iters: int):
     """Alternate rank-1 refits with support re-selection for one row.
 
-    Each round replaces the atom by the leading left singular vector of the
-    residual restricted to the current support, then re-selects the support
-    as the ``k`` columns with the largest |projection| onto that atom over
-    all columns (ties to the smaller column index) and sets the coefficients
-    to those projections. The support size ``k`` never changes.
+    ``residual`` is the batch residual with this row's contribution added
+    back. Each round replaces the atom by the leading left singular vector
+    of the residual restricted to the current support, then re-selects the
+    support as the ``k`` columns, over all columns, with the largest
+    |projection| onto that atom (ties to the smaller column index) and sets
+    the coefficients to those projections. The support size never changes.
 
-    Returns the updated workspace and the local objective recorded at entry
-    and after every half-step; the sequence is non-increasing.
+    Returns the updated row and the local objective recorded at entry and
+    after every half-step; the sequence is non-increasing.
     """
-    if ws.residual is None:
-        raise ValueError("workspace must carry the residual")
+    if np.ndim(residual) != 2:
+        raise ValueError("residual must be a 2-D array")
     if n_iters < 1:
         raise ValueError("n_iters must be at least 1")
-    Yt = ws.residual
-    supp = np.asarray(ws.support, dtype=np.intp)
-    vals = np.asarray(ws.values, dtype=np.float64)
+    supp = np.asarray(row.support, dtype=np.intp)
+    vals = np.asarray(row.values, dtype=np.float64)
     k = supp.size
     if k < 1:
         raise ValueError("inner-row switching needs a nonempty support")
     if vals.size != k:
         raise ValueError("support and values length mismatch")
-    a = np.asarray(ws.atom, dtype=np.float64).copy()
+    a = np.asarray(row.atom, dtype=np.float64).copy()
 
-    fnorm_sq = _sq_norm(Yt)
-    c_supp = Yt[:, supp].T @ a
-    entry_obj = (
-        fnorm_sq - 2.0 * float(vals @ c_supp) + float(a @ a) * float(vals @ vals)
-    )
+    fnorm_sq = _sq_norm(residual)
+    c_supp = residual[:, supp].T @ a
+    entry_obj = fnorm_sq - 2.0 * float(vals @ c_supp) + float(a @ a) * float(vals @ vals)
     locals_ = [entry_obj]
     degenerate = False
 
     for _ in range(n_iters):
-        block = Yt[:, supp]
+        block = residual[:, supp]
         if not block.any():
             # nothing to fit on this support: zero the row, keep the atom
             vals = np.zeros(k)
@@ -154,15 +149,14 @@ def inner_row_switch(ws: RowWorkspace, n_iters: int):
             a = triple.u if triple.sigma**2 >= old_energy else a_unit
         else:
             a = triple.u
-        proj = Yt.T @ a
+        proj = residual.T @ a
         locals_.append(fnorm_sq - float(np.sum(proj[supp] ** 2)))
         order = np.argsort(-np.abs(proj), kind="stable")
         supp = np.sort(order[:k])
         vals = proj[supp]
         locals_.append(fnorm_sq - float(np.sum(vals**2)))
 
-    out = RowWorkspace(ws.row_index, ws.residual, a, supp, vals, degenerate)
-    return out, locals_
+    return RowWorkspace(a, supp, vals, degenerate), locals_
 
 
 def inter_row_switch(residual, row_i: RowWorkspace, row_j: RowWorkspace):
@@ -200,23 +194,17 @@ def inter_row_switch(residual, row_i: RowWorkspace, row_j: RowWorkspace):
     best = np.where(pick_first, absM[0], absM[1])
     order = np.argsort(-best, kind="stable")[:unique_count]
 
-    val_i = dict(zip((int(c) for c in row_i.support), row_i.values))
-    val_j = dict(zip((int(c) for c in row_j.support), row_j.values))
-    new_i = {c: val_i[c] for c in shared}
-    new_j = {c: val_j[c] for c in shared}
+    # shared columns keep their entries; each picked column joins its row
+    new = [{c: v for c, v in zip(map(int, ws.support), ws.values) if c in shared}
+           for ws in (row_i, row_j)]
     for t in order:
-        col = int(cand_cols[t])
-        if pick_first[t]:
-            new_i[col] = float(M[0, t])
-        else:
-            new_j[col] = float(M[1, t])
-
-    def _pack(ws, entries):
+        r = 0 if pick_first[t] else 1
+        new[r][int(cand_cols[t])] = float(M[r, t])
+    out = []
+    for ws, entries in zip((row_i, row_j), new):
         cols = np.asarray(sorted(entries), dtype=np.intp)
-        vals = np.asarray([entries[c] for c in cols], dtype=np.float64)
-        return RowWorkspace(ws.row_index, ws.residual, ws.atom, cols, vals)
-
-    return _pack(row_i, new_i), _pack(row_j, new_j)
+        out.append(RowWorkspace(ws.atom, cols, np.asarray([entries[c] for c in cols])))
+    return tuple(out)
 
 
 def _working_copies(Y, A, X: SparseCoeff):
@@ -231,12 +219,13 @@ def _working_copies(Y, A, X: SparseCoeff):
 def amplitude_adjust(Y, A, X: SparseCoeff, n_iters: int):
     """Alternating least squares on amplitudes with the support frozen.
 
-    Each round recomputes the used atoms by an unconstrained least squares
-    against the fixed coefficients, then refits every column's coefficients
-    on its fixed support. Structural positions of X are bit-identical before
-    and after; the objective never increases at either half-step. Atoms whose
-    rows are empty are left untouched (a singular coefficient Gram falls back
-    to a ridge inside the solve).
+    Each of the ``n_iters`` rounds recomputes the used atoms by an
+    unconstrained least squares against the fixed coefficients, then refits
+    every column's coefficients on its fixed support. Structural positions
+    of X are bit-identical before and after; the objective never increases
+    at either half-step. Atoms whose rows are empty are left untouched (a
+    singular coefficient Gram falls back to a ridge inside the solve).
+    Returns updated copies of A and X and the objective after each round.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be at least 1")
@@ -246,6 +235,7 @@ def amplitude_adjust(Y, A, X: SparseCoeff, n_iters: int):
     for i, j, _ in X.entries():
         col_rows[j].append(i)
 
+    objectives = []
     for _ in range(n_iters):
         _fit_atoms(Y, A, X, X.to_dense())
         for j, rows in enumerate(col_rows):
@@ -253,7 +243,8 @@ def amplitude_adjust(Y, A, X: SparseCoeff, n_iters: int):
                 coef = least_squares(A[:, rows], Y[:, j])
                 for r, c in zip(rows, coef):
                     X.set(r, j, c)
-    return A, X
+        objectives.append(_sq_norm(Y - A @ X.to_dense()))
+    return A, X, objectives
 
 
 def _sample_pairs(n: int, fraction: float, rng: np.random.Generator) -> list:
@@ -294,12 +285,13 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
 
     rng = np.random.default_rng(cfg.seed)
     trace = ObjectiveTrace()
-    trace.append("outer", _sq_norm(Y - A @ X.to_dense()))
+    R = Y - A @ X.to_dense()
+    obj = _sq_norm(R)
+    trace.append("outer", obj)
 
-    for _ in range(cfg.max_outer):
-        # refresh the residual to cap incremental drift
-        R = Y - A @ X.to_dense()
-        obj = _sq_norm(R)
+    for outer in range(cfg.max_outer):
+        if outer:
+            R = Y - A @ X.to_dense()  # refresh the residual to cap incremental drift
         outer_start = obj
 
         # --- inner-row phase ---
@@ -308,8 +300,7 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
                 continue
             supp, vals = X.row_entries(i)
             R[:, supp] += np.outer(A[:, i], vals)
-            ws = RowWorkspace(i, R, A[:, i], supp, vals)
-            ws, local = inner_row_switch(ws, cfg.inner_sweeps)
+            ws, local = inner_row_switch(R, RowWorkspace(A[:, i], supp, vals), cfg.inner_sweeps)
             A[:, i] = ws.atom
             X.set_row(i, ws.support, ws.values)
             R[:, ws.support] -= np.outer(ws.atom, ws.values)
@@ -331,9 +322,9 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
                 sq_old = float(np.sum(R[:, olds] ** 2))
                 R[:, si] += np.outer(A[:, i], vi)
                 R[:, sj] += np.outer(A[:, j], vj)
-                wi = RowWorkspace(i, None, A[:, i], si, vi)
-                wj = RowWorkspace(j, None, A[:, j], sj, vj)
-                wi, wj = inter_row_switch(R, wi, wj)
+                wi, wj = inter_row_switch(
+                    R, RowWorkspace(A[:, i], si, vi), RowWorkspace(A[:, j], sj, vj)
+                )
                 news = sorted((set(wi.support) | set(wj.support)) - set(olds))
                 if news:
                     sq_old += float(np.sum(R[:, np.asarray(news, dtype=np.intp)] ** 2))
@@ -351,10 +342,8 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
             reseed_dead_atoms(A, dead, Y, R)
 
         # --- amplitude phase ---
-        for _ in range(cfg.amplitude_iters):
-            A, X = amplitude_adjust(Y, A, X, 1)
-            R = Y - A @ X.to_dense()
-            obj = _sq_norm(R)
+        A, X, objectives = amplitude_adjust(Y, A, X, cfg.amplitude_iters)
+        for obj in objectives:
             trace.append("amplitude", obj)
 
         trace.append("outer", obj)

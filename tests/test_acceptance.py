@@ -76,8 +76,8 @@ def test_inner_row_oracle():
         cols = np.sort(rng.choice(p, size=k, replace=False))
         z = rng.standard_normal(k) + np.sign(rng.standard_normal(k))
         Yt[:, cols] = np.outer(a, z)
-        ws = RowWorkspace(0, Yt, a.copy(), cols, z)
-        out, locals_ = inner_row_switch(ws, 1)
+        ws = RowWorkspace(a.copy(), cols, z)
+        out, locals_ = inner_row_switch(Yt, ws, 1)
         x = np.zeros(p)
         x[out.support] = out.values
         achieved = float(np.sum((Yt - np.outer(out.atom, x)) ** 2))
@@ -104,8 +104,8 @@ def test_inter_row_oracle():
         size = len(set(map(int, si)) ^ set(map(int, sj)))
         if size == 0 or size > 6:
             continue
-        wi = RowWorkspace(0, None, _unit(rng, m), si, rng.standard_normal(si.size))
-        wj = RowWorkspace(1, None, _unit(rng, m), sj, rng.standard_normal(sj.size))
+        wi = RowWorkspace(_unit(rng, m), si, rng.standard_normal(si.size))
+        wj = RowWorkspace(_unit(rng, m), sj, rng.standard_normal(sj.size))
         oi, oj = inter_row_switch(Yt, wi, wj)
         assert oi.support.size + oj.support.size == si.size + sj.size, (
             f"trial {trial}: nonzero count not preserved"
@@ -190,7 +190,7 @@ def test_amplitude_adjust_contracts():
             if X.row_size(i) == 0:
                 X.set(i, int(rng.integers(p)), float(rng.standard_normal()))
         before = X.support_set()
-        A2, X2 = amplitude_adjust(Y, A, X, 1)
+        A2, X2, _ = amplitude_adjust(Y, A, X, 1)
         assert X2.support_set() == before, f"trial {trial}: support changed"
         # dictionary half-step was optimal for the input coefficients:
         # defect columns are X0^T (Y - A2 X0)^T per used atom

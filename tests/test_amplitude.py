@@ -29,7 +29,7 @@ def test_exact_factorization_is_fixed_point():
     Xd[np.abs(Xd) < 0.5] = 0.0
     X = SparseCoeff.from_dense(Xd)
     Y = A @ Xd
-    A2, X2 = amplitude_adjust(Y, A, X, 3)
+    A2, X2, _ = amplitude_adjust(Y, A, X, 3)
     assert objective(Y, A2, X2) < 1e-18
     assert np.allclose(A2 @ X2.to_dense(), Y, atol=1e-9)
 
@@ -39,7 +39,7 @@ def test_dictionary_halfstep_normal_equations():
     # (Y - A' X0) X0^T must vanish
     rng = np.random.default_rng(1)
     Y, A, X = _random_instance(rng, 5, 6, 25)
-    A2, _ = amplitude_adjust(Y, A, X, 1)
+    A2, _, _ = amplitude_adjust(Y, A, X, 1)
     X0 = X.to_dense()
     resid = (Y - A2 @ X0) @ X0.T
     scale = np.linalg.norm(Y) * max(np.linalg.norm(X0, axis=1).max(), 1.0)
@@ -49,7 +49,7 @@ def test_dictionary_halfstep_normal_equations():
 def test_column_halfstep_normal_equations():
     rng = np.random.default_rng(2)
     Y, A, X = _random_instance(rng, 5, 6, 25)
-    A2, X2 = amplitude_adjust(Y, A, X, 1)
+    A2, X2, _ = amplitude_adjust(Y, A, X, 1)
     X2d = X2.to_dense()
     for j in range(X2.p):
         rows = X2.col_support(j)
@@ -66,7 +66,7 @@ def test_support_immutable():
     for _ in range(50):
         Y, A, X = _random_instance(rng, 4, 5, 12)
         before = X.support_set()
-        _, X2 = amplitude_adjust(Y, A, X, int(rng.integers(1, 4)))
+        _, X2, _ = amplitude_adjust(Y, A, X, int(rng.integers(1, 4)))
         assert X2.support_set() == before
 
 
@@ -76,16 +76,31 @@ def test_objective_non_increasing_per_halfstep():
     obj = objective(Y, A, X)
     for _ in range(10):
         # chaining single rounds observes every half-step boundary
-        A, X = amplitude_adjust(Y, A, X, 1)
+        A, X, _ = amplitude_adjust(Y, A, X, 1)
         nxt = objective(Y, A, X)
         assert nxt - obj <= 1e-9 * max(abs(obj), abs(nxt))
         obj = nxt
 
 
+def test_objectives_match_chained_single_rounds():
+    # one n-round call equals n chained one-round calls bit for bit, and each
+    # returned objective is the objective of the factors after that round
+    rng = np.random.default_rng(7)
+    Y, A, X = _random_instance(rng, 5, 8, 30)
+    A_n, X_n, objs = amplitude_adjust(Y, A, X, 4)
+    chained = []
+    for _ in range(4):
+        A, X, (obj,) = amplitude_adjust(Y, A, X, 1)
+        assert obj == objective(Y, A, X)
+        chained.append(obj)
+    assert objs == chained
+    assert np.array_equal(A_n, A) and X_n == X
+
+
 def test_local_optimality_against_perturbations():
     rng = np.random.default_rng(5)
     Y, A, X = _random_instance(rng, 5, 8, 30)
-    A2, X2 = amplitude_adjust(Y, A, X, 10)
+    A2, X2, _ = amplitude_adjust(Y, A, X, 10)
     base = objective(Y, A2, X2)
     X2d = X2.to_dense()
     mask = X2d != 0.0
@@ -104,7 +119,7 @@ def test_empty_rows_left_alone():
     for j in range(10):
         X.set(int(j % 3), j, float(rng.standard_normal()))  # rows 3, 4 stay empty
     dead_atoms = A[:, 3:].copy()
-    A2, X2 = amplitude_adjust(Y, A, X, 2)
+    A2, X2, _ = amplitude_adjust(Y, A, X, 2)
     assert np.array_equal(A2[:, 3:], dead_atoms)
     assert X2.row_size(3) == 0 and X2.row_size(4) == 0
 

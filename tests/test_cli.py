@@ -140,6 +140,24 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error" in json.loads(err.strip())
 
 
+@pytest.mark.parametrize("verb", ["learn", "eval"])
+def test_oversized_header_is_a_parse_error(verb, tmp_path, capsys):
+    # the header claims 74.5 GiB; the reader must fail on the line count
+    huge = tmp_path / "huge.mat"
+    huge.write_text("100000 100000\n1 2\n")
+    if verb == "learn":
+        argv = ["learn", "--in", str(huge), "--atoms", "4", "--budget", "4"]
+    else:
+        coef = tmp_path / "X.txt"
+        coef.write_text("2 1 1\n1 1 1.0\n")
+        argv = ["eval", "--in", str(huge), "--dict", str(huge), "--coef", str(coef)]
+    rc = main(argv)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "expected 100000 data rows" in json.loads(err)["error"]
+
+
 def test_compare_deterministic_bytes(sample_matrix, tmp_path):
     # full-fidelity determinism check through separate interpreter runs
     args = ["compare", "--in", str(sample_matrix), "--atoms", "10",

@@ -25,8 +25,8 @@ def test_planted_rank_one_is_fixed_point():
     cols = np.array([1, 3, 5])
     x[cols] = rng.standard_normal(k) + np.sign(rng.standard_normal(k))
     residual = np.outer(a, x)
-    ws = RowWorkspace(0, residual, a.copy(), cols, x[cols])
-    out, locals_ = inner_row_switch(ws, 2)
+    ws = RowWorkspace(a.copy(), cols, x[cols])
+    out, locals_ = inner_row_switch(residual, ws, 2)
     assert set(out.support) == set(cols)
     assert locals_[-1] < 1e-18
     assert _local_objective(residual, out.atom, out.support, out.values) < 1e-18
@@ -38,8 +38,8 @@ def test_full_support_equals_rank_one_identity():
     rng = np.random.default_rng(1)
     Yt = rng.standard_normal((4, 6))
     sigma1 = np.linalg.svd(Yt, compute_uv=False)[0]
-    ws = RowWorkspace(0, Yt, _unit(rng, 4), np.arange(6), np.zeros(6))
-    out, locals_ = inner_row_switch(ws, 1)
+    ws = RowWorkspace(_unit(rng, 4), np.arange(6), np.zeros(6))
+    out, locals_ = inner_row_switch(Yt, ws, 1)
     expected = np.sum(Yt**2) - sigma1**2
     assert np.isclose(locals_[-1], expected, rtol=1e-10)
     assert np.isclose(
@@ -61,8 +61,8 @@ def test_support_selection_attains_exhaustive_minimum():
         cols = np.sort(rng.choice(p, size=k, replace=False))
         z = rng.standard_normal(k) + np.sign(rng.standard_normal(k))
         Yt[:, cols] = np.outer(a, z)
-        ws = RowWorkspace(0, Yt, a.copy(), cols, z)
-        out, locals_ = inner_row_switch(ws, 1)
+        ws = RowWorkspace(a.copy(), cols, z)
+        out, locals_ = inner_row_switch(Yt, ws, 1)
         achieved = _local_objective(Yt, out.atom, out.support, out.values)
         assert np.isclose(achieved, best_fixed_atom_support(Yt, a, k), atol=1e-10)
 
@@ -75,8 +75,8 @@ def test_halfstep_sequence_non_increasing():
         k = int(rng.integers(1, p + 1))
         Yt = rng.standard_normal((m, p))
         cols = np.sort(rng.choice(p, size=k, replace=False))
-        ws = RowWorkspace(0, Yt, _unit(rng, m), cols, rng.standard_normal(k))
-        out, locals_ = inner_row_switch(ws, int(rng.integers(1, 4)))
+        ws = RowWorkspace(_unit(rng, m), cols, rng.standard_normal(k))
+        out, locals_ = inner_row_switch(Yt, ws, int(rng.integers(1, 4)))
         for a, b in zip(locals_, locals_[1:]):
             assert b - a <= 1e-9 * max(abs(a), abs(b))
         assert out.support.size == k
@@ -88,8 +88,8 @@ def test_halfstep_sequence_non_increasing():
 def test_support_size_preserved():
     rng = np.random.default_rng(4)
     Yt = rng.standard_normal((3, 10))
-    ws = RowWorkspace(0, Yt, _unit(rng, 3), np.array([0, 4]), np.array([1.0, 2.0]))
-    out, _ = inner_row_switch(ws, 5)
+    ws = RowWorkspace(_unit(rng, 3), np.array([0, 4]), np.array([1.0, 2.0]))
+    out, _ = inner_row_switch(Yt, ws, 5)
     assert out.support.size == 2
     assert abs(np.linalg.norm(out.atom) - 1.0) < 1e-12
 
@@ -98,8 +98,8 @@ def test_degenerate_zero_block():
     Yt = np.zeros((3, 4))
     Yt[:, 2] = [1.0, 2.0, 3.0]  # support excludes the only nonzero column
     atom = np.array([1.0, 0.0, 0.0])
-    ws = RowWorkspace(0, Yt, atom, np.array([0, 1]), np.array([1.0, 1.0]))
-    out, locals_ = inner_row_switch(ws, 3)
+    ws = RowWorkspace(atom, np.array([0, 1]), np.array([1.0, 1.0]))
+    out, locals_ = inner_row_switch(Yt, ws, 3)
     assert out.degenerate
     assert np.array_equal(out.support, [0, 1])
     assert np.all(out.values == 0.0)
@@ -109,11 +109,11 @@ def test_degenerate_zero_block():
 
 def test_empty_support_rejected():
     with pytest.raises(ValueError, match="support"):
-        ws = RowWorkspace(0, np.eye(3), np.array([1.0, 0, 0]), np.array([], dtype=int), np.array([]))
-        inner_row_switch(ws, 1)
+        ws = RowWorkspace(np.array([1.0, 0, 0]), np.array([], dtype=int), np.array([]))
+        inner_row_switch(np.eye(3), ws, 1)
 
 
 def test_missing_residual_rejected():
-    ws = RowWorkspace(0, None, np.ones(2), np.array([0]), np.array([1.0]))
+    ws = RowWorkspace(np.ones(2), np.array([0]), np.array([1.0]))
     with pytest.raises(ValueError, match="residual"):
-        inner_row_switch(ws, 1)
+        inner_row_switch(None, ws, 1)

@@ -17,8 +17,8 @@ def _random_pair(rng, m, p, max_row_nnz=4):
     cap = min(max_row_nnz, p)
     si = np.sort(rng.choice(p, size=int(rng.integers(1, cap + 1)), replace=False))
     sj = np.sort(rng.choice(p, size=int(rng.integers(1, cap + 1)), replace=False))
-    wi = RowWorkspace(0, None, a_i, si, rng.standard_normal(si.size))
-    wj = RowWorkspace(1, None, a_j, sj, rng.standard_normal(sj.size))
+    wi = RowWorkspace(a_i, si, rng.standard_normal(si.size))
+    wj = RowWorkspace(a_j, sj, rng.standard_normal(sj.size))
     return Yt, wi, wj
 
 
@@ -35,8 +35,8 @@ def test_identical_supports_noop():
     rng = np.random.default_rng(0)
     Yt = rng.standard_normal((3, 5))
     supp = np.array([1, 3])
-    wi = RowWorkspace(0, None, _unit(rng, 3), supp, np.array([1.0, 2.0]))
-    wj = RowWorkspace(1, None, _unit(rng, 3), supp.copy(), np.array([-1.0, 0.5]))
+    wi = RowWorkspace(_unit(rng, 3), supp, np.array([1.0, 2.0]))
+    wj = RowWorkspace(_unit(rng, 3), supp.copy(), np.array([-1.0, 0.5]))
     oi, oj = inter_row_switch(Yt, wi, wj)
     assert np.array_equal(oi.support, supp) and np.array_equal(oj.support, supp)
     assert np.array_equal(oi.values, wi.values) and np.array_equal(oj.values, wj.values)
@@ -48,8 +48,8 @@ def test_forced_migration_to_better_row():
     a_j = np.array([0.0, 1.0])
     Yt = np.zeros((2, 2))
     Yt[:, 0] = 5.0 * a_i
-    wi = RowWorkspace(0, None, a_i, np.array([1]), np.array([0.3]))
-    wj = RowWorkspace(1, None, a_j, np.array([0]), np.array([0.2]))
+    wi = RowWorkspace(a_i, np.array([1]), np.array([0.3]))
+    wj = RowWorkspace(a_j, np.array([0]), np.array([0.2]))
     oi, oj = inter_row_switch(Yt, wi, wj)
     assert 0 in oi.support
     assert np.isclose(oi.values[list(oi.support).index(0)], 5.0)
@@ -97,8 +97,8 @@ def test_shared_columns_keep_old_values():
     rng = np.random.default_rng(3)
     Yt = rng.standard_normal((3, 6))
     a_i, a_j = _unit(rng, 3), _unit(rng, 3)
-    wi = RowWorkspace(0, None, a_i, np.array([0, 2, 4]), np.array([1.0, 2.0, 3.0]))
-    wj = RowWorkspace(1, None, a_j, np.array([2, 5]), np.array([-1.0, 4.0]))
+    wi = RowWorkspace(a_i, np.array([0, 2, 4]), np.array([1.0, 2.0, 3.0]))
+    wj = RowWorkspace(a_j, np.array([2, 5]), np.array([-1.0, 4.0]))
     oi, oj = inter_row_switch(Yt, wi, wj)
     assert oi.values[list(oi.support).index(2)] == 2.0
     assert oj.values[list(oj.support).index(2)] == -1.0
@@ -106,15 +106,15 @@ def test_shared_columns_keep_old_values():
 
 def test_non_unit_atom_rejected():
     Yt = np.eye(3)
-    wi = RowWorkspace(0, None, np.array([2.0, 0, 0]), np.array([0]), np.array([1.0]))
-    wj = RowWorkspace(1, None, np.array([0.0, 1, 0]), np.array([1]), np.array([1.0]))
+    wi = RowWorkspace(np.array([2.0, 0, 0]), np.array([0]), np.array([1.0]))
+    wj = RowWorkspace(np.array([0.0, 1, 0]), np.array([1]), np.array([1.0]))
     with pytest.raises(ValueError, match="unit"):
         inter_row_switch(Yt, wi, wj)
 
 
 def test_out_of_range_support_rejected():
     Yt = np.eye(3)
-    wi = RowWorkspace(0, None, np.array([1.0, 0, 0]), np.array([5]), np.array([1.0]))
-    wj = RowWorkspace(1, None, np.array([0.0, 1, 0]), np.array([1]), np.array([1.0]))
+    wi = RowWorkspace(np.array([1.0, 0, 0]), np.array([5]), np.array([1.0]))
+    wj = RowWorkspace(np.array([0.0, 1, 0]), np.array([1]), np.array([1.0]))
     with pytest.raises(ValueError, match="column"):
         inter_row_switch(Yt, wi, wj)

@@ -36,6 +36,16 @@ class TestMatrixFormat:
         with pytest.raises(ParseError, match="3"):
             load_matrix(path)
 
+    def test_header_larger_than_file_rejected_before_allocating(self, tmp_path):
+        # a 100000 x 100000 float64 matrix would need 74.5 GiB
+        path = tmp_path / "huge.mat"
+        path.write_text("100000 100000\n1 2\n")
+        with pytest.raises(ParseError, match="expected 100000 data rows"):
+            load_matrix(path)
+        path.write_text("1 100000000000\n1 2\n")  # declared width beyond the row
+        with pytest.raises(ParseError, match="line 2: expected 100000000000 entries"):
+            load_matrix(path)
+
     def test_wrong_entry_count_names_line(self, tmp_path):
         path = tmp_path / "ragged.mat"
         path.write_text("2 3\n1 2 3\n4 5\n")
@@ -109,6 +119,12 @@ class TestSparseFormat:
         path = tmp_path / "short.txt"
         path.write_text("2 2 3\n1 1 5.0\n")
         with pytest.raises(ParseError, match="2"):
+            load_sparse(path)
+
+    def test_header_larger_than_file_rejected(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("100000 100000 1000000000\n1 1 5.0\n")
+        with pytest.raises(ParseError, match="expected 1000000000 entries"):
             load_sparse(path)
 
     def test_trailing_entries_rejected(self, tmp_path):

@@ -169,12 +169,11 @@ class TestBudgetCheck:
         real = solver.inner_row_switch
         dropped = []
 
-        def leaky(ws, n_iters):
-            out, local = real(ws, n_iters)
+        def leaky(residual, row, n_iters):
+            out, local = real(residual, row, n_iters)
             if not dropped and out.support.size > 1:  # lose exactly one entry
-                dropped.append(out.row_index)
-                out = RowWorkspace(out.row_index, out.residual, out.atom,
-                                   out.support[:-1], out.values[:-1])
+                dropped.append(out)
+                out = RowWorkspace(out.atom, out.support[:-1], out.values[:-1])
             return out, local
 
         monkeypatch.setattr(solver, "inner_row_switch", leaky)

@@ -57,6 +57,24 @@ def test_set_row_and_col():
     assert X.row_size(2) == 0
 
 
+@pytest.mark.parametrize("row", [-1, 3])
+def test_row_index_checked(row):
+    # both ends: -1 must not wrap to the last row, n must not raise IndexError
+    X = SparseCoeff(3, 4)
+    X.set(2, 1, 1.0)
+    calls = [
+        lambda: X.set_row(row, [0], [1.0]),
+        lambda: X.row_size(row),
+        lambda: X.row_support(row),
+        lambda: X.row_entries(row),
+        lambda: X.scale_row(row, 2.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"row index {row} out of range"):
+            call()
+    assert X.row_entries(2)[1].tolist() == [1.0]  # last row untouched
+
+
 def test_duplicate_rejected():
     X = SparseCoeff(3, 3)
     with pytest.raises(ValueError, match="duplicate"):
