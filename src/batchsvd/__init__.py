@@ -5,15 +5,7 @@ shared across the whole sample batch, using support-switching procedures
 whose objective never increases, plus OMP-based coding, a block OMP warm
 start, and a K-SVD baseline for equal-budget comparisons.
 """
-from .bench import (
-    ErrorReport,
-    PatchSpec,
-    RunResult,
-    extract_patches,
-    report_stats,
-    report_to_dict,
-    run_benchmark,
-)
+from .bench import RunResult, extract_patches, report_stats, report_to_dict, run_benchmark
 from .coding import (
     LearnConfig,
     SparseCoeff,
@@ -55,12 +47,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetError",
-    "ErrorReport",
     "LearnConfig",
     "NumericalError",
     "ObjectiveTrace",
     "ParseError",
-    "PatchSpec",
     "RowWorkspace",
     "RunResult",
     "SingularTriple",

@@ -25,41 +25,30 @@ from .solver import ObjectiveTrace, batch_svd, ksvd
 ALGO_LABELS = ("batch", "ksvd", "rnd-omp")
 
 
-@dataclass(frozen=True)
-class PatchSpec:
-    """How to sample square patches from a grayscale image."""
-
-    patch_size: int
-    patch_count: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.patch_size < 1:
-            raise ValueError("patch_size must be at least 1")
-        if self.patch_count < 1:
-            raise ValueError("patch_count must be at least 1")
-
-
-def extract_patches(image, spec: PatchSpec, maxval: int = 255) -> np.ndarray:
-    """Sample overlapping square patches, one vectorized patch per column.
+def extract_patches(image, size: int, count: int, seed: int = 0,
+                    maxval: int = 255) -> np.ndarray:
+    """Sample ``count`` overlapping ``size`` x ``size`` patches, one per column.
 
     Top-left corners are drawn uniformly (seeded, with replacement) over all
     valid placements; each patch is flattened column-major and scaled to
-    [0, 1] by ``maxval``. Deterministic given (image, spec).
+    [0, 1] by ``maxval``. Deterministic given (image, size, count, seed).
     """
+    if size < 1:
+        raise ValueError("patch_size must be at least 1")
+    if count < 1:
+        raise ValueError("patch_count must be at least 1")
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise ValueError("image must be a 2-D grayscale raster")
-    s = spec.patch_size
     height, width = image.shape
-    if height < s or width < s:
-        raise ValueError(f"image {height}x{width} smaller than patch size {s}")
-    rng = np.random.default_rng(spec.seed)
-    rows = rng.integers(0, height - s + 1, size=spec.patch_count)
-    cols = rng.integers(0, width - s + 1, size=spec.patch_count)
-    out = np.empty((s * s, spec.patch_count))
-    for t in range(spec.patch_count):
-        patch = image[rows[t] : rows[t] + s, cols[t] : cols[t] + s]
+    if height < size or width < size:
+        raise ValueError(f"image {height}x{width} smaller than patch size {size}")
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, height - size + 1, size=count)
+    cols = rng.integers(0, width - size + 1, size=count)
+    out = np.empty((size * size, count))
+    for t in range(count):
+        patch = image[rows[t] : rows[t] + size, cols[t] : cols[t] + size]
         out[:, t] = patch.flatten(order="F") / maxval
     return out
 
@@ -74,52 +63,41 @@ def report_stats(per_sample_errors):
     return mean, std
 
 
-@dataclass(frozen=True)
-class ErrorReport:
-    """Per-sample L2 reconstruction errors plus their summary statistics."""
-
-    algo_label: str
-    seed: int
-    per_sample_errors: tuple
-    mean: float
-    std: float
-    total_nonzeros: int
-    avg_nonzeros_per_sample: float
-
-    @classmethod
-    def from_factors(cls, Y, A, X: SparseCoeff, label: str, seed: int) -> "ErrorReport":
-        Y = as_matrix(Y, "Y")
-        errors = np.linalg.norm(Y - A @ X.to_dense(), axis=0)
-        mean, std = report_stats(errors)
-        return cls(
-            algo_label=label,
-            seed=seed,
-            per_sample_errors=tuple(float(e) for e in errors),
-            mean=mean,
-            std=std,
-            total_nonzeros=X.nnz,
-            avg_nonzeros_per_sample=X.nnz / X.p,
-        )
-
-
 @dataclass
 class RunResult:
-    """One algorithm's learned factors, trace, and error report."""
+    """One run's factors, objective trace and per-sample L2 reconstruction errors."""
 
-    report: ErrorReport
-    trace: ObjectiveTrace
+    label: str
+    seed: int
     dictionary: np.ndarray
     coefficients: SparseCoeff
     budget: int
+    trace: ObjectiveTrace
+    errors: np.ndarray
+    mean: float
+    std: float
 
     @classmethod
     def from_factors(cls, Y, A, X: SparseCoeff, label: str, seed: int, budget: int,
                      trace: ObjectiveTrace | None = None) -> "RunResult":
-        """Score factors; without a solver trace, record the final objective once."""
+        """Check shapes and score the factors from one residual ``Y - A X``.
+
+        Without a solver trace, the final objective is recorded as the one entry.
+        """
+        Y = as_matrix(Y, "Y")
+        A = as_matrix(A, "A")
+        if A.shape[0] != Y.shape[0] or (X.n, X.p) != (A.shape[1], Y.shape[1]):
+            raise ValueError(
+                f"shape mismatch: Y is {Y.shape[0]}x{Y.shape[1]}, A is "
+                f"{A.shape[0]}x{A.shape[1]}, X is {X.n}x{X.p}"
+            )
+        R = Y - A @ X.to_dense()
         if trace is None:
             trace = ObjectiveTrace()
-            trace.append("outer", _sq_norm(Y - A @ X.to_dense()))
-        return cls(ErrorReport.from_factors(Y, A, X, label, seed), trace, A, X, budget)
+            trace.append("outer", _sq_norm(R))
+        errors = np.linalg.norm(R, axis=0)
+        mean, std = report_stats(errors)
+        return cls(label, seed, A, X, budget, trace, errors, mean, std)
 
 
 def report_to_dict(result: RunResult, cfg: LearnConfig | None) -> dict:
@@ -128,18 +106,17 @@ def report_to_dict(result: RunResult, cfg: LearnConfig | None) -> dict:
     ``cfg`` may be None for runs that had no solver configuration (encode
     and eval); the config echo is null in that case.
     """
-    rep = result.report
     return {
-        "algo": rep.algo_label,
-        "seed": rep.seed,
+        "algo": result.label,
+        "seed": result.seed,
         "m": int(result.dictionary.shape[0]),
         "n": int(result.dictionary.shape[1]),
         "p": int(result.coefficients.p),
         "K": int(result.budget),
-        "mean_error": rep.mean,
-        "std_error": rep.std,
-        "total_nnz": rep.total_nonzeros,
-        "avg_nnz_per_sample": rep.avg_nonzeros_per_sample,
+        "mean_error": result.mean,
+        "std_error": result.std,
+        "total_nnz": result.coefficients.nnz,
+        "avg_nnz_per_sample": result.coefficients.nnz / result.coefficients.p,
         "objective_trace": result.trace.to_list(),
         "config": asdict(cfg) if cfg is not None else None,
     }
@@ -168,6 +145,8 @@ def run_benchmark(
     if n_atoms < 1:
         raise ValueError("n_atoms must be at least 1")
     algos = list(algos)
+    if not algos:
+        raise ValueError("algos must name at least one algorithm")
     unknown = [a for a in algos if a not in ALGO_LABELS]
     if unknown:
         raise ValueError(f"unknown algorithms: {unknown}")
@@ -212,7 +191,7 @@ def run_benchmark(
         results.append(result)
 
         if holdout is not None:
-            avg = max(1, int(round(result.report.avg_nonzeros_per_sample)))
+            avg = max(1, int(round(result.coefficients.nnz / p)))
             k_open = min(avg, m, n_atoms)
             X_open = _code_per_sample(holdout, A, k_open)
             results.append(RunResult.from_factors(

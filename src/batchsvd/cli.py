@@ -14,14 +14,7 @@ import sys
 
 import numpy as np
 
-from .bench import (
-    ErrorReport,
-    PatchSpec,
-    RunResult,
-    extract_patches,
-    report_to_dict,
-    run_benchmark,
-)
+from .bench import RunResult, extract_patches, report_to_dict, run_benchmark
 from .coding import LearnConfig, _code_per_sample, block_omp
 from .io import (
     ParseError,
@@ -84,20 +77,19 @@ def _emit_result(args, result: RunResult, cfg):
         save_sparse(args.coef_out, result.coefficients)
     if getattr(args, "report_out", None):
         write_report_json(args.report_out, report_to_dict(result, cfg))
-    _print_summary(result.report)
+    _print_summary(result)
 
 
-def _print_summary(rep: ErrorReport):
+def _print_summary(result: RunResult):
     print(
-        f"{rep.algo_label}: mean_error={rep.mean:.6g} std={rep.std:.6g} "
-        f"nnz={rep.total_nonzeros}"
+        f"{result.label}: mean_error={result.mean:.6g} std={result.std:.6g} "
+        f"nnz={result.coefficients.nnz}"
     )
 
 
 def cmd_patches(args) -> int:
     image, maxval = load_pgm(getattr(args, "in"))
-    spec = PatchSpec(patch_size=args.size, patch_count=args.count, seed=args.seed)
-    save_matrix(args.out, extract_patches(image, spec, maxval))
+    save_matrix(args.out, extract_patches(image, args.size, args.count, args.seed, maxval))
     print(f"wrote {args.count} patches of size {args.size}x{args.size} to {args.out}")
     return 0
 
@@ -147,7 +139,7 @@ def cmd_compare(args) -> int:
     if args.report_out:
         write_report_json(args.report_out, payload)
     for r in results:
-        _print_summary(r.report)
+        _print_summary(r)
     return 0
 
 

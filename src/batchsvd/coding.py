@@ -1,8 +1,8 @@
 """Greedy sparse coding over sample batches.
 
-The coefficient matrix keeps one ``col -> value`` dict per row, so the
-switching procedures can relocate structural nonzeros row by row while the
-global budget stays a plain entry count. Coding itself is greedy pursuit:
+The coefficient matrix keeps one ``col -> value`` dict per nonempty row, so
+the switching procedures can relocate structural nonzeros row by row while
+the global budget stays a plain entry count. Coding itself is greedy pursuit:
 classic per-sample OMP, and a batchwise variant that spends a single nonzero
 budget across all samples at once.
 """
@@ -26,9 +26,11 @@ class SparseCoeff:
     """Sparse n x p coefficient matrix keyed by row.
 
     Entries are structural: a stored value may be numerically zero and still
-    counts toward the nonzero budget. Each row is a ``col -> value`` dict;
-    column-ordered access goes through :meth:`entries`, and the per-column
-    helpers (``col_support``, ``col_size``, ``set_col``) scan every row.
+    counts toward the nonzero budget. Each nonempty row is a ``col -> value``
+    dict keyed by its row index, so memory follows the entries and not ``n``;
+    an emptied row is dropped. Column-ordered access goes through
+    :meth:`entries`, and the per-column helpers (``col_support``,
+    ``col_size``, ``set_col``) scan every stored row.
     """
 
     __slots__ = ("n", "p", "_rows")
@@ -40,7 +42,7 @@ class SparseCoeff:
             raise ValueError(f"SparseCoeff needs n >= 1 and p >= 1, got {n}x{p}")
         self.n = n
         self.p = p
-        self._rows: list[dict] = [{} for _ in range(n)]  # col -> value
+        self._rows: dict[int, dict] = {}  # row -> {col -> value}, nonempty rows only
 
     @classmethod
     def from_dense(cls, arr) -> "SparseCoeff":
@@ -56,44 +58,48 @@ class SparseCoeff:
             raise ValueError(f"index ({i}, {j}) out of range for {self.n}x{self.p}")
 
     def _row(self, i: int) -> dict:
+        """Row i's stored dict, or an empty one for an empty row."""
         if not 0 <= i < self.n:
             raise ValueError(f"row index {i} out of range for {self.n}x{self.p}")
-        return self._rows[i]
+        return self._rows.get(i, {})
 
     def set(self, i: int, j: int, value: float):
         """Insert or overwrite the structural entry at (i, j)."""
         self._check(i, j)
-        self._rows[i][j] = float(value)
+        self._rows.setdefault(i, {})[j] = float(value)
 
     def unset(self, i: int, j: int):
         self._check(i, j)
-        if j not in self._rows[i]:
+        row = self._rows.get(i, {})
+        if j not in row:
             raise ValueError(f"no structural entry at ({i}, {j})")
-        del self._rows[i][j]
+        del row[j]
+        if not row:
+            del self._rows[i]
 
     def has(self, i: int, j: int) -> bool:
         self._check(i, j)
-        return j in self._rows[i]
+        return j in self._rows.get(i, {})
 
     def get(self, i: int, j: int) -> float:
         self._check(i, j)
-        return self._rows[i].get(j, 0.0)
+        return self._rows.get(i, {}).get(j, 0.0)
 
     @property
     def nnz(self) -> int:
-        return sum(len(r) for r in self._rows)
+        return sum(len(r) for r in self._rows.values())
 
     def row_size(self, i: int) -> int:
         return len(self._row(i))
 
     def col_size(self, j: int) -> int:
-        return sum(j in row for row in self._rows)
+        return sum(j in row for row in self._rows.values())
 
     def row_support(self, i: int) -> list:
         return sorted(self._row(i))
 
     def col_support(self, j: int) -> list:
-        return [i for i, row in enumerate(self._rows) if j in row]
+        return sorted(i for i, row in self._rows.items() if j in row)
 
     def row_entries(self, i: int):
         """Return (cols, values) for row i, sorted by column index."""
@@ -118,15 +124,21 @@ class SparseCoeff:
     def set_row(self, i: int, cols, values):
         """Replace the whole support of row i."""
         self._row(i)  # range check before replacing the row
-        self._rows[i] = self._line(cols, values, self.p, "column")
+        line = self._line(cols, values, self.p, "column")
+        if line:
+            self._rows[i] = line
+        else:
+            self._rows.pop(i, None)
 
     def set_col(self, j: int, rows, values):
         """Replace the whole support of column j."""
+        if not 0 <= j < self.p:
+            raise ValueError(f"column index {j} out of range for {self.n}x{self.p}")
         line = self._line(rows, values, self.n, "row")
-        for row in self._rows:
-            row.pop(j, None)
+        for i in self.col_support(j):
+            self.unset(i, j)
         for r, v in line.items():
-            self._rows[r][j] = v
+            self.set(r, j, v)
 
     def scale_row(self, i: int, factor: float):
         row = self._row(i)
@@ -139,28 +151,28 @@ class SparseCoeff:
         order = [int(i) for i in order]
         if sorted(order) != list(range(self.n)):
             raise ValueError("order must be a permutation of the row indices")
-        self._rows = [self._rows[i] for i in order]
+        self._rows = {k: self._rows[i] for k, i in enumerate(order) if i in self._rows}
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.p))
-        for i, row in enumerate(self._rows):
+        for i, row in self._rows.items():
             for j, v in row.items():
                 out[i, j] = v
         return out
 
     def copy(self) -> "SparseCoeff":
         out = SparseCoeff(self.n, self.p)
-        out._rows = [dict(r) for r in self._rows]
+        out._rows = {i: dict(r) for i, r in self._rows.items()}
         return out
 
     def entries(self) -> list:
         """(row, col, value) triplets sorted by (col, row), the serialization order."""
-        triplets = [(i, j, v) for i, row in enumerate(self._rows) for j, v in row.items()]
+        triplets = [(i, j, v) for i, row in self._rows.items() for j, v in row.items()]
         triplets.sort(key=lambda t: (t[1], t[0]))
         return triplets
 
     def support_set(self) -> frozenset:
-        return frozenset((i, j) for i, row in enumerate(self._rows) for j in row)
+        return frozenset((i, j) for i, row in self._rows.items() for j in row)
 
     def __eq__(self, other):
         if not isinstance(other, SparseCoeff):
@@ -200,10 +212,11 @@ class LearnConfig:
         for name in ("init_iters", "inner_sweeps", "amplitude_iters", "max_outer"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        if self.trigger < 0:
-            raise ValueError("trigger must be nonnegative")
+        # written so that NaN fails too; inf stays valid
+        if not self.epsilon >= 0:
+            raise ValueError("epsilon must be a nonnegative number")
+        if not self.trigger >= 0:
+            raise ValueError("trigger must be a nonnegative number")
         if self.pair_fraction is not None and not (0.0 < self.pair_fraction <= 1.0):
             raise ValueError("pair_fraction must lie in (0, 1]")
 
@@ -309,7 +322,6 @@ def block_omp(Y, A, budget: int) -> SparseCoeff:
 
     ynorm = np.linalg.norm(Y)
     R = Y.copy()
-    selected = np.zeros((n, p), dtype=bool)
     supports: list[list[int]] = [[] for _ in range(p)]
     coeffs: list[np.ndarray] = [np.zeros(0) for _ in range(p)]
 
@@ -324,13 +336,12 @@ def block_omp(Y, A, budget: int) -> SparseCoeff:
             break
         j = int(np.argmax(best_vals))  # first max: smallest sample index
         i = int(best_rows[j])
-        selected[i, j] = True
         supports[j].append(i)
         coeffs[j] = least_squares(A[:, supports[j]], Y[:, j])
         R[:, j] = Y[:, j] - A[:, supports[j]] @ coeffs[j]
         col_sq[j] = float(np.dot(R[:, j], R[:, j]))
         col_scores = np.abs(A.T @ R[:, j])
-        col_scores[selected[:, j]] = -1.0
+        col_scores[supports[j]] = -1.0
         best_vals[j] = col_scores.max()
         best_rows[j] = col_scores.argmax()
 

@@ -226,11 +226,11 @@ def test_directional_benchmark():
             max_outer=10, trigger=0.05, epsilon=0.0, seed=seed,
         )
         results = run_benchmark(Y, cfg, ["batch", "ksvd"], n_atoms=16, ksvd_iters=15)
-        by_label = {r.report.algo_label: r.report for r in results}
+        by_label = {r.label: r for r in results}
         batch_err = by_label["batch"].mean
         ksvd_err = by_label["ksvd"].mean
-        assert by_label["batch"].total_nonzeros <= budget
-        assert by_label["ksvd"].total_nonzeros <= budget
+        assert by_label["batch"].coefficients.nnz <= budget
+        assert by_label["ksvd"].coefficients.nnz <= budget
         if batch_err <= ksvd_err:
             wins += 1
         margins.append((ksvd_err - batch_err) / ksvd_err)

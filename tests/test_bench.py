@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from batchsvd import (
-    ErrorReport,
     LearnConfig,
-    PatchSpec,
+    RunResult,
     extract_patches,
     report_stats,
     report_to_dict,
@@ -40,16 +39,14 @@ class TestReportStats:
 class TestPatchExtraction:
     def test_constant_image(self):
         image = np.full((16, 16), 128, dtype=np.uint8)
-        spec = PatchSpec(patch_size=4, patch_count=10, seed=3)
-        P = extract_patches(image, spec)
+        P = extract_patches(image, 4, 10, seed=3)
         assert P.shape == (16, 10)
         assert np.all(P == 128 / 255)
 
     def test_single_placement(self):
         rng = np.random.default_rng(0)
         image = rng.integers(0, 256, size=(8, 8)).astype(np.uint8)
-        spec = PatchSpec(patch_size=8, patch_count=3, seed=0)
-        P = extract_patches(image, spec)
+        P = extract_patches(image, 8, 3, seed=0)
         expected = image.flatten(order="F") / 255
         for t in range(3):
             assert np.array_equal(P[:, t], expected)
@@ -57,20 +54,28 @@ class TestPatchExtraction:
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         image = rng.integers(0, 256, size=(32, 32)).astype(np.uint8)
-        spec = PatchSpec(patch_size=8, patch_count=50, seed=9)
-        assert np.array_equal(extract_patches(image, spec), extract_patches(image, spec))
+        assert np.array_equal(extract_patches(image, 8, 50, seed=9),
+                              extract_patches(image, 8, 50, seed=9))
+
+    @pytest.mark.parametrize("size, count, message", [
+        (0, 1, "patch_size must be at least 1"),
+        (2, 0, "patch_count must be at least 1"),
+    ])
+    def test_size_and_count_checked(self, size, count, message):
+        with pytest.raises(ValueError, match=message):
+            extract_patches(np.zeros((4, 4)), size, count)
 
     def test_image_too_small(self):
         with pytest.raises(ValueError, match="smaller"):
-            extract_patches(np.zeros((4, 4)), PatchSpec(patch_size=8, patch_count=1))
+            extract_patches(np.zeros((4, 4)), 8, 1)
 
     def test_column_major_within_patch(self):
         image = np.array([[1, 2], [3, 4]], dtype=np.uint8)
-        P = extract_patches(image, PatchSpec(patch_size=2, patch_count=1, seed=0), maxval=255)
+        P = extract_patches(image, 2, 1, seed=0, maxval=255)
         assert np.allclose(P[:, 0] * 255, [1, 3, 2, 4])
 
 
-class TestErrorReport:
+class TestRunResult:
     def test_from_factors(self):
         rng = np.random.default_rng(1)
         A = rng.standard_normal((3, 4))
@@ -81,13 +86,26 @@ class TestErrorReport:
         Xd[np.abs(Xd) < 0.7] = 0.0
         X = SparseCoeff.from_dense(Xd)
         Y = A @ Xd + 0.1
-        rep = ErrorReport.from_factors(Y, A, X, "demo", seed=4)
+        rep = RunResult.from_factors(Y, A, X, "demo", seed=4, budget=X.nnz)
         expect = np.linalg.norm(Y - A @ Xd, axis=0)
-        assert np.allclose(rep.per_sample_errors, expect)
+        assert np.allclose(rep.errors, expect)
         mean, std = report_stats(expect)
         assert rep.mean == mean and rep.std == std
-        assert rep.total_nonzeros == X.nnz
-        assert rep.avg_nonzeros_per_sample == X.nnz / 6
+        d = report_to_dict(rep, None)
+        assert d["total_nnz"] == X.nnz
+        assert d["avg_nnz_per_sample"] == X.nnz / 6
+        assert rep.trace.to_list() == [["outer", pytest.approx(float(np.sum(expect**2)))]]
+
+    @pytest.mark.parametrize("shape", [(5, 6), (4, 7)])
+    def test_coefficient_shape_mismatch_rejected(self, shape):
+        rng = np.random.default_rng(1)
+        from batchsvd import SparseCoeff
+
+        X = SparseCoeff(*shape)
+        X.set(0, 0, 1.0)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            RunResult.from_factors(rng.standard_normal((3, 6)), rng.standard_normal((3, 4)),
+                                   X, "demo", seed=0, budget=1)
 
 
 class TestRunBenchmark:
@@ -103,7 +121,7 @@ class TestRunBenchmark:
 
     def test_reports_well_formed(self):
         Y, cfg, results = self._run()
-        assert [r.report.algo_label for r in results] == ["batch", "ksvd", "rnd-omp"]
+        assert [r.label for r in results] == ["batch", "ksvd", "rnd-omp"]
         batch = results[0]
         assert batch.coefficients.nnz == 80
         for r in results:
@@ -112,8 +130,7 @@ class TestRunBenchmark:
             assert d["total_nnz"] == r.coefficients.nnz
             assert d["avg_nnz_per_sample"] == r.coefficients.nnz / 40
             assert d["config"]["max_outer"] == 3
-        ksvd_rep = results[1].report
-        assert ksvd_rep.total_nonzeros <= (80 // 40) * 40  # k*p <= K
+        assert results[1].coefficients.nnz <= (80 // 40) * 40  # k*p <= K
 
     def test_budget_infeasible_rejected_before_compute(self):
         rng = np.random.default_rng(0)
@@ -129,6 +146,10 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="per-sample"):
             run_benchmark(Y, cfg, ["ksvd"], n_atoms=6)
 
+    def test_empty_algo_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one algorithm"):
+            run_benchmark(np.eye(3), LearnConfig(budget=2), [], n_atoms=3)
+
     def test_unknown_algo_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             run_benchmark(np.eye(3), LearnConfig(budget=2), ["lasso"], n_atoms=3)
@@ -137,7 +158,7 @@ class TestRunBenchmark:
         rng = np.random.default_rng(2)
         holdout, _, _ = make_planted(6, 10, 15, [2] * 15, rng, snr_db=25)
         _, _, results = self._run(seed=2, algos=("ksvd",), holdout=holdout)
-        labels = [r.report.algo_label for r in results]
+        labels = [r.label for r in results]
         assert labels == ["ksvd", "ksvd-open"]
         assert results[1].coefficients.p == 15
 
@@ -157,8 +178,7 @@ class TestRunBenchmark:
         Y = rng.standard_normal((4, 6))
         cfg = LearnConfig(budget=4 * 6, init_iters=1, seed=3)
         results = run_benchmark(Y, cfg, ["rnd-omp"], n_atoms=4)
-        rep = results[0].report
-        assert rep.mean < 1e-9  # complete budget spans every sample exactly
+        assert results[0].mean < 1e-9  # complete budget spans every sample exactly
 
     def test_planted_heterogeneous_batch_beats_ksvd_majority(self):
         # direction predicted by the batchwise budget argument; small-scale
@@ -174,7 +194,7 @@ class TestRunBenchmark:
             )
             results = run_benchmark(Y, cfg, ["batch", "ksvd"], n_atoms=16,
                                     ksvd_iters=10)
-            by_label = {r.report.algo_label: r.report for r in results}
+            by_label = {r.label: r for r in results}
             if by_label["batch"].mean <= by_label["ksvd"].mean:
                 wins += 1
         assert wins > len(list(seeds)) / 2

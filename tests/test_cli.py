@@ -130,6 +130,53 @@ def test_compare_rejects_zero_iters(sample_matrix, tmp_path, capsys):
     assert not (tmp_path / "c.json").exists()
 
 
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    return json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("flag", ["--trigger", "--epsilon"])
+def test_nan_threshold_rejected(flag, sample_matrix, tmp_path, capsys):
+    rc = main(_learn_args(sample_matrix, tmp_path, extra=(flag, "nan")))
+    assert rc == 1
+    assert f"{flag[2:]} must be a nonnegative number" in _one_line_error(capsys)
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_compare_rejects_empty_algo_list(sample_matrix, tmp_path, capsys):
+    rc = main(["compare", "--in", str(sample_matrix), "--atoms", "10", "--budget", "60",
+               "--algos", ",", "--report-out", str(tmp_path / "c.json")])
+    assert rc == 1
+    assert "at least one algorithm" in _one_line_error(capsys)
+    assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("header", ["4 30 1", "10 31 1"])
+def test_eval_coefficient_shape_mismatch(header, sample_matrix, tmp_path, capsys):
+    # 6x30 samples and a 6x10 dictionary need 10x30 coefficients
+    D = tmp_path / "D.mat"
+    save_matrix(D, np.eye(6, 10))
+    coef = tmp_path / "X.txt"
+    coef.write_text(f"{header}\n1 1 1.0\n")
+    rc = main(["eval", "--in", str(sample_matrix), "--dict", str(D), "--coef", str(coef)])
+    assert rc == 1
+    assert "shape mismatch" in _one_line_error(capsys)
+
+
+def test_default_reports_are_strict_json(sample_matrix, tmp_path):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    learn, cmp = tmp_path / "learn.json", tmp_path / "cmp.json"
+    common = ["--in", str(sample_matrix), "--atoms", "10", "--budget", "60"]
+    assert main(["learn", *common, "--report-out", str(learn)]) == 0
+    assert main(["compare", *common, "--report-out", str(cmp)]) == 0
+    assert json.loads(learn.read_text(), parse_constant=reject)["config"]["trigger"] == 0.05
+    reports = json.loads(cmp.read_text(), parse_constant=reject)
+    assert [r["algo"] for r in reports] == ["batch", "ksvd", "rnd-omp"]
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.mat"
     bad.write_text("2 2\n1 2\n")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,19 @@ class TestSparseFormat:
         path.write_text("100000 100000 1000000000\n1 1 5.0\n")
         with pytest.raises(ParseError, match="expected 1000000000 entries"):
             load_sparse(path)
+
+    def test_memory_follows_entries_not_rows(self, tmp_path):
+        # a 12-byte file declaring 3,000,000 empty rows
+        path = tmp_path / "tall.txt"
+        path.write_text("3000000 1 0\n")
+        tracemalloc.start()
+        try:
+            X = load_sparse(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (X.n, X.p, X.nnz) == (3000000, 1, 0)
+        assert peak < 1 << 20
 
     def test_trailing_entries_rejected(self, tmp_path):
         path = tmp_path / "long.txt"

@@ -75,6 +75,31 @@ def test_row_index_checked(row):
     assert X.row_entries(2)[1].tolist() == [1.0]  # last row untouched
 
 
+@pytest.mark.parametrize("col", [-1, 4])
+def test_col_index_checked(col):
+    # both ends: -1 must not be stored as a column, p must not break to_dense later
+    X = SparseCoeff(3, 4)
+    X.set(2, 3, 1.0)
+    with pytest.raises(ValueError, match=f"column index {col} out of range"):
+        X.set_col(col, [0], [1.0])
+    assert X.entries() == [(2, 3, 1.0)]
+
+
+def test_emptied_rows_compare_equal_to_never_used_rows():
+    X = SparseCoeff(3, 4)
+    X.set_row(1, [0, 2], [1.0, 2.0])
+    X.set(0, 3, 4.0)
+    X.set_row(1, [], [])
+    X.unset(0, 3)
+    X.set(2, 1, 5.0)
+    X.set_col(1, [], [])
+    assert X == SparseCoeff(3, 4)
+    assert X.copy() == X and X.entries() == [] and not X.to_dense().any()
+    X.set(2, 0, 1.0)
+    X.permute_rows([2, 0, 1])
+    assert X.entries() == [(0, 0, 1.0)]
+
+
 def test_duplicate_rejected():
     X = SparseCoeff(3, 3)
     with pytest.raises(ValueError, match="duplicate"):
@@ -134,6 +159,11 @@ class TestLearnConfig:
             LearnConfig(budget=0)
         with pytest.raises(ValueError):
             LearnConfig(budget=5, epsilon=-1.0)
+        for name in ("epsilon", "trigger"):
+            with pytest.raises(ValueError, match=f"{name} must be a nonnegative number"):
+                LearnConfig(budget=5, **{name: float("nan")})
+            inf = LearnConfig(budget=5, **{name: float("inf")})  # inf stays valid
+            assert getattr(inf, name) == float("inf")
         with pytest.raises(ValueError):
             LearnConfig(budget=5, pair_fraction=0.0)
         with pytest.raises(ValueError):
