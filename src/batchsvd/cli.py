@@ -9,7 +9,9 @@ identical inputs and seeds give byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import logging
 import sys
 
 import numpy as np
@@ -148,6 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="batchsvd",
         description="Batchwise monotone dictionary learning benchmark",
     )
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="log ridge fallbacks, re-seeded atoms and other "
+                             "diagnostics to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("patches", help="sample training patches from a PGM image")
@@ -201,10 +206,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _log_to_stderr(enabled: bool):
+    """While enabled, send the package's debug and info log lines to stderr."""
+    if not enabled:
+        yield
+        return
+    logger = logging.getLogger("batchsvd")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _log_to_stderr(args.verbose):
+            return args.func(args)
     except (ValueError, NumericalError, ParseError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1

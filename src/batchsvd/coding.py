@@ -250,18 +250,15 @@ def _normalize_atoms(A: np.ndarray, X: SparseCoeff, rows):
             X.scale_row(i, nrm)
 
 
-def _fit_atoms(Y, A: np.ndarray, X: SparseCoeff, Xd: np.ndarray) -> np.ndarray:
-    """Refit in place the atoms whose rows of X are nonempty (dense copy Xd).
+def _fit_atoms(Y, A: np.ndarray, used, Xu: np.ndarray):
+    """Refit in place the atoms ``used`` (indices or a mask) from their rows Xu.
 
     Solves the dictionary least squares ``min ||Y - A_u X_u||_F`` over the
-    used atoms ``u`` and returns the boolean mask of used rows; the other
-    atoms are left untouched.
+    used atoms ``u``, whose coefficient rows are the rows of ``Xu``; the
+    other atoms are left untouched.
     """
-    used = np.asarray([X.row_size(i) > 0 for i in range(X.n)])
-    if used.any():
-        Xu = Xd[used, :]
+    if len(Xu):
         A[:, used] = solve_gram(Xu @ Xu.T, Xu @ Y.T).T
-    return used
 
 
 def omp(y, A, k: int):
@@ -444,7 +441,8 @@ def dict_approx_init(Y, A0, budget: int, iters: int):
         X = block_omp(Y, A, budget)
         Xd = X.to_dense()
         trace.append(_sq_norm(Y - A @ Xd))
-        used = _fit_atoms(Y, A, X, Xd)
+        used = np.asarray([X.row_size(i) > 0 for i in range(n)])
+        _fit_atoms(Y, A, used, Xd[used])
         used_ever |= used
         # re-normalize so the next coding round sees unit atoms; only used
         # atoms, since rescaling an untouched atom by a norm a rounding error

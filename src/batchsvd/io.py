@@ -67,17 +67,26 @@ def load_matrix(path) -> np.ndarray:
             )
         if out is None:  # allocate only once the file has shown m lines of p entries
             out = np.empty((m, p))
-        for j, tok in enumerate(tokens):
-            try:
-                val = float(tok)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: line {lineno}: bad numeric token {tok!r}"
-                ) from None
-            if not math.isfinite(val):
-                raise ParseError(f"{path}: line {lineno}: non-finite token {tok!r}")
-            out[i, j] = val
+        try:
+            out[i] = tokens  # numpy parses each string exactly as float() does
+            ok = np.isfinite(out[i]).all()
+        except ValueError:
+            ok = False
+        if not ok:
+            raise _token_error(path, lineno, tokens)
     return out
+
+
+def _token_error(path, lineno: int, tokens) -> ParseError:
+    """The ParseError naming the first token of a data line that is not a finite float."""
+    for tok in tokens:
+        try:
+            val = float(tok)
+        except ValueError:
+            return ParseError(f"{path}: line {lineno}: bad numeric token {tok!r}")
+        if not math.isfinite(val):
+            return ParseError(f"{path}: line {lineno}: non-finite token {tok!r}")
+    return ParseError(f"{path}: line {lineno}: bad numeric data")
 
 
 def save_matrix(path, M):

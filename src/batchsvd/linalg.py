@@ -65,34 +65,57 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
 
 
 def solve_gram(G: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve ``G Z = B`` for a (near) positive semidefinite Gram matrix G.
+    """Solve ``G Z = B`` for (near) positive semidefinite Gram matrices G.
 
-    Cholesky on the normal equations; if the condition estimate of G exceeds
-    ``COND_LIMIT`` a ridge of ``RIDGE_SCALE * trace(G) / k`` is added first.
-    Raises NumericalError, carrying the condition estimate, when even the
-    ridged system cannot be factorized.
+    ``G`` is one k x k Gram or a stack of them shaped ``(..., k, k)``. ``B``
+    is either one right-hand side per Gram, shaped ``(..., k)``, or ``r`` of
+    them, shaped ``(..., k, r)``; the result has the shape of ``B``. Every
+    Gram gets the same rule: Cholesky on the normal equations, and a ridge
+    of ``RIDGE_SCALE * trace(G) / k`` (logged once at debug level) when its
+    condition estimate exceeds ``COND_LIMIT`` or its Cholesky fails. Raises
+    NumericalError, carrying the condition estimate, when a ridged system
+    cannot be factorized. A single Gram is solved by scipy's
+    ``cho_factor``/``cho_solve``; the well-conditioned members of a stack
+    are checked by one batched Cholesky and solved by one batched LAPACK
+    solve, and only when that Cholesky fails are they taken one at a time.
     """
     G = np.asarray(G, dtype=np.float64)
-    k = G.shape[0]
-    if k == 0:
+    if G.shape[-1] == 0:
         return np.zeros_like(B)
     cond = np.linalg.cond(G)
-    ridged = False
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        lam = RIDGE_SCALE * np.trace(G) / k
-        G = G + lam * np.eye(k)
-        ridged = True
-        log.debug("gram solve: cond=%.3e, ridge %.3e applied", cond, lam)
-    try:
-        return cho_solve(cho_factor(G, lower=True), B)
-    except np.linalg.LinAlgError:
-        pass
-    if not ridged:
-        lam = RIDGE_SCALE * np.trace(G) / k
+    if G.ndim == 2:
+        return _solve_one(G, B, cond)
+    B = np.asarray(B, dtype=np.float64)
+    out = np.empty_like(B)
+    ok = np.isfinite(cond) & (cond <= COND_LIMIT)
+    if ok.any():
+        Gs, Bs = G[ok], B[ok]
+        vectors = B.ndim == G.ndim - 1
         try:
-            return cho_solve(cho_factor(G + lam * np.eye(k), lower=True), B)
+            np.linalg.cholesky(Gs)  # positive definite, as a single Gram must be
+            Zs = np.linalg.solve(Gs, Bs[..., None] if vectors else Bs)
+            out[ok] = Zs[..., 0] if vectors else Zs
+        except np.linalg.LinAlgError:
+            ok[...] = False  # some member is not positive definite: take each alone
+    for idx in zip(*np.nonzero(~ok)):
+        out[idx] = _solve_one(G[idx], B[idx], cond[idx])
+    return out
+
+
+def _solve_one(G: np.ndarray, B: np.ndarray, cond: float) -> np.ndarray:
+    """Cholesky solve of one k x k Gram, with :func:`solve_gram`'s ridge rule."""
+    k = G.shape[0]
+    if np.isfinite(cond) and cond <= COND_LIMIT:
+        try:
+            return cho_solve(cho_factor(G, lower=True), B)
         except np.linalg.LinAlgError:
             pass
+    lam = RIDGE_SCALE * np.trace(G) / k
+    log.debug("gram solve: cond=%.3e, ridge %.3e applied", cond, lam)
+    try:
+        return cho_solve(cho_factor(G + lam * np.eye(k), lower=True), B)
+    except np.linalg.LinAlgError:
+        pass
     raise NumericalError(
         f"gram matrix is rank-deficient beyond ridge rescue (cond estimate {cond:.3e})"
     )

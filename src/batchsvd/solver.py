@@ -25,7 +25,7 @@ from .coding import (
     _require_unit_atoms,
     reseed_dead_atoms,
 )
-from .linalg import NumericalError, _sq_norm, as_matrix, least_squares, rank1_svd
+from .linalg import NumericalError, _sq_norm, as_matrix, rank1_svd, solve_gram
 
 log = logging.getLogger(__name__)
 
@@ -221,29 +221,51 @@ def amplitude_adjust(Y, A, X: SparseCoeff, n_iters: int):
 
     Each of the ``n_iters`` rounds recomputes the used atoms by an
     unconstrained least squares against the fixed coefficients, then refits
-    every column's coefficients on its fixed support. Structural positions
-    of X are bit-identical before and after; the objective never increases
-    at either half-step. Atoms whose rows are empty are left untouched (a
-    singular coefficient Gram falls back to a ridge inside the solve).
-    Returns updated copies of A and X and the objective after each round.
+    every column's coefficients on its fixed support. That coefficient
+    half-step takes all its small systems ``A_S^T A_S z = A_S^T y_j`` from
+    one Gram ``G = A_u^T A_u`` of the used atoms per round (the precomputed
+    Gram of Batch-OMP): the columns are grouped by support size once per
+    call, and each group is solved as one stack by :func:`solve_gram`.
+    Structural positions of X are bit-identical before and after, and atoms
+    whose rows are empty are left untouched. The objective never increases
+    at either half-step as long as every solve is exact; a system that
+    :func:`solve_gram` has to ridge is solved only approximately, so a
+    ridged round can raise it slightly. Returns updated copies of A and X
+    and the objective after each round.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be at least 1")
     Y, A, X = _working_copies(Y, A, X)
-    # the support is frozen, so each column's rows are gathered once
-    col_rows: list[list[int]] = [[] for _ in range(X.p)]
-    for i, j, _ in X.entries():
-        col_rows[j].append(i)
+    # the support is frozen: take the K triplets once, in column order
+    triplets = np.asarray(X.entries(), dtype=np.float64).reshape(-1, 3)
+    rows = triplets[:, 0].astype(np.intp)
+    cols = triplets[:, 1].astype(np.intp)
+    vals = triplets[:, 2].copy()
+    used, slot = np.unique(rows, return_inverse=True)  # slot: entry's row within used
+    sizes = np.bincount(cols, minlength=X.p)
+    starts = np.cumsum(sizes) - sizes
+    groups = []  # (columns, (c, k) entry positions) per support size k
+    for k in np.unique(sizes[sizes > 0]):
+        js = np.flatnonzero(sizes == k)
+        groups.append((js, starts[js, None] + np.arange(k)))
+
+    def dense(row_of_entry, n_rows):
+        out = np.zeros((n_rows, X.p))
+        out[row_of_entry, cols] = vals
+        return out
 
     objectives = []
     for _ in range(n_iters):
-        _fit_atoms(Y, A, X, X.to_dense())
-        for j, rows in enumerate(col_rows):
-            if rows:
-                coef = least_squares(A[:, rows], Y[:, j])
-                for r, c in zip(rows, coef):
-                    X.set(r, j, c)
-        objectives.append(_sq_norm(Y - A @ X.to_dense()))
+        _fit_atoms(Y, A, used, dense(slot, used.size))
+        Au = A[:, used]
+        G = Au.T @ Au
+        for js, pos in groups:
+            S = slot[pos]
+            rhs = np.einsum("mck,mc->ck", Au[:, S], Y[:, js])
+            vals[pos] = solve_gram(G[S[:, :, None], S[:, None, :]], rhs)
+        objectives.append(_sq_norm(Y - A @ dense(rows, X.n)))
+    for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        X.set(i, j, v)
     return A, X, objectives
 
 

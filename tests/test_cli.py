@@ -1,4 +1,5 @@
 import json
+import logging
 import subprocess
 import sys
 
@@ -220,3 +221,24 @@ def test_compare_deterministic_bytes(sample_matrix, tmp_path):
         assert proc.returncode == 0, proc.stderr.decode()
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_verbose_logs_to_stderr_and_leaves_outputs_alone(sample_matrix, tmp_path, capsys):
+    # 20 atoms for a budget of 30 leaves atoms unused, so re-seeding is logged
+    outputs = []
+    for flags in ([], ["-v"], ["--verbose"]):
+        out = tmp_path / f"run{len(outputs)}"
+        out.mkdir()
+        argv = [*flags, *_learn_args(sample_matrix, out)]
+        argv[argv.index("--atoms") + 1] = "20"
+        argv[argv.index("--budget") + 1] = "30"
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        files = [(out / name).read_bytes() for name in ("D.mat", "X.txt", "r.json")]
+        outputs.append((captured.out, files, captured.err))
+    quiet, loud, long_flag = outputs
+    assert loud[:2] == quiet[:2] and long_flag[:2] == quiet[:2]
+    assert quiet[2] == ""
+    assert "batchsvd.coding: re-seeded dead atom" in loud[2]
+    assert long_flag[2] == loud[2]
+    assert not logging.getLogger("batchsvd").handlers  # the handler is removed again

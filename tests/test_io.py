@@ -60,6 +60,27 @@ class TestMatrixFormat:
         with pytest.raises(ParseError, match="non-finite"):
             load_matrix(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("1 x nan", "line 3: bad numeric token 'x'"),
+        ("1 -inf x", "line 3: non-finite token '-inf'"),
+        ("1 1e 2", "line 3: bad numeric token '1e'"),
+    ])
+    def test_bad_token_message_names_line_and_first_token(self, tmp_path, row, message):
+        path = tmp_path / "bad.mat"
+        path.write_text(f"2 3\n1 2 3\n{row}\n")
+        with pytest.raises(ParseError) as err:
+            load_matrix(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_tokens_parse_exactly_as_float(self, tmp_path):
+        tokens = ["2.2250738585072011e-308", "1e23", "1_0", "-0", ".5", "4.9e-325",
+                  "0.1000000000000000055511151231257827", "+7E-3"]
+        path = tmp_path / "hard.mat"
+        path.write_text(f"1 {len(tokens)}\n{' '.join(tokens)}\n")
+        got = load_matrix(path)[0]
+        want = np.array([float(t) for t in tokens])
+        assert got.tobytes() == want.tobytes()
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.mat"
         path.write_text("2\n1\n0\n")

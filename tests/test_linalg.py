@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from batchsvd import (
     objective,
     rank1_svd,
 )
+from batchsvd.linalg import COND_LIMIT, RIDGE_SCALE, solve_gram
 
 from oracles import align_sign, jacobi_svd, qr_solve
 
@@ -56,6 +59,73 @@ class TestLeastSquares:
         A = np.column_stack([a, a])
         x = least_squares(A, 2 * a)
         assert np.allclose(A @ x, 2 * a, atol=1e-6)
+
+
+def _ridge_lines(caplog):
+    return [r for r in caplog.records if r.getMessage().startswith("gram solve")]
+
+
+class TestSolveGram:
+    def _stack(self, rng):
+        """Five 3x3 Grams: three well-conditioned, one singular, one indefinite."""
+        Gs = []
+        for _ in range(3):
+            M = rng.standard_normal((6, 3))
+            Gs.append(M.T @ M)
+        a, b = rng.standard_normal(6), rng.standard_normal(6)
+        M = np.column_stack([a, a, b])
+        Gs.append(M.T @ M)  # duplicate atom: cond above COND_LIMIT
+        Gs.append(np.diag([1.0, -1e-11, 2.0]))  # Cholesky fails below COND_LIMIT
+        return np.stack(Gs)
+
+    def test_cholesky_failure_below_cond_limit_is_ridged_and_logged(self, caplog):
+        G = np.diag([1.0, -1e-11])
+        assert np.linalg.cond(G) < COND_LIMIT
+        b = np.array([1.0, 1e-12])
+        with caplog.at_level(logging.DEBUG, logger="batchsvd.linalg"):
+            z = solve_gram(G, b)
+        lam = RIDGE_SCALE * np.trace(G) / 2
+        np.testing.assert_allclose(z, b / (np.diag(G) + lam), rtol=1e-12)
+        assert len(_ridge_lines(caplog)) == 1
+
+    def test_indefinite_gram_beyond_rescue_is_logged_then_raises(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="batchsvd.linalg"):
+            with pytest.raises(NumericalError, match="cond"):
+                solve_gram(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
+        assert len(_ridge_lines(caplog)) == 1
+
+    # four members: three solved in one batched call, the singular one alone;
+    # five: the indefinite member sends every member through the single path
+    @pytest.mark.parametrize("members", [4, 5])
+    @pytest.mark.parametrize("rhs_cols", [None, 2])
+    def test_stack_matches_loop_of_single_solves(self, members, rhs_cols, caplog):
+        rng = np.random.default_rng(11)
+        G = self._stack(rng)[:members]
+        shape = (members, 3) if rhs_cols is None else (members, 3, rhs_cols)
+        B = rng.standard_normal(shape)
+        with caplog.at_level(logging.DEBUG, logger="batchsvd.linalg"):
+            looped = np.stack([solve_gram(g, b) for g, b in zip(G, B)])
+            single_lines = len(_ridge_lines(caplog))
+            stacked = solve_gram(G, B)
+        assert single_lines == members - 3
+        assert len(_ridge_lines(caplog)) == 2 * single_lines  # each ridged member once
+        assert stacked.shape == B.shape
+        np.testing.assert_allclose(stacked, looped, rtol=1e-12, atol=1e-12)
+        # leading axes beyond one are flattened the same way
+        np.testing.assert_allclose(
+            solve_gram(G[:4].reshape(2, 2, 3, 3), B[:4].reshape(2, 2, *shape[1:])),
+            looped[:4].reshape(2, 2, *shape[1:]), rtol=1e-12, atol=1e-12,
+        )
+
+    def test_empty_stacks(self):
+        assert solve_gram(np.zeros((4, 0, 0)), np.zeros((4, 0))).shape == (4, 0)
+        assert solve_gram(np.zeros((0, 3, 3)), np.zeros((0, 3))).shape == (0, 3)
+
+    def test_stack_member_beyond_rescue_raises(self):
+        G = self._stack(np.random.default_rng(12))
+        G[1] = 0.0
+        with pytest.raises(NumericalError, match="cond"):
+            solve_gram(G, np.ones((len(G), 3)))
 
 
 class TestRank1Svd:
