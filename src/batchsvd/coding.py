@@ -2,9 +2,10 @@
 
 The coefficient matrix keeps one ``col -> value`` dict per nonempty row, so
 the switching procedures can relocate structural nonzeros row by row while
-the global budget stays a plain entry count. Coding itself is greedy pursuit:
-classic per-sample OMP, and a batchwise variant that spends a single nonzero
-budget across all samples at once.
+the global budget stays a plain entry count. Every other reader and writer
+moves the whole matrix at once, as ``(rows, cols, vals)`` triplet arrays.
+Coding itself is greedy pursuit: classic per-sample OMP, and a batchwise
+variant that spends a single nonzero budget across all samples at once.
 """
 from __future__ import annotations
 
@@ -28,9 +29,10 @@ class SparseCoeff:
     Entries are structural: a stored value may be numerically zero and still
     counts toward the nonzero budget. Each nonempty row is a ``col -> value``
     dict keyed by its row index, so memory follows the entries and not ``n``;
-    an emptied row is dropped. Column-ordered access goes through
-    :meth:`entries`, and the per-column helpers (``col_support``,
-    ``col_size``, ``set_col``) scan every stored row.
+    an emptied row is dropped. A whole matrix goes in through
+    :meth:`from_triplets` and comes out through :meth:`entries`, both as
+    ``(rows, cols, vals)`` arrays; the switching phases edit it one row at a
+    time through the row methods.
     """
 
     __slots__ = ("n", "p", "_rows")
@@ -45,45 +47,41 @@ class SparseCoeff:
         self._rows: dict[int, dict] = {}  # row -> {col -> value}, nonempty rows only
 
     @classmethod
+    def from_triplets(cls, n: int, p: int, rows, cols, vals) -> "SparseCoeff":
+        """Build from aligned row-index, column-index and value arrays.
+
+        Every index must lie in range and every ``(row, col)`` pair may
+        appear once; structural zeros are kept.
+        """
+        X = cls(n, p)
+        rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+        cols = np.asarray(cols, dtype=np.intp).reshape(-1)
+        vals = np.asarray(vals, dtype=np.float64).reshape(-1)
+        if not rows.size == cols.size == vals.size:
+            raise ValueError("rows, cols and vals differ in length")
+        for index, size, kind in ((rows, X.n, "row"), (cols, X.p, "column")):
+            bad = np.flatnonzero((index < 0) | (index >= size))
+            if bad.size:
+                raise ValueError(f"{kind} index {index[bad[0]]} out of range for {X.n}x{X.p}")
+        t = _first_repeat(rows, cols)
+        if t is not None:
+            raise ValueError(f"duplicate entry ({rows[t]}, {cols[t]})")
+        for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+            X._rows.setdefault(i, {})[j] = v
+        return X
+
+    @classmethod
     def from_dense(cls, arr) -> "SparseCoeff":
         """Build from a dense array; structural support = exact nonzeros."""
         arr = as_matrix(arr, "coefficient matrix")
-        X = cls(arr.shape[0], arr.shape[1])
-        for i, j in zip(*np.nonzero(arr)):
-            X.set(int(i), int(j), float(arr[i, j]))
-        return X
-
-    def _check(self, i: int, j: int):
-        if not (0 <= i < self.n and 0 <= j < self.p):
-            raise ValueError(f"index ({i}, {j}) out of range for {self.n}x{self.p}")
+        rows, cols = np.nonzero(arr)
+        return cls.from_triplets(*arr.shape, rows, cols, arr[rows, cols])
 
     def _row(self, i: int) -> dict:
         """Row i's stored dict, or an empty one for an empty row."""
         if not 0 <= i < self.n:
             raise ValueError(f"row index {i} out of range for {self.n}x{self.p}")
         return self._rows.get(i, {})
-
-    def set(self, i: int, j: int, value: float):
-        """Insert or overwrite the structural entry at (i, j)."""
-        self._check(i, j)
-        self._rows.setdefault(i, {})[j] = float(value)
-
-    def unset(self, i: int, j: int):
-        self._check(i, j)
-        row = self._rows.get(i, {})
-        if j not in row:
-            raise ValueError(f"no structural entry at ({i}, {j})")
-        del row[j]
-        if not row:
-            del self._rows[i]
-
-    def has(self, i: int, j: int) -> bool:
-        self._check(i, j)
-        return j in self._rows.get(i, {})
-
-    def get(self, i: int, j: int) -> float:
-        self._check(i, j)
-        return self._rows.get(i, {}).get(j, 0.0)
 
     @property
     def nnz(self) -> int:
@@ -92,14 +90,8 @@ class SparseCoeff:
     def row_size(self, i: int) -> int:
         return len(self._row(i))
 
-    def col_size(self, j: int) -> int:
-        return sum(j in row for row in self._rows.values())
-
     def row_support(self, i: int) -> list:
         return sorted(self._row(i))
-
-    def col_support(self, j: int) -> list:
-        return sorted(i for i, row in self._rows.items() if j in row)
 
     def row_entries(self, i: int):
         """Return (cols, values) for row i, sorted by column index."""
@@ -108,37 +100,21 @@ class SparseCoeff:
         vals = [row[c] for c in cols]
         return np.asarray(cols, dtype=np.intp), np.asarray(vals, dtype=np.float64)
 
-    @staticmethod
-    def _line(index, values, size: int, kind: str) -> dict:
-        """Validated ``index -> value`` dict for one whole row or column."""
-        if len(index) != len(values):
-            raise ValueError(f"{kind} indices and values differ in length")
-        line = dict(zip((int(k) for k in index), (float(v) for v in values)))
-        if len(line) != len(index):
-            raise ValueError(f"duplicate {kind} indices")
-        for k in line:
-            if not (0 <= k < size):
-                raise ValueError(f"{kind} {k} out of range")
-        return line
-
     def set_row(self, i: int, cols, values):
         """Replace the whole support of row i."""
         self._row(i)  # range check before replacing the row
-        line = self._line(cols, values, self.p, "column")
+        if len(cols) != len(values):
+            raise ValueError("column indices and values differ in length")
+        line = dict(zip((int(c) for c in cols), (float(v) for v in values)))
+        if len(line) != len(cols):
+            raise ValueError("duplicate column indices")
+        for c in line:
+            if not 0 <= c < self.p:
+                raise ValueError(f"column {c} out of range")
         if line:
             self._rows[i] = line
         else:
             self._rows.pop(i, None)
-
-    def set_col(self, j: int, rows, values):
-        """Replace the whole support of column j."""
-        if not 0 <= j < self.p:
-            raise ValueError(f"column index {j} out of range for {self.n}x{self.p}")
-        line = self._line(rows, values, self.n, "row")
-        for i in self.col_support(j):
-            self.unset(i, j)
-        for r, v in line.items():
-            self.set(r, j, v)
 
     def scale_row(self, i: int, factor: float):
         row = self._row(i)
@@ -154,10 +130,9 @@ class SparseCoeff:
         self._rows = {k: self._rows[i] for k, i in enumerate(order) if i in self._rows}
 
     def to_dense(self) -> np.ndarray:
+        rows, cols, vals = self.entries()
         out = np.zeros((self.n, self.p))
-        for i, row in self._rows.items():
-            for j, v in row.items():
-                out[i, j] = v
+        out[rows, cols] = vals
         return out
 
     def copy(self) -> "SparseCoeff":
@@ -165,14 +140,17 @@ class SparseCoeff:
         out._rows = {i: dict(r) for i, r in self._rows.items()}
         return out
 
-    def entries(self) -> list:
-        """(row, col, value) triplets sorted by (col, row), the serialization order."""
-        triplets = [(i, j, v) for i, row in self._rows.items() for j, v in row.items()]
-        triplets.sort(key=lambda t: (t[1], t[0]))
-        return triplets
-
-    def support_set(self) -> frozenset:
-        return frozenset((i, j) for i, row in self._rows.items() for j in row)
+    def entries(self):
+        """``(rows, cols, vals)`` arrays sorted by column, then row: the serialization order."""
+        rows, cols, vals = [], [], []
+        for i, row in self._rows.items():
+            rows += [i] * len(row)
+            cols += row.keys()
+            vals += row.values()
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        order = np.lexsort((rows, cols))
+        return rows[order], cols[order], np.asarray(vals, dtype=np.float64)[order]
 
     def __eq__(self, other):
         if not isinstance(other, SparseCoeff):
@@ -185,6 +163,16 @@ class SparseCoeff:
 
     def __repr__(self):
         return f"SparseCoeff({self.n}x{self.p}, nnz={self.nnz})"
+
+
+def _first_repeat(rows, cols):
+    """Position of the first ``(rows[t], cols[t])`` pair seen earlier, or None."""
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    order = np.lexsort((rows, cols))  # stable: each pair's first position leads its run
+    rows, cols = rows[order], cols[order]
+    repeat = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+    return int(order[1:][repeat].min()) if repeat.any() else None
 
 
 @dataclass(frozen=True)
@@ -342,21 +330,20 @@ def block_omp(Y, A, budget: int) -> SparseCoeff:
         best_vals[j] = col_scores.max()
         best_rows[j] = col_scores.argmax()
 
-    X = SparseCoeff(n, p)
-    for j in range(p):
-        for i, c in zip(supports[j], coeffs[j]):
-            X.set(i, j, c)
-    return X
+    rows = [i for s in supports for i in s]
+    cols = np.repeat(np.arange(p), [len(s) for s in supports])
+    return SparseCoeff.from_triplets(n, p, rows, cols, np.concatenate(coeffs))
 
 
 def _code_per_sample(Y, A, k: int) -> SparseCoeff:
     """OMP-code every column of Y against A with at most ``k`` atoms each."""
-    X = SparseCoeff(A.shape[1], Y.shape[1])
+    rows, cols, vals = [], [], []
     for j in range(Y.shape[1]):
         supp, coef = omp(Y[:, j], A, k)
-        for i, c in zip(supp, coef):
-            X.set(int(i), j, c)
-    return X
+        rows += supp.tolist()
+        cols += [j] * supp.size
+        vals += coef.tolist()
+    return SparseCoeff.from_triplets(A.shape[1], Y.shape[1], rows, cols, vals)
 
 
 def initial_dictionary(Y, n_atoms: int, rng: np.random.Generator) -> np.ndarray:

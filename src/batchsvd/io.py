@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .coding import SparseCoeff
+from .coding import SparseCoeff, _first_repeat
 
 
 class ParseError(ValueError):
@@ -26,8 +26,12 @@ def _fmt(value: float) -> str:
 
 def _read_table(path, fields: str):
     """Return a text file's lines and its integer header, named by ``fields``."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().split("\n")
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        text = fh.read()
+    lines = text.split("\n")
+    if not text.isascii():  # each non-ASCII byte was decoded to a lone surrogate
+        lineno = next(k for k, line in enumerate(lines, 1) if not line.isascii())
+        raise ParseError(f"{path}: line {lineno}: non-ASCII byte")
     header = lines[0].split()
     if len(header) != len(fields.split()):
         raise ParseError(f"{path}: line 1: expected header '{fields}'")
@@ -103,11 +107,10 @@ def save_matrix(path, M):
 def load_sparse(path) -> SparseCoeff:
     """Read a sparse coefficient matrix from the triplet format."""
     lines, (n, p, nnz) = _read_table(path, "rows cols nnz")
-    if n < 1 or p < 1 or nnz < 0:
+    if n < 1 or p < 1 or nnz < 0 or max(n, p) > np.iinfo(np.intp).max:
         raise ParseError(f"{path}: line 1: bad dimensions")
-    entries = _data_lines(path, lines, nnz, "entries")
-    X = SparseCoeff(n, p)
-    for lineno, tokens in entries:
+    rows, cols, vals = [], [], []
+    for lineno, tokens in _data_lines(path, lines, nnz, "entries"):
         if len(tokens) != 3:
             raise ParseError(f"{path}: line {lineno}: expected 'row col value'")
         try:
@@ -119,16 +122,20 @@ def load_sparse(path) -> SparseCoeff:
             raise ParseError(f"{path}: line {lineno}: non-finite value")
         if not (0 <= i < n and 0 <= j < p):
             raise ParseError(f"{path}: line {lineno}: index out of range")
-        if X.has(i, j):
-            raise ParseError(f"{path}: line {lineno}: duplicate entry ({i + 1}, {j + 1})")
-        X.set(i, j, val)
-    return X
+        rows.append(i)
+        cols.append(j)
+        vals.append(val)
+    t = _first_repeat(rows, cols)
+    if t is not None:
+        raise ParseError(f"{path}: line {t + 2}: duplicate entry ({rows[t] + 1}, {cols[t] + 1})")
+    return SparseCoeff.from_triplets(n, p, rows, cols, vals)
 
 
 def save_sparse(path, X: SparseCoeff):
+    rows, cols, vals = X.entries()  # sorted by (col, row)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{X.n} {X.p} {X.nnz}\n")
-        for i, j, v in X.entries():  # already sorted by (col, row)
+        fh.write(f"{X.n} {X.p} {rows.size}\n")
+        for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
             fh.write(f"{i + 1} {j + 1} {_fmt(v)}\n")
 
 
@@ -189,7 +196,7 @@ def load_pgm(path):
             raise ParseError(f"{path}: truncated P2 raster")
         try:
             img = np.asarray([int(t) for t in values], dtype=np.int64)
-        except ValueError:
+        except (ValueError, OverflowError):  # OverflowError: beyond int64
             raise ParseError(f"{path}: bad P2 pixel token") from None
         if img.min() < 0 or img.max() > maxval:
             raise ParseError(f"{path}: pixel value outside [0, {maxval}]")

@@ -10,7 +10,6 @@ here too for equal-budget comparisons.
 """
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -208,12 +207,12 @@ def inter_row_switch(residual, row_i: RowWorkspace, row_j: RowWorkspace):
 
 
 def _working_copies(Y, A, X: SparseCoeff):
-    """Validated Y plus private copies of A and X for a solver to update."""
+    """Validated Y plus a private copy of A for a solver to update."""
     Y = as_matrix(Y, "Y")
     A = as_matrix(A, "A").copy()
     if X.n != A.shape[1] or X.p != Y.shape[1] or A.shape[0] != Y.shape[0]:
         raise ValueError(f"shape mismatch: Y {Y.shape}, A {A.shape}, X {X.n}x{X.p}")
-    return Y, A, X.copy()
+    return Y, A
 
 
 def amplitude_adjust(Y, A, X: SparseCoeff, n_iters: int):
@@ -235,12 +234,8 @@ def amplitude_adjust(Y, A, X: SparseCoeff, n_iters: int):
     """
     if n_iters < 1:
         raise ValueError("n_iters must be at least 1")
-    Y, A, X = _working_copies(Y, A, X)
-    # the support is frozen: take the K triplets once, in column order
-    triplets = np.asarray(X.entries(), dtype=np.float64).reshape(-1, 3)
-    rows = triplets[:, 0].astype(np.intp)
-    cols = triplets[:, 1].astype(np.intp)
-    vals = triplets[:, 2].copy()
+    Y, A = _working_copies(Y, A, X)
+    rows, cols, vals = X.entries()  # the support is frozen: take it once, in column order
     used, slot = np.unique(rows, return_inverse=True)  # slot: entry's row within used
     sizes = np.bincount(cols, minlength=X.p)
     starts = np.cumsum(sizes) - sizes
@@ -264,20 +259,25 @@ def amplitude_adjust(Y, A, X: SparseCoeff, n_iters: int):
             rhs = np.einsum("mck,mc->ck", Au[:, S], Y[:, js])
             vals[pos] = solve_gram(G[S[:, :, None], S[:, None, :]], rhs)
         objectives.append(_sq_norm(Y - A @ dense(rows, X.n)))
-    for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-        X.set(i, j, v)
-    return A, X, objectives
+    return A, SparseCoeff.from_triplets(X.n, X.p, rows, cols, vals), objectives
 
 
 def _sample_pairs(n: int, fraction: float, rng: np.random.Generator) -> list:
-    pairs = list(itertools.combinations(range(n), 2))
-    if not pairs:
+    """A seeded ``fraction`` of the row pairs ``(i, j)``, ``i < j``, in lexicographic order.
+
+    Draws pair indices in lexicographic numbering and maps each back to its
+    pair by arithmetic, so the n(n-1)/2 pairs are never built.
+    """
+    total = n * (n - 1) // 2
+    if total == 0:
         return []
-    count = min(len(pairs), int(np.ceil(fraction * len(pairs))))
-    if count >= len(pairs):
-        return pairs
-    chosen = rng.choice(len(pairs), size=count, replace=False)
-    return [pairs[t] for t in sorted(chosen)]
+    count = min(total, int(np.ceil(fraction * total)))
+    chosen = (np.arange(total) if count >= total
+              else np.sort(rng.choice(total, size=count, replace=False)))
+    lengths = np.arange(n - 1, 0, -1)  # pairs whose first row is i
+    starts = np.cumsum(lengths) - lengths  # index of the pair (i, i + 1)
+    i = np.searchsorted(starts, chosen, side="right") - 1
+    return list(zip(i.tolist(), (chosen - starts[i] + i + 1).tolist()))
 
 
 def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
@@ -295,7 +295,8 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
     together with the recorded objective trace. The structural nonzero count
     of X is identical before and after.
     """
-    Y, A, X = _working_copies(Y, A, X)
+    Y, A = _working_copies(Y, A, X)
+    X = X.copy()
     n = X.n
     nnz_total = X.nnz
 
@@ -424,6 +425,5 @@ def ksvd(Y, A0, k: int, iters: int):
             Xd[i, cols] = triple.sigma * triple.v
         trace.append("outer", _sq_norm(Y - A @ Xd))
 
-    for i, j, _ in coded.entries():  # last coding pass's support, updated values
-        coded.set(i, j, Xd[i, j])
-    return A, coded, trace
+    rows, cols, _ = coded.entries()  # last coding pass's support, updated values
+    return A, SparseCoeff.from_triplets(n, p, rows, cols, Xd[rows, cols]), trace

@@ -137,9 +137,11 @@ def test_block_omp_kronecker_equivalence():
         budget = int(rng.integers(1, min(n * p, 14) + 1))
         X = block_omp(Y, A, budget)
         ref = kron_omp(Y, A, budget)
-        assert X.support_set() == frozenset(ref), f"instance {checked}: supports differ"
-        for (i, j), val in ref.items():
-            assert abs(X.get(i, j) - val) <= 1e-10, f"instance {checked}: coeff differs"
+        rows, cols, vals = X.entries()
+        got = dict(zip(zip(rows.tolist(), cols.tolist()), vals.tolist()))
+        assert got.keys() == ref.keys(), f"instance {checked}: supports differ"
+        for key, val in ref.items():
+            assert abs(got[key] - val) <= 1e-10, f"instance {checked}: coeff differs"
         checked += 1
     _passed("block-OMP Kronecker equivalence (100 instances)")
 
@@ -182,16 +184,20 @@ def test_amplitude_adjust_contracts():
         A /= np.linalg.norm(A, axis=0)
         from batchsvd import SparseCoeff
 
-        X = SparseCoeff(n, p)
+        rows, cols, vals = [], [], []
         for j in range(p):
-            rows = rng.choice(n, size=int(rng.integers(1, min(n, m) + 1)), replace=False)
-            X.set_col(j, rows, rng.standard_normal(rows.size))
-        for i in range(n):
-            if X.row_size(i) == 0:
-                X.set(i, int(rng.integers(p)), float(rng.standard_normal()))
-        before = X.support_set()
+            col_rows = rng.choice(n, size=int(rng.integers(1, min(n, m) + 1)), replace=False)
+            rows += col_rows.tolist()
+            cols += [j] * col_rows.size
+            vals += rng.standard_normal(col_rows.size).tolist()
+        for i in sorted(set(range(n)) - set(rows)):  # every row gets an entry
+            rows.append(i)
+            cols.append(int(rng.integers(p)))
+            vals.append(float(rng.standard_normal()))
+        X = SparseCoeff.from_triplets(n, p, rows, cols, vals)
         A2, X2, _ = amplitude_adjust(Y, A, X, 1)
-        assert X2.support_set() == before, f"trial {trial}: support changed"
+        support, support2 = X.entries()[:2], X2.entries()[:2]
+        assert all(map(np.array_equal, support, support2)), f"trial {trial}: support changed"
         # dictionary half-step was optimal for the input coefficients:
         # defect columns are X0^T (Y - A2 X0)^T per used atom
         X0 = X.to_dense()
@@ -201,7 +207,7 @@ def test_amplitude_adjust_contracts():
         )
         X2d = X2.to_dense()
         for j in range(p):
-            rows = X2.col_support(j)
+            rows = support2[0][support2[1] == j]
             sub = A2[:, rows]
             x_j = X2d[rows, j]
             defect_j = sub.T @ (Y[:, j] - sub @ x_j)

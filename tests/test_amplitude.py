@@ -10,17 +10,29 @@ def _random_instance(rng, m, n, p, ensure_used_rows=True):
     Y = rng.standard_normal((m, p))
     A = rng.standard_normal((m, n))
     A /= np.linalg.norm(A, axis=0)
-    X = SparseCoeff(n, p)
+    rows, cols, vals = [], [], []
     for j in range(p):
-        rows = rng.choice(n, size=int(rng.integers(1, min(n, m) + 1)), replace=False)
-        X.set_col(j, rows, rng.standard_normal(rows.size))
+        col_rows = rng.choice(n, size=int(rng.integers(1, min(n, m) + 1)), replace=False)
+        rows += col_rows.tolist()
+        cols += [j] * col_rows.size
+        vals += rng.standard_normal(col_rows.size).tolist()
     if ensure_used_rows:
         # give every row at least one entry so the dictionary update is full
-        for i in range(n):
-            if X.row_size(i) == 0:
-                j = int(rng.integers(p))
-                X.set(i, j, float(rng.standard_normal()))
-    return Y, A, X
+        for i in sorted(set(range(n)) - set(rows)):
+            rows.append(i)
+            cols.append(int(rng.integers(p)))
+            vals.append(float(rng.standard_normal()))
+    return Y, A, SparseCoeff.from_triplets(n, p, rows, cols, vals)
+
+
+def _col_rows(X):
+    """Each column's sorted row indices."""
+    rows, cols, _ = X.entries()
+    return np.split(rows, np.cumsum(np.bincount(cols, minlength=X.p))[:-1])
+
+
+def _same_support(X, X2):
+    return all(map(np.array_equal, X.entries()[:2], X2.entries()[:2]))
 
 
 def test_exact_factorization_is_fixed_point():
@@ -53,9 +65,8 @@ def test_column_halfstep_normal_equations():
     Y, A, X = _random_instance(rng, 5, 6, 25)
     A2, X2, _ = amplitude_adjust(Y, A, X, 1)
     X2d = X2.to_dense()
-    for j in range(X2.p):
-        rows = X2.col_support(j)
-        if not rows:
+    for j, rows in enumerate(_col_rows(X2)):
+        if not rows.size:
             continue
         sub = A2[:, rows]
         r = Y[:, j] - sub @ X2d[rows, j]
@@ -67,9 +78,8 @@ def test_support_immutable():
     rng = np.random.default_rng(3)
     for _ in range(50):
         Y, A, X = _random_instance(rng, 4, 5, 12)
-        before = X.support_set()
         _, X2, _ = amplitude_adjust(Y, A, X, int(rng.integers(1, 4)))
-        assert X2.support_set() == before
+        assert _same_support(X, X2)
 
 
 def test_objective_non_increasing_per_halfstep():
@@ -117,9 +127,9 @@ def test_empty_rows_left_alone():
     Y = rng.standard_normal((4, 10))
     A = rng.standard_normal((4, 5))
     A /= np.linalg.norm(A, axis=0)
-    X = SparseCoeff(5, 10)
-    for j in range(10):
-        X.set(int(j % 3), j, float(rng.standard_normal()))  # rows 3, 4 stay empty
+    vals = [float(rng.standard_normal()) for _ in range(10)]
+    # rows 3 and 4 stay empty
+    X = SparseCoeff.from_triplets(5, 10, np.arange(10) % 3, np.arange(10), vals)
     dead_atoms = A[:, 3:].copy()
     A2, X2, _ = amplitude_adjust(Y, A, X, 2)
     assert np.array_equal(A2[:, 3:], dead_atoms)
@@ -140,21 +150,24 @@ def test_coefficient_halfstep_matches_per_column_least_squares(caplog):
     A = rng.standard_normal((m, n))
     A[:, 1] = A[:, 0]
     A /= np.linalg.norm(A, axis=0)
-    X = SparseCoeff(n, p)
-    X.set_col(0, [0, 1], [0.5, 0.5])
+    rows, cols, vals = [0, 1], [0, 0], [0.5, 0.5]
     for j in range(1, p):
         k = 1 + j % m
-        X.set_col(j, 2 + rng.choice(n - 3, size=k, replace=False), rng.standard_normal(k))
+        rows += (2 + rng.choice(n - 3, size=k, replace=False)).tolist()
+        cols += [j] * k
+        vals += rng.standard_normal(k).tolist()
+    X = SparseCoeff.from_triplets(n, p, rows, cols, vals)
     assert X.row_size(n - 1) == 0
-    assert {X.col_size(j) for j in range(p)} >= set(range(1, m + 1))
+    assert {r.size for r in _col_rows(X)} >= set(range(1, m + 1))
 
     with caplog.at_level(logging.DEBUG, logger="batchsvd.linalg"):
         A2, X2, _ = amplitude_adjust(Y, A, X, 1)
     assert any(r.getMessage().startswith("gram solve") for r in caplog.records)
-    assert X2.support_set() == X.support_set()
+    assert _same_support(X, X2)
     X2d = X2.to_dense()
+    col_rows = _col_rows(X)
     for j in range(1, p):
-        rows = X.col_support(j)
+        rows = col_rows[j]
         oracle = least_squares(A2[:, rows], Y[:, j])
         np.testing.assert_allclose(X2d[rows, j], oracle, rtol=1e-9, atol=0)
     # the ridged system keeps a condition number near 1e10, so its split
@@ -166,7 +179,7 @@ def test_coefficient_halfstep_matches_per_column_least_squares(caplog):
     np.testing.assert_allclose(X2d[[0, 1], 0], oracle, rtol=1e-4, atol=0)
 
     _, X3, objs = amplitude_adjust(Y, A, X, 6)
-    assert X3.support_set() == X.support_set()
+    assert _same_support(X, X3)
     trace = [objective(Y, A, X)] + objs
     for a, b in zip(trace, trace[1:]):
         assert b - a <= 1e-9 * max(abs(a), abs(b))

@@ -101,8 +101,7 @@ class TestRunResult:
         rng = np.random.default_rng(1)
         from batchsvd import SparseCoeff
 
-        X = SparseCoeff(*shape)
-        X.set(0, 0, 1.0)
+        X = SparseCoeff.from_triplets(*shape, [0], [0], [1.0])
         with pytest.raises(ValueError, match="shape mismatch"):
             RunResult.from_factors(rng.standard_normal((3, 6)), rng.standard_normal((3, 4)),
                                    X, "demo", seed=0, budget=1)

@@ -188,6 +188,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error" in json.loads(err.strip())
 
 
+def test_non_ascii_input_is_a_one_line_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.mat"
+    bad.write_bytes(b"1 3\n8\xff 1 2\n")
+    rc = main(["eval", "--in", str(bad), "--dict", str(bad), "--coef", str(bad)])
+    assert rc == 1
+    assert _one_line_error(capsys) == f"{bad}: line 2: non-ASCII byte"
+
+
 @pytest.mark.parametrize("verb", ["learn", "eval"])
 def test_oversized_header_is_a_parse_error(verb, tmp_path, capsys):
     # the header claims 74.5 GiB; the reader must fail on the line count

@@ -71,7 +71,7 @@ class TestBlockOmp:
     def test_single_entry_argmax(self):
         X = block_omp(np.array([[1.0, 0.0], [0.0, 2.0]]), np.eye(2), 1)
         assert X.nnz == 1
-        assert X.get(1, 1) == 2.0
+        assert [a.tolist() for a in X.entries()] == [[1], [1], [2.0]]
 
     def test_orthonormal_full_budget(self):
         rng = np.random.default_rng(1)
@@ -94,9 +94,11 @@ class TestBlockOmp:
             budget = int(rng.integers(1, min(n * p, 12) + 1))
             X = block_omp(Y, A, budget)
             ref = kron_omp(Y, A, budget)
-            assert X.support_set() == frozenset(ref)
-            for (i, j), val in ref.items():
-                assert np.isclose(X.get(i, j), val, atol=1e-10)
+            rows, cols, vals = X.entries()
+            got = dict(zip(zip(rows.tolist(), cols.tolist()), vals.tolist()))
+            assert got.keys() == ref.keys()
+            for key, val in ref.items():
+                assert np.isclose(got[key], val, atol=1e-10)
 
     def test_budget_law(self):
         rng = np.random.default_rng(3)

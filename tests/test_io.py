@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -87,6 +88,12 @@ class TestMatrixFormat:
         with pytest.raises(ParseError, match="line 1"):
             load_matrix(path)
 
+    def test_non_ascii_byte_names_line(self, tmp_path):
+        path = tmp_path / "bad.mat"
+        path.write_bytes(b"1 3\r\n8\xff 1 2\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: non-ASCII byte$"):
+            load_matrix(path)
+
     def test_trailing_rows_rejected(self, tmp_path):
         path = tmp_path / "long.mat"
         path.write_text("1 2\n1 2\n3 4\n")
@@ -98,21 +105,16 @@ class TestMatrixFormat:
 
 class TestSparseFormat:
     def test_round_trip(self, tmp_path):
-        X = SparseCoeff(4, 6)
-        X.set(2, 0, 1.5)
-        X.set(0, 3, -2.25)
-        X.set(3, 3, 0.0)  # structural zero survives serialization
+        # (3, 3) is a structural zero, which survives serialization
+        X = SparseCoeff.from_triplets(4, 6, [2, 0, 3], [0, 3, 3], [1.5, -2.25, 0.0])
         path = tmp_path / "x.txt"
         save_sparse(path, X)
         X2 = load_sparse(path)
         assert X2 == X
-        assert X2.has(3, 3)
+        assert X2.nnz == 3 and X2.row_support(3) == [3]
 
     def test_sorted_by_col_then_row(self, tmp_path):
-        X = SparseCoeff(3, 3)
-        X.set(2, 1, 1.0)
-        X.set(0, 1, 2.0)
-        X.set(1, 0, 3.0)
+        X = SparseCoeff.from_triplets(3, 3, [2, 0, 1], [1, 1, 0], [1.0, 2.0, 3.0])
         path = tmp_path / "x.txt"
         save_sparse(path, X)
         lines = path.read_text().strip().split("\n")
@@ -138,6 +140,21 @@ class TestSparseFormat:
         with pytest.raises(ParseError, match="line 3"):
             load_sparse(path)
 
+    def test_first_repeated_line_named(self, tmp_path):
+        path = tmp_path / "dup.txt"
+        path.write_text("3 3 5\n1 1 5.0\n2 2 1.0\n2 2 6.0\n1 1 7.0\n3 3 1.0\n")
+        with pytest.raises(ParseError, match=r": line 4: duplicate entry \(2, 2\)$"):
+            load_sparse(path)
+
+    @pytest.mark.parametrize("data, lineno", [
+        (b"2 2 1\n1 1 5.0\xe9\n", 2), (b"2\x80 2 1\n1 1 5.0\n", 1), (b"2 2 0\n\n\xff\n", 3),
+    ])
+    def test_non_ascii_byte_names_line(self, tmp_path, data, lineno):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=f": line {lineno}: non-ASCII byte$"):
+            load_sparse(path)
+
     def test_truncated_entries(self, tmp_path):
         path = tmp_path / "short.txt"
         path.write_text("2 2 3\n1 1 5.0\n")
@@ -148,6 +165,12 @@ class TestSparseFormat:
         path = tmp_path / "huge.txt"
         path.write_text("100000 100000 1000000000\n1 1 5.0\n")
         with pytest.raises(ParseError, match="expected 1000000000 entries"):
+            load_sparse(path)
+
+    def test_dimension_beyond_index_range_rejected(self, tmp_path):
+        path = tmp_path / "wide.txt"
+        path.write_text(f"{10**30} 2 1\n{10**24} 1 1.0\n")
+        with pytest.raises(ParseError, match="line 1: bad dimensions"):
             load_sparse(path)
 
     def test_memory_follows_entries_not_rows(self, tmp_path):
@@ -205,6 +228,12 @@ class TestPgm:
         path = tmp_path / "d.pgm"
         path.write_bytes(b"P2\n1 1\n65535\n1000\n")
         with pytest.raises(ParseError, match="8-bit"):
+            load_pgm(path)
+
+    def test_p2_pixel_beyond_int64_rejected(self, tmp_path):
+        path = tmp_path / "f.pgm"
+        path.write_bytes(b"P2 1 1 255\n" + b"9" * 30 + b"\n")
+        with pytest.raises(ParseError, match="bad P2 pixel token"):
             load_pgm(path)
 
     def test_truncated_raster(self, tmp_path):

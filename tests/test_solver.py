@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -161,6 +162,29 @@ class TestBatchSvd:
         )
 
 
+def _sample_pairs_by_enumeration(n, fraction, rng):
+    """The pair sampler's rule, stated on the materialized list of all pairs."""
+    pairs = list(itertools.combinations(range(n), 2))
+    if not pairs:
+        return []
+    count = min(len(pairs), int(np.ceil(fraction * len(pairs))))
+    if count >= len(pairs):
+        return pairs
+    chosen = rng.choice(len(pairs), size=count, replace=False)
+    return [pairs[t] for t in sorted(chosen)]
+
+
+@pytest.mark.parametrize("fraction", [0.01, 0.1, 2.0 / 69, 0.5, 0.999, 1.0])
+def test_sample_pairs_matches_enumeration(fraction):
+    for n in range(1, 71):
+        for seed in (0, 1, 17):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = solver._sample_pairs(n, fraction, rng)
+            assert got == _sample_pairs_by_enumeration(n, fraction, ref_rng), (n, fraction, seed)
+            assert all(type(i) is int and type(j) is int for i, j in got)
+            assert rng.random() == ref_rng.random()  # later rounds draw the same
+
+
 class TestBudgetCheck:
     """A broken switching step that loses a nonzero must fail loudly."""
 
@@ -221,8 +245,7 @@ class TestKsvd:
         A0 = initial_dictionary(Y, 8, rng)
         A, X, trace = ksvd(Y, A0, k=2, iters=4)
         assert X.nnz <= 2 * 20
-        for j in range(20):
-            assert X.col_size(j) <= 2
+        assert np.bincount(X.entries()[1], minlength=20).max() <= 2
         assert len(trace.values("outer")) == 8  # two samples per pass
 
     def test_invalid_k(self):

@@ -1,67 +1,46 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from batchsvd import LearnConfig, SparseCoeff
+from batchsvd import LearnConfig, SparseCoeff, load_sparse, save_sparse
 
 
-def test_set_get_unset():
-    X = SparseCoeff(3, 4)
-    X.set(1, 2, 5.0)
-    assert X.has(1, 2)
-    assert X.get(1, 2) == 5.0
-    assert X.get(0, 0) == 0.0
-    assert X.nnz == 1
-    X.unset(1, 2)
-    assert X.nnz == 0
-    with pytest.raises(ValueError):
-        X.unset(1, 2)
+def _sc(n, p, *triplets):
+    """Store holding the given (row, col, value) triplets."""
+    rows, cols, vals = zip(*triplets) if triplets else ((), (), ())
+    return SparseCoeff.from_triplets(n, p, rows, cols, vals)
+
+
+def _triplets(X):
+    rows, cols, vals = X.entries()
+    return list(zip(rows.tolist(), cols.tolist(), vals.tolist()))
 
 
 def test_structural_zero_counts():
-    X = SparseCoeff(2, 2)
-    X.set(0, 1, 0.0)
+    X = _sc(2, 2, (0, 1, 0.0))
     assert X.nnz == 1
-    assert X.has(0, 1)
-
-
-def test_views_stay_consistent_under_mutation():
-    rng = np.random.default_rng(0)
-    X = SparseCoeff(6, 9)
-    for _ in range(200):
-        i = int(rng.integers(6))
-        j = int(rng.integers(9))
-        action = rng.integers(3)
-        if action == 0:
-            X.set(i, j, float(rng.standard_normal()))
-        elif action == 1 and X.has(i, j):
-            X.unset(i, j)
-        else:
-            cols = rng.choice(9, size=int(rng.integers(0, 4)), replace=False)
-            X.set_row(i, cols, rng.standard_normal(len(cols)))
-    # transpose views agree entry by entry
-    for i in range(6):
-        for j in X.row_support(i):
-            assert i in X.col_support(j)
+    assert _triplets(X) == [(0, 1, 0.0)]
 
 
 def test_set_row_and_col():
+    # rows are written whole; columns are read back through entries()
     X = SparseCoeff(4, 5)
     X.set_row(2, [0, 3], [1.0, -2.0])
     assert X.row_support(2) == [0, 3]
-    # set_col replaces the whole column support, dropping the (2, 3) entry
-    X.set_col(3, [0, 1], [7.0, 8.0])
-    assert X.col_support(3) == [0, 1]
-    assert X.row_support(2) == [0]
-    assert X.get(0, 3) == 7.0
+    X.set_row(0, [3], [7.0])
+    rows, cols, vals = X.entries()
+    assert rows[cols == 3].tolist() == [0, 2]
+    assert vals[cols == 3].tolist() == [7.0, -2.0]
     X.set_row(2, [], [])
     assert X.row_size(2) == 0
+    assert _triplets(X) == [(0, 3, 7.0)]
 
 
 @pytest.mark.parametrize("row", [-1, 3])
 def test_row_index_checked(row):
     # both ends: -1 must not wrap to the last row, n must not raise IndexError
-    X = SparseCoeff(3, 4)
-    X.set(2, 1, 1.0)
+    X = _sc(3, 4, (2, 1, 1.0))
     calls = [
         lambda: X.set_row(row, [0], [1.0]),
         lambda: X.row_size(row),
@@ -75,29 +54,33 @@ def test_row_index_checked(row):
     assert X.row_entries(2)[1].tolist() == [1.0]  # last row untouched
 
 
-@pytest.mark.parametrize("col", [-1, 4])
-def test_col_index_checked(col):
-    # both ends: -1 must not be stored as a column, p must not break to_dense later
-    X = SparseCoeff(3, 4)
-    X.set(2, 3, 1.0)
-    with pytest.raises(ValueError, match=f"column index {col} out of range"):
-        X.set_col(col, [0], [1.0])
-    assert X.entries() == [(2, 3, 1.0)]
+@pytest.mark.parametrize("row, col, kind, bad", [
+    (-1, 0, "row", -1), (3, 0, "row", 3), (0, -1, "column", -1), (0, 4, "column", 4),
+])
+def test_from_triplets_index_checked(row, col, kind, bad):
+    # both ends: -1 must not wrap around, n or p must not break to_dense later
+    with pytest.raises(ValueError, match=f"{kind} index {bad} out of range for 3x4"):
+        _sc(3, 4, (1, 1, 1.0), (row, col, 2.0))
+
+
+def test_from_triplets_rejects_duplicates_and_ragged_input():
+    with pytest.raises(ValueError, match=r"duplicate entry \(2, 1\)"):
+        _sc(3, 4, (0, 0, 1.0), (2, 1, 2.0), (1, 3, 3.0), (2, 1, 4.0), (0, 0, 5.0))
+    with pytest.raises(ValueError, match="differ in length"):
+        SparseCoeff.from_triplets(3, 4, [0, 1], [0, 1], [1.0])
 
 
 def test_emptied_rows_compare_equal_to_never_used_rows():
     X = SparseCoeff(3, 4)
     X.set_row(1, [0, 2], [1.0, 2.0])
-    X.set(0, 3, 4.0)
+    X.set_row(0, [3], [4.0])
     X.set_row(1, [], [])
-    X.unset(0, 3)
-    X.set(2, 1, 5.0)
-    X.set_col(1, [], [])
+    X.set_row(0, [], [])
     assert X == SparseCoeff(3, 4)
-    assert X.copy() == X and X.entries() == [] and not X.to_dense().any()
-    X.set(2, 0, 1.0)
+    assert X.copy() == X and _triplets(X) == [] and not X.to_dense().any()
+    X.set_row(2, [0], [1.0])
     X.permute_rows([2, 0, 1])
-    assert X.entries() == [(0, 0, 1.0)]
+    assert _triplets(X) == [(0, 0, 1.0)]
 
 
 def test_duplicate_rejected():
@@ -116,33 +99,68 @@ def test_dense_round_trip():
 
 
 def test_permute_rows():
-    X = SparseCoeff(3, 4)
-    X.set(0, 1, 1.0)
-    X.set(2, 3, 2.0)
+    X = _sc(3, 4, (0, 1, 1.0), (2, 3, 2.0))
     X.permute_rows([2, 0, 1])
-    assert X.get(0, 3) == 2.0
-    assert X.get(1, 1) == 1.0
+    assert _triplets(X) == [(1, 1, 1.0), (0, 3, 2.0)]
 
 
 def test_entries_sorted_by_col_then_row():
-    X = SparseCoeff(3, 3)
-    X.set(2, 0, 1.0)
-    X.set(0, 2, 2.0)
-    X.set(1, 0, 3.0)
-    assert [(i, j) for i, j, _ in X.entries()] == [(1, 0), (2, 0), (0, 2)]
+    X = _sc(3, 3, (2, 0, 1.0), (0, 2, 2.0), (1, 0, 3.0))
+    rows, cols, vals = X.entries()
+    assert (rows.dtype, cols.dtype, vals.dtype) == (np.intp, np.intp, np.float64)
+    assert list(zip(rows.tolist(), cols.tolist())) == [(1, 0), (2, 0), (0, 2)]
+    assert vals.tolist() == [3.0, 1.0, 2.0]
 
 
 def test_copy_is_deep():
-    X = SparseCoeff(2, 2)
-    X.set(0, 0, 1.0)
+    X = _sc(2, 2, (0, 0, 1.0))
     Y = X.copy()
-    Y.set(1, 1, 2.0)
+    Y.set_row(1, [1], [2.0])
     assert X.nnz == 1 and Y.nnz == 2
 
 
 def test_bad_dimensions():
     with pytest.raises(ValueError):
         SparseCoeff(0, 5)
+
+
+@st.composite
+def _stores(draw):
+    """(n, p, entries): distinct (row, col) positions with values, zeros included."""
+    n = draw(st.integers(1, 6))
+    p = draw(st.integers(1, 6))
+    cells = draw(st.one_of(
+        st.just([]),
+        st.just([(i, j) for i in range(n) for j in range(p)]),  # K = n*p
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, p - 1)), unique=True),
+    ))
+    cells = draw(st.permutations(cells))
+    vals = draw(st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.25]) | st.floats(-1e6, 1e6),
+                         min_size=len(cells), max_size=len(cells)))
+    return n, p, [(i, j, v) for (i, j), v in zip(cells, vals)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stores())
+def test_triplet_round_trips(tmp_path_factory, store):
+    n, p, entries = store
+    X = _sc(n, p, *entries)
+    assert X.nnz == len(entries)
+    assert _triplets(X) == sorted(entries, key=lambda t: (t[1], t[0]))
+    D = np.zeros((n, p))
+    for i, j, v in entries:
+        D[i, j] = v
+    assert np.array_equal(X.to_dense(), D)
+    path = tmp_path_factory.mktemp("store") / "x.coef"
+    save_sparse(path, X)
+    assert load_sparse(path) == X
+    for bad in ((n, 0, 1.0), (0, p, 1.0), (-1, 0, 1.0), (0, -1, 1.0)):
+        with pytest.raises(ValueError, match="out of range"):
+            _sc(n, p, *entries, bad)
+    if entries:
+        i, j, _ = entries[-1]
+        with pytest.raises(ValueError, match=rf"duplicate entry \({i}, {j}\)"):
+            _sc(n, p, *entries, (i, j, 1.0))
 
 
 class TestLearnConfig:
