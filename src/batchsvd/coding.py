@@ -4,23 +4,26 @@ The coefficient matrix keeps one ``col -> value`` dict per nonempty row, so
 the switching procedures can relocate structural nonzeros row by row while
 the global budget stays a plain entry count. Every other reader and writer
 moves the whole matrix at once, as ``(rows, cols, vals)`` triplet arrays.
-Coding itself is greedy pursuit: classic per-sample OMP, and a batchwise
-variant that spends a single nonzero budget across all samples at once.
+Coding is greedy pursuit on one kernel, :class:`_Paths`, that advances
+blocks of samples one OMP level at a time: per-sample OMP, and a heap merge
+of those paths that spends one nonzero budget across all samples at once.
 """
 from __future__ import annotations
 
+import heapq
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _sq_norm, as_matrix, as_vector, least_squares, solve_gram
+from .linalg import _sq_norm, as_matrix, as_vector, solve_gram
 
 log = logging.getLogger(__name__)
 
 UNIT_NORM_TOL = 1e-8
 # residuals below this (relative to the input norm, floored at 1) count as zero
 ZERO_RESIDUAL_RTOL = 1e-12
+_BLOCK = 256  # columns per batched OMP level: bounds the c x n correlation matrix
 
 
 class SparseCoeff:
@@ -38,12 +41,10 @@ class SparseCoeff:
     __slots__ = ("n", "p", "_rows")
 
     def __init__(self, n: int, p: int):
-        n = int(n)
-        p = int(p)
+        n, p = int(n), int(p)
         if n < 1 or p < 1:
             raise ValueError(f"SparseCoeff needs n >= 1 and p >= 1, got {n}x{p}")
-        self.n = n
-        self.p = p
+        self.n, self.p = n, p
         self._rows: dict[int, dict] = {}  # row -> {col -> value}, nonempty rows only
 
     @classmethod
@@ -54,12 +55,13 @@ class SparseCoeff:
         appear once; structural zeros are kept.
         """
         X = cls(n, p)
-        rows = np.asarray(rows, dtype=np.intp).reshape(-1)
-        cols = np.asarray(cols, dtype=np.intp).reshape(-1)
+        rows, cols = np.asarray(rows).reshape(-1), np.asarray(cols).reshape(-1)
         vals = np.asarray(vals, dtype=np.float64).reshape(-1)
         if not rows.size == cols.size == vals.size:
             raise ValueError("rows, cols and vals differ in length")
         for index, size, kind in ((rows, X.n, "row"), (cols, X.p, "column")):
+            if index.size and index.dtype.kind not in "iu":  # 1.5, NaN, inf, True
+                raise ValueError(f"{kind} indices must be integers, got dtype {index.dtype}")
             bad = np.flatnonzero((index < 0) | (index >= size))
             if bad.size:
                 raise ValueError(f"{kind} index {index[bad[0]]} out of range for {X.n}x{X.p}")
@@ -155,11 +157,7 @@ class SparseCoeff:
     def __eq__(self, other):
         if not isinstance(other, SparseCoeff):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.p == other.p
-            and self._rows == other._rows
-        )
+        return (self.n, self.p, self._rows) == (other.n, other.p, other._rows)
 
     def __repr__(self):
         return f"SparseCoeff({self.n}x{self.p}, nnz={self.nnz})"
@@ -216,8 +214,8 @@ class LearnConfig:
         return 2.0 / (n_atoms - 1)
 
 
-def _residual_is_zero(res_norm: float, ref_norm: float) -> bool:
-    return res_norm <= ZERO_RESIDUAL_RTOL * max(1.0, ref_norm)
+def _residual_is_zero(res_norm, ref_norm):  # elementwise on arrays
+    return res_norm <= ZERO_RESIDUAL_RTOL * np.maximum(1.0, ref_norm)
 
 
 def _require_unit_atoms(A, name: str):
@@ -250,7 +248,7 @@ def _fit_atoms(Y, A: np.ndarray, used, Xu: np.ndarray):
 
 
 def omp(y, A, k: int):
-    """Orthogonal matching pursuit for a single sample.
+    """Orthogonal matching pursuit for one sample, as :func:`_code_per_sample` does it.
 
     Greedily adds the atom with the largest |correlation| against the current
     residual (ties break toward the smaller atom index), then refits all
@@ -258,92 +256,134 @@ def omp(y, A, k: int):
     selection order and the matching coefficients; fewer than ``k`` indices
     come back when the residual reaches zero early.
     """
-    A = as_matrix(A, "A")
-    y = as_vector(y, "y")
+    A, y = as_matrix(A, "A"), as_vector(y, "y")
     m, n = A.shape
     if y.shape[0] != m:
         raise ValueError(f"dimension mismatch: A is {m}x{n}, y has length {y.shape[0]}")
-    if not (1 <= k <= min(m, n)):
-        raise ValueError(f"k must satisfy 1 <= k <= min(m, n) = {min(m, n)}, got {k}")
-    col_norms = np.linalg.norm(A, axis=0)
-    if np.any(col_norms == 0.0):
-        raise ValueError("dictionary has an all-zero column")
-
-    ynorm = np.linalg.norm(y)
-    residual = y.copy()
-    support: list[int] = []
-    coeffs = np.zeros(0)
-    for _ in range(k):
-        if _residual_is_zero(np.linalg.norm(residual), ynorm):
-            break
-        scores = np.abs(A.T @ residual)
-        scores[support] = -1.0
-        pick = int(np.argmax(scores))  # first max: smallest index wins ties
-        support.append(pick)
-        coeffs = least_squares(A[:, support], y)
-        residual = y - A[:, support] @ coeffs
-    return np.asarray(support, dtype=np.intp), coeffs
+    return _pursue(y[:, None], A, k)[::2]  # (rows, vals)
 
 
 def block_omp(Y, A, budget: int) -> SparseCoeff:
     """Batchwise OMP: one greedy budget shared across all samples.
 
-    Equivalent to OMP on the stacked sample vector with the block-diagonal
-    dictionary (one copy of A per sample) but never materializes it. Each
-    step selects the globally largest |correlation| over all (atom, sample)
-    pairs not yet selected (ties break toward the smaller sample index, then
-    the smaller atom index) and refits only that sample's coefficients on
-    its enlarged support.
+    OMP on the stacked samples with the block-diagonal dictionary: each step
+    takes the largest |correlation| over unselected (atom, sample) pairs,
+    ties to the smaller sample, then atom, and refits only that sample. So
+    the pursuit is a heap merge, keyed on ``(-|correlation|, sample)``, of
+    the p per-sample OMP paths, which :class:`_Paths` extends in batches as
+    the merge uses them up. It stops once the whole residual is zero
+    relative to ``||Y||``; a sample may take more than m atoms, up to n.
     """
-    A = as_matrix(A, "A")
-    Y = as_matrix(Y, "Y")
-    m, n = A.shape
-    if Y.shape[0] != m:
-        raise ValueError(f"dimension mismatch: A is {m}x{n}, Y is {Y.shape[0]}x{Y.shape[1]}")
-    p = Y.shape[1]
+    A, Y = as_matrix(A, "A"), as_matrix(Y, "Y")
+    n, p = A.shape[1], Y.shape[1]
     if not (1 <= budget <= n * p):
         raise ValueError(f"budget must satisfy 1 <= budget <= n*p = {n * p}, got {budget}")
     _require_unit_atoms(A, "dictionary")
 
     ynorm = np.linalg.norm(Y)
-    R = Y.copy()
-    supports: list[list[int]] = [[] for _ in range(p)]
-    coeffs: list[np.ndarray] = [np.zeros(0) for _ in range(p)]
-
-    # per-column best candidate cache; only the refit column changes per step
-    scores = np.abs(A.T @ R)
-    best_vals = scores.max(axis=0)
-    best_rows = scores.argmax(axis=0)
-    col_sq = np.sum(R * R, axis=0)
-
+    paths = _Paths(Y, A)
+    paths.extend(np.arange(p))
+    used = np.zeros(p, dtype=np.intp)  # steps the merge took from each path
+    col_sq = paths.sq[:, 0].copy()  # squared residual norm of each sample
+    w = int(col_sq.argmax())  # while w's residual is nonzero, so is the whole one
+    heap = sorted(zip((-paths.gain[:, 0]).tolist(), range(p)))  # sorted, so a heap
     for _ in range(budget):
-        if _residual_is_zero(np.sqrt(max(col_sq.sum(), 0.0)), ynorm):
-            break
-        j = int(np.argmax(best_vals))  # first max: smallest sample index
-        i = int(best_rows[j])
-        supports[j].append(i)
-        coeffs[j] = least_squares(A[:, supports[j]], Y[:, j])
-        R[:, j] = Y[:, j] - A[:, supports[j]] @ coeffs[j]
-        col_sq[j] = float(np.dot(R[:, j], R[:, j]))
-        col_scores = np.abs(A.T @ R[:, j])
-        col_scores[supports[j]] = -1.0
-        best_vals[j] = col_scores.max()
-        best_rows[j] = col_scores.argmax()
-
-    rows = [i for s in supports for i in s]
-    cols = np.repeat(np.arange(p), [len(s) for s in supports])
-    return SparseCoeff.from_triplets(n, p, rows, cols, np.concatenate(coeffs))
+        if _residual_is_zero(np.sqrt(col_sq[w]), ynorm):
+            w = int(col_sq.argmax())
+            if _residual_is_zero(np.sqrt(col_sq.sum()), ynorm):
+                break
+        j = heapq.heappop(heap)[1]
+        used[j] += 1
+        if used[j] == paths.known[j]:  # j ran out: extend it and every path near its end
+            paths.extend(np.flatnonzero((used >= paths.known - 2) & (paths.known <= n)))
+        col_sq[j] = paths.sq[j, used[j]]
+        if used[j] < n:
+            heapq.heappush(heap, (-paths.gain[j, used[j]], j))
+    return SparseCoeff.from_triplets(n, p, *paths.triplets(used))
 
 
 def _code_per_sample(Y, A, k: int) -> SparseCoeff:
     """OMP-code every column of Y against A with at most ``k`` atoms each."""
-    rows, cols, vals = [], [], []
-    for j in range(Y.shape[1]):
-        supp, coef = omp(Y[:, j], A, k)
-        rows += supp.tolist()
-        cols += [j] * supp.size
-        vals += coef.tolist()
-    return SparseCoeff.from_triplets(A.shape[1], Y.shape[1], rows, cols, vals)
+    A, Y = as_matrix(A, "A"), as_matrix(Y, "Y")
+    return SparseCoeff.from_triplets(A.shape[1], Y.shape[1], *_pursue(Y, A, k))
+
+
+def _pursue(Y: np.ndarray, A: np.ndarray, k: int):
+    """Per-sample OMP triplets; a column stops early once its residual is zero."""
+    m, n = A.shape
+    paths = _Paths(Y, A)
+    if not (1 <= k <= min(m, n)):
+        raise ValueError(f"k must satisfy 1 <= k <= min(m, n) = {min(m, n)}, got {k}")
+    if np.any(np.linalg.norm(A, axis=0) == 0.0):
+        raise ValueError("dictionary has an all-zero column")
+    ynorm = np.linalg.norm(Y, axis=0)
+    depth = np.zeros(Y.shape[1], dtype=np.intp)
+    live = np.arange(Y.shape[1])
+    for d in range(k):
+        paths.extend(live)
+        live = live[~_residual_is_zero(np.sqrt(paths.sq[live, d]), ynorm[live])]
+        depth[live] = d + 1
+    return paths.triplets(depth)
+
+
+def _blocks(cols, depth):
+    """``(d, block)`` for runs of at most ``_BLOCK`` of ``cols`` with equal ``depth[col] = d``."""
+    for d in np.unique(depth[cols]):
+        same = cols[depth[cols] == d]
+        yield from ((d, same[lo:lo + _BLOCK]) for lo in range(0, same.size, _BLOCK))
+
+
+class _Paths:
+    """Per-sample OMP paths of the columns of Y over A, computed level by level.
+
+    Level d of column j refits y_j on its first d picks, recomputes the
+    residual ``y_j - A_S c`` and takes the unused atom of largest |correlation|
+    (first max on ties) as ``atom[j, d]``, with ``gain[j, d]`` the
+    |correlation| and ``sq[j, d]`` the squared residual norm. A block of
+    equal-depth columns costs one GEMM and one stacked :func:`solve_gram`
+    call on Grams gathered from ``A^T A``, which keeps its ridge rule.
+    """
+
+    def __init__(self, Y, A):
+        if Y.shape[0] != A.shape[0]:
+            raise ValueError(f"dimension mismatch: A is {A.shape[0]}x{A.shape[1]}, "
+                             f"Y is {Y.shape[0]}x{Y.shape[1]}")
+        self.Yt, self.A, self.At, self.G = Y.T, A, np.ascontiguousarray(A.T), A.T @ A
+        self.known = np.zeros(Y.shape[1], dtype=np.intp)
+        self.atom = np.zeros((Y.shape[1], min(A.shape[1] + 1, 8)), dtype=np.intp)
+        self.gain, self.sq = np.zeros(self.atom.shape), np.zeros(self.atom.shape)
+
+    def _refit(self, js, d):
+        """Coefficients of columns js on their first d picks, and their residuals."""
+        S = self.atom[js, :d]
+        AS, Yc = self.At[S], self.Yt[js]  # AS is (c, d, m)
+        C = solve_gram(self.G[S[:, :, None], S[:, None, :]], np.einsum("cdm,cm->cd", AS, Yc))
+        return C, Yc - np.einsum("cdm,cd->cm", AS, C)
+
+    def extend(self, cols):
+        """Compute the next level of every column in ``cols``."""
+        w, n = self.atom.shape[1], self.A.shape[1]
+        if self.known[cols].max(initial=0) == w:  # double the depth capacity, up to n + 1
+            pad = ((0, 0), (0, min(w, n + 1 - w)))
+            grown = [np.pad(a, pad) for a in (self.atom, self.gain, self.sq)]
+            self.atom, self.gain, self.sq = grown
+        for d, js in _blocks(cols, self.known):
+            R = self._refit(js, d)[1] if d else self.Yt[js]
+            self.sq[js, d] = np.einsum("cm,cm->c", R, R)
+            if d < n:
+                scores = np.abs(R @ self.A)
+                scores[np.arange(js.size)[:, None], self.atom[js, :d]] = -1.0
+                self.atom[js, d] = scores.argmax(axis=1)
+                self.gain[js, d] = scores[np.arange(js.size), self.atom[js, d]]
+            self.known[js] = d + 1
+
+    def triplets(self, depth):
+        """Triplets of each column j's first ``depth[j]`` picks, refit once per depth."""
+        coef = np.zeros(self.atom.shape)
+        for d, js in _blocks(np.flatnonzero(depth), depth):
+            coef[js, :d] = self._refit(js, d)[0]
+        keep = np.arange(coef.shape[1]) < depth[:, None]
+        return self.atom[keep], np.repeat(np.arange(depth.size), depth), coef[keep]
 
 
 def initial_dictionary(Y, n_atoms: int, rng: np.random.Generator) -> np.ndarray:

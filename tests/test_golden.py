@@ -9,6 +9,12 @@ the supports and the trace's phase sequence exactly and the numbers within
 rtol 1e-9. The batch run uses ``trigger=inf`` so inter-row switching runs
 every round.
 
+``EXPECTED_HARD`` holds two degenerate coder instances frozen from the
+implementation that refit one column at a time: a batchwise pursuit whose
+duplicate atoms span only a plane, so that three columns take all six atoms
+(more than m = 3) through ridged refits, and a per-sample coding whose
+samples include exact atoms, a scaled atom and a zero column.
+
 Supports are encoded column by column: ``;`` separates columns and ``,``
 separates the row indices of one column.
 """
@@ -16,6 +22,7 @@ import numpy as np
 import pytest
 
 from batchsvd import LearnConfig, block_omp, dict_approx_init, initial_dictionary, run_benchmark
+from batchsvd.coding import _code_per_sample
 
 from oracles import make_planted
 
@@ -61,6 +68,15 @@ EXPECTED = {
         '3,7;4,8;0,6;2,6;8,9;0,2;3,8;3,7;8,9;3,7;0,6;0,8',
         0.5633274126684467,
         4.964896604741453,
+    ),
+}
+
+EXPECTED_HARD = {
+    'block_omp-planar': ('0,1,2,3,4,5;0,1,2,3,4,5;0,1,2,3,4,5;0,1', 1.125, 7.25),
+    'per-sample': (
+        '2,6,8;0,8,9;2,5,8;3,4,6;3;;7;0,3,6;5,6,8;4,6,7;2,6,8;0,5',
+        0.46913548580309516,
+        4.314775826488978,
     ),
 }
 
@@ -140,7 +156,7 @@ def _supports(X):
 
 
 def _check(label, X, mean_error, objective):
-    supp, mean_ref, obj_ref = EXPECTED[label]
+    supp, mean_ref, obj_ref = {**EXPECTED, **EXPECTED_HARD}[label]
     assert _supports(X) == supp, label
     assert mean_error == pytest.approx(mean_ref, rel=RTOL, abs=0), label
     assert objective == pytest.approx(obj_ref, rel=RTOL, abs=0), label
@@ -181,3 +197,24 @@ def test_run_benchmark_golden(instance):
     assert trace.values() == pytest.approx(BATCH_TRACE_VALUES, rel=RTOL, abs=0)
     for r in results:
         _check(r.label, r.coefficients, r.mean, r.trace.values()[-1])
+
+
+def _check_fit(label, Y, A, X):
+    R = Y - A @ X.to_dense()
+    _check(label, X, float(np.linalg.norm(R, axis=0).mean()), float(np.sum(R * R)))
+
+
+def test_block_omp_planar_duplicates_golden():
+    # atoms e0, e1 three times each in R^3; column 1 is zero and the third
+    # coordinate is out of reach, so 16 of the 20 picks tie at zero or ride
+    # ridged residuals
+    A = np.eye(3)[:, [0, 1, 0, 1, 0, 1]]
+    Y = np.array([[3.0, 0.0, 1.0, -2.0], [1.0, 0.0, -2.5, 0.5], [2.0, 0.0, 1.5, -1.0]])
+    _check_fit("block_omp-planar", Y, A, block_omp(Y, A, 20))
+
+
+def test_code_per_sample_golden(instance):
+    _, H, A0 = instance
+    S = np.column_stack([H[:, :4], A0[:, 3], np.zeros(6), -2.5 * A0[:, 7], H[:, 4:8],
+                         A0[:, 0] + A0[:, 5]])
+    _check_fit("per-sample", S, A0, _code_per_sample(S, A0, 3))

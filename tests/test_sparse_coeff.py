@@ -63,6 +63,24 @@ def test_from_triplets_index_checked(row, col, kind, bad):
         _sc(3, 4, (1, 1, 1.0), (row, col, 2.0))
 
 
+@pytest.mark.parametrize("bad", [1.5, float("nan"), float("inf"), True])
+def test_from_triplets_rejects_non_integer_rows(bad):
+    # a float or bool index used to be truncated: 1.5 and True both landed in row 1
+    with pytest.raises(ValueError, match="row indices must be integers"):
+        SparseCoeff.from_triplets(3, 3, [bad], [0], [1.0])
+
+
+@pytest.mark.parametrize("bad", [1.5, float("nan"), float("inf"), True])
+def test_from_triplets_rejects_non_integer_columns(bad):
+    with pytest.raises(ValueError, match="column indices must be integers"):
+        SparseCoeff.from_triplets(3, 3, [0], [bad], [1.0])
+
+
+def test_from_triplets_builds_empty_store_from_empty_lists():
+    X = SparseCoeff.from_triplets(3, 3, [], [], [])
+    assert X == SparseCoeff(3, 3) and X.nnz == 0
+
+
 def test_from_triplets_rejects_duplicates_and_ragged_input():
     with pytest.raises(ValueError, match=r"duplicate entry \(2, 1\)"):
         _sc(3, 4, (0, 0, 1.0), (2, 1, 2.0), (1, 3, 3.0), (2, 1, 4.0), (0, 0, 5.0))
