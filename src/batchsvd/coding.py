@@ -303,7 +303,7 @@ def block_omp(Y, A, budget: int) -> SparseCoeff:
 
 
 def _code_per_sample(Y, A, k: int) -> SparseCoeff:
-    """OMP-code every column of Y against A with at most ``k`` atoms each."""
+    """OMP-code every column of Y with at most ``k`` atoms each, all in one :class:`_Paths`."""
     A, Y = as_matrix(A, "A"), as_matrix(Y, "Y")
     return SparseCoeff.from_triplets(A.shape[1], Y.shape[1], *_pursue(Y, A, k))
 
