@@ -28,7 +28,6 @@ from .io import (
 from .linalg import (
     NumericalError,
     SingularTriple,
-    least_squares,
     objective,
     rank1_svd,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "inner_row_switch",
     "inter_row_switch",
     "ksvd",
-    "least_squares",
     "load_matrix",
     "load_pgm",
     "load_sparse",

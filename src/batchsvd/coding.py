@@ -55,13 +55,11 @@ class SparseCoeff:
         appear once; structural zeros are kept.
         """
         X = cls(n, p)
-        rows, cols = np.asarray(rows).reshape(-1), np.asarray(cols).reshape(-1)
+        rows, cols = _indices(rows, "row"), _indices(cols, "column")
         vals = np.asarray(vals, dtype=np.float64).reshape(-1)
         if not rows.size == cols.size == vals.size:
             raise ValueError("rows, cols and vals differ in length")
         for index, size, kind in ((rows, X.n, "row"), (cols, X.p, "column")):
-            if index.size and index.dtype.kind not in "iu":  # 1.5, NaN, inf, True
-                raise ValueError(f"{kind} indices must be integers, got dtype {index.dtype}")
             bad = np.flatnonzero((index < 0) | (index >= size))
             if bad.size:
                 raise ValueError(f"{kind} index {index[bad[0]]} out of range for {X.n}x{X.p}")
@@ -107,7 +105,7 @@ class SparseCoeff:
         self._row(i)  # range check before replacing the row
         if len(cols) != len(values):
             raise ValueError("column indices and values differ in length")
-        line = dict(zip((int(c) for c in cols), (float(v) for v in values)))
+        line = dict(zip(_indices(cols, "column").tolist(), (float(v) for v in values)))
         if len(line) != len(cols):
             raise ValueError("duplicate column indices")
         for c in line:
@@ -161,6 +159,14 @@ class SparseCoeff:
 
     def __repr__(self):
         return f"SparseCoeff({self.n}x{self.p}, nnz={self.nnz})"
+
+
+def _indices(a, kind: str) -> np.ndarray:
+    """``a`` as a 1-D index array; a non-integer dtype (1.5, NaN, inf, True) is refused."""
+    a = np.asarray(a).reshape(-1)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"{kind} indices must be integers, got dtype {a.dtype}")
+    return a
 
 
 def _first_repeat(rows, cols):

@@ -20,10 +20,6 @@ class ParseError(ValueError):
     """Malformed input file; the message names the offending line."""
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _read_table(path, fields: str):
     """Return a text file's lines and its integer header, named by ``fields``."""
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
@@ -99,8 +95,8 @@ def save_matrix(path, M):
         raise ValueError(f"matrix must be 2-D, got shape {M.shape}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{M.shape[0]} {M.shape[1]}\n")
-        for i in range(M.shape[0]):
-            fh.write(" ".join(_fmt(v) for v in M[i, :]))
+        for row in M.tolist():
+            fh.write(" ".join(map(repr, row)))
             fh.write("\n")
 
 
@@ -136,7 +132,7 @@ def save_sparse(path, X: SparseCoeff):
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{X.n} {X.p} {rows.size}\n")
         for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-            fh.write(f"{i + 1} {j + 1} {_fmt(v)}\n")
+            fh.write(f"{i + 1} {j + 1} {v!r}\n")
 
 
 def _pgm_tokens(data: bytes):
@@ -198,10 +194,9 @@ def load_pgm(path):
             img = np.asarray([int(t) for t in values], dtype=np.int64)
         except (ValueError, OverflowError):  # OverflowError: beyond int64
             raise ParseError(f"{path}: bad P2 pixel token") from None
-        if img.min() < 0 or img.max() > maxval:
-            raise ParseError(f"{path}: pixel value outside [0, {maxval}]")
-        img = img.astype(np.uint8)
-    return img.reshape(height, width), maxval
+    if img.min() < 0 or img.max() > maxval:
+        raise ParseError(f"{path}: pixel value outside [0, {maxval}]")
+    return img.astype(np.uint8).reshape(height, width), maxval
 
 
 def save_pgm(path, pixels, maxval: int = 255, binary: bool = True):

@@ -1,6 +1,6 @@
 """Dense numerical kernels shared by every solver module.
 
-Small least-squares solves, the leading singular triple, and the squared
+Small Gram-system solves, the leading singular triple, and the squared
 Frobenius reconstruction objective. Everything operates on float64 numpy
 arrays and is deterministic: fixed power-iteration start, fixed sign
 convention, no environment-dependent branching.
@@ -11,12 +11,12 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 log = logging.getLogger(__name__)
 
-# Gram matrices with a worse condition estimate than this get a small ridge
-# before the Cholesky solve.
+# A Gram is solved as it stands only when it is positive definite with
+# condition number at most COND_LIMIT; any other gets a ridge of RIDGE_SCALE
+# times its mean diagonal.
 COND_LIMIT = 1e12
 RIDGE_SCALE = 1e-10
 
@@ -69,72 +69,38 @@ def solve_gram(G: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     ``G`` is one k x k Gram or a stack of them shaped ``(..., k, k)``. ``B``
     is either one right-hand side per Gram, shaped ``(..., k)``, or ``r`` of
-    them, shaped ``(..., k, r)``; the result has the shape of ``B``. Every
-    Gram gets the same rule: Cholesky on the normal equations, and a ridge
-    of ``RIDGE_SCALE * trace(G) / k`` (logged once at debug level) when its
-    condition estimate exceeds ``COND_LIMIT`` or its Cholesky fails. Raises
-    NumericalError, carrying the condition estimate, when a ridged system
-    cannot be factorized. A single Gram is solved by scipy's
-    ``cho_factor``/``cho_solve``; the well-conditioned members of a stack
-    are checked by one batched Cholesky and solved by one batched LAPACK
-    solve, and only when that Cholesky fails are they taken one at a time.
+    them, shaped ``(..., k, r)``; the result has the shape of ``B``. One
+    ``eigvalsh`` call gives every Gram's eigenvalues, and a Gram is solved
+    as it stands iff its smallest eigenvalue is positive and its largest is
+    at most ``COND_LIMIT`` times that. Any other Gram gets a ridge of
+    ``RIDGE_SCALE * trace(G) / k``, logged once at debug level with its
+    condition number ``max|eig| / min|eig|``; NumericalError, carrying that
+    number, is raised when the ridge does not make the Gram positive
+    definite. The whole stack is then solved by one batched LAPACK solve.
     """
     G = np.asarray(G, dtype=np.float64)
-    if G.shape[-1] == 0:
-        return np.zeros_like(B)
-    cond = np.linalg.cond(G)
-    if G.ndim == 2:
-        return _solve_one(G, B, cond)
     B = np.asarray(B, dtype=np.float64)
-    out = np.empty_like(B)
-    ok = np.isfinite(cond) & (cond <= COND_LIMIT)
-    if ok.any():
-        Gs, Bs = G[ok], B[ok]
-        vectors = B.ndim == G.ndim - 1
-        try:
-            np.linalg.cholesky(Gs)  # positive definite, as a single Gram must be
-            Zs = np.linalg.solve(Gs, Bs[..., None] if vectors else Bs)
-            out[ok] = Zs[..., 0] if vectors else Zs
-        except np.linalg.LinAlgError:
-            ok[...] = False  # some member is not positive definite: take each alone
-    for idx in zip(*np.nonzero(~ok)):
-        out[idx] = _solve_one(G[idx], B[idx], cond[idx])
-    return out
-
-
-def _solve_one(G: np.ndarray, B: np.ndarray, cond: float) -> np.ndarray:
-    """Cholesky solve of one k x k Gram, with :func:`solve_gram`'s ridge rule."""
-    k = G.shape[0]
-    if np.isfinite(cond) and cond <= COND_LIMIT:
-        try:
-            return cho_solve(cho_factor(G, lower=True), B)
-        except np.linalg.LinAlgError:
-            pass
-    lam = RIDGE_SCALE * np.trace(G) / k
-    log.debug("gram solve: cond=%.3e, ridge %.3e applied", cond, lam)
-    try:
-        return cho_solve(cho_factor(G + lam * np.eye(k), lower=True), B)
-    except np.linalg.LinAlgError:
-        pass
-    raise NumericalError(
-        f"gram matrix is rank-deficient beyond ridge rescue (cond estimate {cond:.3e})"
-    )
-
-
-def least_squares(A, y) -> np.ndarray:
-    """Solve ``min_x ||y - A x||_2`` by normal equations with Cholesky.
-
-    Supports are small in every caller (k << m), so the Gram matrix is tiny;
-    ill-conditioned Grams fall back to a ridge via :func:`solve_gram`.
-    """
-    A = as_matrix(A, "A")
-    y = as_vector(y, "y")
-    m, k = A.shape
-    if y.shape[0] != m:
-        raise ValueError(f"dimension mismatch: A is {m}x{k}, y has length {y.shape[0]}")
-    if k == 0:
-        return np.zeros(0)
-    return solve_gram(A.T @ A, A.T @ y)
+    k = G.shape[-1]
+    if G.size == 0:
+        return np.zeros_like(B)
+    stack = G.reshape(-1, k, k)  # a single Gram is a one-member stack
+    eig = np.linalg.eigvalsh(stack)  # ascending
+    ridged = ~((eig[:, 0] > 0) & (eig[:, -1] <= COND_LIMIT * eig[:, 0]))
+    lam = np.zeros(len(stack))
+    for t in np.flatnonzero(ridged):
+        lam[t] = RIDGE_SCALE * np.trace(stack[t]) / k
+        mag = np.abs(eig[t])
+        cond = mag.max() / mag.min() if mag.min() > 0 else np.inf
+        log.debug("gram solve: cond=%.3e, ridge %.3e applied", cond, lam[t])
+        if eig[t, 0] + lam[t] <= 0:
+            raise NumericalError(
+                f"gram matrix is rank-deficient beyond ridge rescue (cond estimate {cond:.3e})"
+            )
+    if ridged.any():
+        G = G + lam.reshape(G.shape[:-2] + (1, 1)) * np.eye(k)
+    vectors = B.ndim == G.ndim - 1
+    Z = np.linalg.solve(G, B[..., None] if vectors else B)
+    return Z[..., 0] if vectors else Z
 
 
 def rank1_svd(M, tol: float = 1e-10, max_iter: int = 500) -> SingularTriple:

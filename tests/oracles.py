@@ -1,9 +1,10 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive and shares no code with the package:
-QR-based least squares, one-sided Jacobi SVD, a literal greedy OMP with
-lstsq refits, an explicitly materialized block-diagonal pursuit, and
-exhaustive support enumerations.
+QR-based least squares, one-sided Jacobi SVD, the Gram ridge decision by
+SVD condition number and Cholesky, a literal greedy OMP with lstsq refits,
+an explicitly materialized block-diagonal pursuit, and exhaustive support
+enumerations.
 """
 from __future__ import annotations
 
@@ -16,6 +17,30 @@ def qr_solve(A, y):
     """Least squares via Householder QR (numpy) and a triangular solve."""
     Q, R = np.linalg.qr(A)
     return np.linalg.solve(R, Q.T @ y)
+
+
+def reference_ridge(G, cond_limit, ridge_scale):
+    """Ridge decision for one Gram: ``(cond, ridged, raises)``.
+
+    The Gram is solved as it stands when its SVD condition number is at most
+    ``cond_limit`` and its Cholesky factorization succeeds. Otherwise it gets
+    ``ridge_scale * trace / k`` on the diagonal, and the solve raises when
+    that ridged Gram has no Cholesky factor either.
+    """
+    G = np.asarray(G, dtype=np.float64)
+    k = G.shape[0]
+    cond = np.linalg.cond(G)
+    if np.isfinite(cond) and cond <= cond_limit:
+        try:
+            np.linalg.cholesky(G)
+            return cond, False, False
+        except np.linalg.LinAlgError:
+            pass
+    try:
+        np.linalg.cholesky(G + ridge_scale * np.trace(G) / k * np.eye(k))
+        return cond, True, False
+    except np.linalg.LinAlgError:
+        return cond, True, True
 
 
 def jacobi_svd(M, sweeps: int = 60, tol: float = 1e-14):

@@ -33,6 +33,12 @@ class TestMatrixFormat:
         save_matrix(tmp_path / "m2.mat", M2)
         assert (tmp_path / "m.mat").read_bytes() == (tmp_path / "m2.mat").read_bytes()
 
+    def test_written_text_pinned(self, tmp_path):
+        # shortest round-trip repr per value: signed zero, subnormal, exponent form
+        path = tmp_path / "pin.mat"
+        save_matrix(path, [[0.1, -0.0, 5e-324], [1e16, 1.0, -2.5]])
+        assert path.read_bytes() == b"2 3\n0.1 -0.0 5e-324\n1e+16 1.0 -2.5\n"
+
     def test_missing_rows_names_line(self, tmp_path):
         path = tmp_path / "short.mat"
         path.write_text("3 2\n1 2\n3 4\n")
@@ -228,6 +234,17 @@ class TestPgm:
         path = tmp_path / "d.pgm"
         path.write_bytes(b"P2\n1 1\n65535\n1000\n")
         with pytest.raises(ParseError, match="8-bit"):
+            load_pgm(path)
+
+    @pytest.mark.parametrize("data", [
+        b"P5 2 1 100\n" + bytes([200, 7]),
+        b"P2 2 1 100\n200 7\n",
+    ])
+    def test_pixel_above_maxval_rejected(self, tmp_path, data):
+        # P5 used to load the raw byte 200 although maxval is 100
+        path = tmp_path / "g.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=r"pixel value outside \[0, 100\]"):
             load_pgm(path)
 
     def test_p2_pixel_beyond_int64_rejected(self, tmp_path):

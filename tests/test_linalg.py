@@ -1,27 +1,37 @@
 import logging
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from batchsvd import (
     NumericalError,
     SparseCoeff,
-    least_squares,
     objective,
     rank1_svd,
 )
 from batchsvd.linalg import COND_LIMIT, RIDGE_SCALE, solve_gram
 
-from oracles import align_sign, jacobi_svd, qr_solve
+from oracles import align_sign, jacobi_svd, qr_solve, reference_ridge
+
+
+def _normal_solve(A, y):
+    """Least squares ``min ||y - A x||`` posed to solve_gram as normal equations."""
+    return solve_gram(A.T @ A, A.T @ y)
 
 
 class TestLeastSquares:
+    """Least-squares problems solved through :func:`solve_gram` on ``AᵀA x = Aᵀy``."""
+
     def test_identity(self):
-        x = least_squares(np.eye(2), np.array([3.0, -1.0]))
+        x = _normal_solve(np.eye(2), np.array([3.0, -1.0]))
         assert np.allclose(x, [3.0, -1.0])
 
     def test_single_column_projection(self):
-        x = least_squares(np.array([[2.0], [0.0]]), np.array([4.0, 0.0]))
+        x = _normal_solve(np.array([[2.0], [0.0]]), np.array([4.0, 0.0]))
         assert np.allclose(x, [2.0])
 
     def test_well_conditioned_matches_qr_oracle(self):
@@ -29,7 +39,7 @@ class TestLeastSquares:
         rng = np.random.default_rng(42)
         A = rng.standard_normal((6, 3)) + np.vstack([np.eye(3), np.eye(3)]) * 2
         y = rng.standard_normal(6)
-        x = least_squares(A, y)
+        x = _normal_solve(A, y)
         frozen = [0.20973776719822795, 0.22270391860326474, -0.02000880591883284]
         assert np.allclose(x, frozen, atol=1e-10)
         assert np.allclose(x, qr_solve(A, y), atol=1e-10)
@@ -41,28 +51,65 @@ class TestLeastSquares:
             k = int(rng.integers(1, m + 1))
             A = rng.standard_normal((m, k)) + np.eye(m, k)
             y = rng.standard_normal(m)
-            x = least_squares(A, y)
+            x = _normal_solve(A, y)
             r = y - A @ x
             bound = 1e-8 * np.linalg.norm(y) * np.linalg.norm(A, axis=0)
             assert np.all(np.abs(A.T @ r) <= bound + 1e-14)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            least_squares(np.eye(3), np.ones(2))
-
     def test_rank_deficient_beyond_rescue(self):
         with pytest.raises(NumericalError, match="cond"):
-            least_squares(np.zeros((4, 2)), np.ones(4))
+            _normal_solve(np.zeros((4, 2)), np.ones(4))
 
     def test_duplicate_columns_rescued_by_ridge(self):
         a = np.array([1.0, 2.0, 3.0])
         A = np.column_stack([a, a])
-        x = least_squares(A, 2 * a)
+        x = _normal_solve(A, 2 * a)
         assert np.allclose(A @ x, 2 * a, atol=1e-6)
 
 
 def _ridge_lines(caplog):
     return [r for r in caplog.records if r.getMessage().startswith("gram solve")]
+
+
+@st.composite
+def gram_stacks(draw):
+    """Stacks of k x k Grams of unit atoms in R^m, with adversarial members.
+
+    An atom is Gaussian, a duplicate of an earlier atom, zero, a unit
+    combination of two earlier atoms (a collinear triple), or a near copy of
+    an earlier atom whose pair has condition 1e6-1e18. A member may instead
+    be a diagonal with zero and negative entries.
+    """
+    k = draw(st.integers(1, 4))
+    m = draw(st.integers(k, k + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Gs = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 7)) == 0:
+            diag = st.sampled_from([2.0, 1.0, 1e-13, 0.0, -1e-11, -1e-3, -1.0])
+            Gs.append(np.diag(draw(st.lists(diag, min_size=k, max_size=k))))
+            continue
+        A = rng.standard_normal((m, k))
+        for j in range(k):
+            kind = draw(st.sampled_from(["gaussian", "duplicate", "zero", "collinear", "near"]))
+            i = draw(st.integers(0, j - 1)) if j else None
+            if kind == "duplicate" and j:
+                A[:, j] = A[:, i]
+            elif kind == "collinear" and j >= 2:
+                x, y = rng.standard_normal(2)
+                A[:, j] = x * A[:, i] + y * A[:, (i + 1) % j]
+            elif kind == "near" and j:
+                u = rng.standard_normal(m)
+                u -= (u @ A[:, i]) * A[:, i]
+                delta = 2.0 / np.sqrt(10.0 ** draw(st.floats(6.0, 18.0)))  # pair cond ~ 4 / delta^2
+                A[:, j] = A[:, i] + delta * u / np.linalg.norm(u)
+            elif kind == "zero":
+                A[:, j] = 0.0
+            norm = np.linalg.norm(A[:, j])
+            if norm > 0:
+                A[:, j] /= norm
+        Gs.append(A.T @ A)
+    return np.stack(Gs)
 
 
 class TestSolveGram:
@@ -75,7 +122,7 @@ class TestSolveGram:
         a, b = rng.standard_normal(6), rng.standard_normal(6)
         M = np.column_stack([a, a, b])
         Gs.append(M.T @ M)  # duplicate atom: cond above COND_LIMIT
-        Gs.append(np.diag([1.0, -1e-11, 2.0]))  # Cholesky fails below COND_LIMIT
+        Gs.append(np.diag([1.0, -1e-11, 2.0]))  # indefinite, cond below COND_LIMIT
         return np.stack(Gs)
 
     def test_cholesky_failure_below_cond_limit_is_ridged_and_logged(self, caplog):
@@ -94,8 +141,8 @@ class TestSolveGram:
                 solve_gram(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
         assert len(_ridge_lines(caplog)) == 1
 
-    # four members: three solved in one batched call, the singular one alone;
-    # five: the indefinite member sends every member through the single path
+    # four members: three unridged and one singular; five adds an indefinite
+    # member below COND_LIMIT, which is ridged too
     @pytest.mark.parametrize("members", [4, 5])
     @pytest.mark.parametrize("rhs_cols", [None, 2])
     def test_stack_matches_loop_of_single_solves(self, members, rhs_cols, caplog):
@@ -117,6 +164,33 @@ class TestSolveGram:
             looped[:4].reshape(2, 2, *shape[1:]), rtol=1e-12, atol=1e-12,
         )
 
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(G=gram_stacks(), single=st.booleans())
+    def test_ridge_rule_matches_cond_and_cholesky_oracle(self, G, single, caplog):
+        # members within 1% of COND_LIMIT are left out: there the eigenvalue
+        # and SVD estimates differ by rounding of about eps * cond
+        decisions = [reference_ridge(g, COND_LIMIT, RIDGE_SCALE) for g in G]
+        keep = [abs(np.log(cond / COND_LIMIT)) > np.log(1.01) for cond, _, _ in decisions]
+        G = G[keep]
+        decisions = [d for d, kept in zip(decisions, keep) if kept]
+        raising = [t for t, (_, _, raises) in enumerate(decisions) if raises]
+        logged = decisions[: raising[0] + 1] if raising else decisions
+        B = np.random.default_rng(len(G)).standard_normal(G.shape[:2])
+        args = (G[0], B[0]) if single and len(G) == 1 else (G, B)  # a single Gram, 2-D
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="batchsvd.linalg"):
+            if raising:
+                with pytest.raises(NumericalError, match="cond estimate"):
+                    solve_gram(*args)
+            else:
+                Z = solve_gram(*args).reshape(B.shape)
+        assert len(_ridge_lines(caplog)) == sum(ridged for _, ridged, _ in logged)
+        if raising:
+            return
+        for g, b, z, (_, ridged, _) in zip(G, B, Z, decisions):
+            if not ridged:
+                assert np.linalg.norm(g @ z - b) <= 1e-9 * np.linalg.norm(g, 2) * np.linalg.norm(z)
     def test_empty_stacks(self):
         assert solve_gram(np.zeros((4, 0, 0)), np.zeros((4, 0))).shape == (4, 0)
         assert solve_gram(np.zeros((0, 3, 3)), np.zeros((0, 3))).shape == (0, 3)
@@ -234,3 +308,11 @@ class TestObjective:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             objective(np.eye(3), np.eye(2), np.eye(2))
+
+
+def test_import_does_not_load_scipy():
+    # numpy is the only dependency; scipy.linalg added ~0.19 s and ~27 MiB to the import
+    code = "import batchsvd, sys; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

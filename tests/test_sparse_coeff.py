@@ -76,6 +76,17 @@ def test_from_triplets_rejects_non_integer_columns(bad):
         SparseCoeff.from_triplets(3, 3, [0], [bad], [1.0])
 
 
+@pytest.mark.parametrize("bad", [1.5, float("nan"), True])
+def test_set_row_rejects_non_integer_columns(bad):
+    # 1.5 used to be truncated to column 1
+    X = _sc(3, 3, (0, 2, 4.0))
+    with pytest.raises(ValueError, match="column indices must be integers"):
+        X.set_row(0, [bad], [1.0])
+    assert _triplets(X) == [(0, 2, 4.0)]  # the row is left as it was
+    X.set_row(0, np.array([], dtype=np.float64), [])  # an empty row still clears it
+    assert X.nnz == 0
+
+
 def test_from_triplets_builds_empty_store_from_empty_lists():
     X = SparseCoeff.from_triplets(3, 3, [], [], [])
     assert X == SparseCoeff(3, 3) and X.nnz == 0
