@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,15 +243,35 @@ def _normalize_atoms(A: np.ndarray, X: SparseCoeff, rows):
             X.scale_row(i, nrm)
 
 
-def _fit_atoms(Y, A: np.ndarray, used, Xu: np.ndarray):
-    """Refit in place the atoms ``used`` (indices or a mask) from their rows Xu.
+def _fit_atoms(Y, A: np.ndarray, rows, cols, vals):
+    """Refit in place the atoms used by the coefficient triplets ``(rows, cols, vals)``.
 
     Solves the dictionary least squares ``min ||Y - A_u X_u||_F`` over the
-    used atoms ``u``, whose coefficient rows are the rows of ``Xu``; the
-    other atoms are left untouched.
+    used atoms ``u = unique(rows)``, whose coefficient rows ``X_u`` the
+    triplets hold; the other atoms are left untouched. Both normal-equation
+    products come from the triplets without a dense ``X_u``: ``X_u X_u^T``
+    is one weighted ``bincount`` over every pair of entries sharing a
+    column, and ``X_u Y^T`` one per row of Y.
     """
-    if len(Xu):
-        A[:, used] = solve_gram(Xu @ Xu.T, Xu @ Y.T).T
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    vals = np.asarray(vals, dtype=np.float64)
+    if not rows.size:
+        return
+    order = np.argsort(cols, kind="stable")  # each column's entries contiguous
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    used, slot = np.unique(rows, return_inverse=True)
+    u = used.size
+    counts = np.bincount(cols)
+    size = counts[cols]  # entries in each entry's column
+    first = np.repeat(np.arange(cols.size), size)  # entry e once per entry of its column
+    offset = np.arange(first.size) - np.repeat(np.cumsum(size) - size, size)
+    second = np.repeat((np.cumsum(counts) - counts)[cols], size) + offset  # its partners
+    gram = np.bincount(slot[first] * u + slot[second], weights=vals[first] * vals[second],
+                       minlength=u * u).reshape(u, u)
+    rhs = np.empty((u, Y.shape[0]))
+    for d, y in enumerate(Y):
+        rhs[:, d] = np.bincount(slot, weights=vals * y[cols], minlength=u)
+    A[:, used] = solve_gram(gram, rhs).T
 
 
 def omp(y, A, k: int):
@@ -286,7 +307,7 @@ def block_omp(Y, A, budget: int) -> SparseCoeff:
         raise ValueError(f"budget must satisfy 1 <= budget <= n*p = {n * p}, got {budget}")
     _require_unit_atoms(A, "dictionary")
 
-    ynorm = np.linalg.norm(Y)
+    zero_tol = ZERO_RESIDUAL_RTOL * max(1.0, np.linalg.norm(Y))  # the residual-is-zero bound
     paths = _Paths(Y, A)
     paths.extend(np.arange(p))
     used = np.zeros(p, dtype=np.intp)  # steps the merge took from each path
@@ -294,9 +315,9 @@ def block_omp(Y, A, budget: int) -> SparseCoeff:
     w = int(col_sq.argmax())  # while w's residual is nonzero, so is the whole one
     heap = sorted(zip((-paths.gain[:, 0]).tolist(), range(p)))  # sorted, so a heap
     for _ in range(budget):
-        if _residual_is_zero(np.sqrt(col_sq[w]), ynorm):
+        if math.sqrt(col_sq[w]) <= zero_tol:
             w = int(col_sq.argmax())
-            if _residual_is_zero(np.sqrt(col_sq.sum()), ynorm):
+            if math.sqrt(col_sq.sum()) <= zero_tol:
                 break
         j = heapq.heappop(heap)[1]
         used[j] += 1
@@ -472,10 +493,11 @@ def dict_approx_init(Y, A0, budget: int, iters: int):
 
     for _ in range(iters):
         X = block_omp(Y, A, budget)
-        Xd = X.to_dense()
-        trace.append(_sq_norm(Y - A @ Xd))
-        used = np.asarray([X.row_size(i) > 0 for i in range(n)])
-        _fit_atoms(Y, A, used, Xd[used])
+        trace.append(_sq_norm(Y - A @ X.to_dense()))
+        rows, cols, vals = X.entries()
+        used = np.zeros(n, dtype=bool)
+        used[rows] = True
+        _fit_atoms(Y, A, rows, cols, vals)
         used_ever |= used
         # re-normalize so the next coding round sees unit atoms; only used
         # atoms, since rescaling an untouched atom by a norm a rounding error

@@ -20,6 +20,7 @@ from .coding import (
     SparseCoeff,
     _code_per_sample,
     _fit_atoms,
+    _indices,
     _normalize_atoms,
     _require_unit_atoms,
     reseed_dead_atoms,
@@ -98,6 +99,37 @@ class RowWorkspace:
     degenerate: bool = field(default=False)
 
 
+def _top_k(mag: np.ndarray, k: int) -> np.ndarray:
+    """Ascending indices of the ``k`` largest entries of ``mag``, ties to the smaller index.
+
+    The set is that of ``np.argsort(-mag, kind="stable")[:k]``, found by one
+    partition instead of a full sort: every entry above the k-th largest
+    value ``t``, plus the lowest-index entries equal to ``t``.
+    """
+    if k >= mag.size:
+        return np.arange(mag.size)
+    t = np.partition(mag, mag.size - k)[mag.size - k]
+    above = np.flatnonzero(mag > t)
+    ties = np.flatnonzero(mag == t)[: k - above.size]
+    return np.sort(np.concatenate((above, ties)))
+
+
+def _row_arrays(row: RowWorkspace, p: int):
+    """A row's support, values and p-column support mask; a malformed row raises ValueError."""
+    supp = _indices(row.support, "support column").astype(np.intp, copy=False)
+    vals = np.asarray(row.values, dtype=np.float64).reshape(-1)
+    if vals.size != supp.size:
+        raise ValueError("support and values length mismatch")
+    bad = np.flatnonzero((supp < 0) | (supp >= p))
+    if bad.size:
+        raise ValueError(f"support column {supp[bad[0]]} out of range for {p} columns")
+    mask = np.zeros(p, dtype=bool)
+    mask[supp] = True
+    if np.count_nonzero(mask) != supp.size:
+        raise ValueError("duplicate support column")
+    return supp, vals, mask
+
+
 def inner_row_switch(residual, row: RowWorkspace, n_iters: int):
     """Alternate rank-1 refits with support re-selection for one row.
 
@@ -105,8 +137,11 @@ def inner_row_switch(residual, row: RowWorkspace, n_iters: int):
     back. Each round replaces the atom by the leading left singular vector
     of the residual restricted to the current support, then re-selects the
     support as the ``k`` columns, over all columns, with the largest
-    |projection| onto that atom (ties to the smaller column index) and sets
-    the coefficients to those projections. The support size never changes.
+    |projection| onto that atom and sets the coefficients to those
+    projections. Tie rule: at the selection boundary, equal |projections|
+    go to the smaller column indices, as a stable sort would. The support
+    size never changes. A repeated, negative or out-of-range support column,
+    or values of another length, raise ValueError.
 
     Returns the updated row and the local objective recorded at entry and
     after every half-step; the sequence is non-increasing.
@@ -115,13 +150,10 @@ def inner_row_switch(residual, row: RowWorkspace, n_iters: int):
         raise ValueError("residual must be a 2-D array")
     if n_iters < 1:
         raise ValueError("n_iters must be at least 1")
-    supp = np.asarray(row.support, dtype=np.intp)
-    vals = np.asarray(row.values, dtype=np.float64)
+    supp, vals, _ = _row_arrays(row, residual.shape[1])
     k = supp.size
     if k < 1:
         raise ValueError("inner-row switching needs a nonempty support")
-    if vals.size != k:
-        raise ValueError("support and values length mismatch")
     a = np.asarray(row.atom, dtype=np.float64).copy()
 
     fnorm_sq = _sq_norm(residual)
@@ -150,8 +182,7 @@ def inner_row_switch(residual, row: RowWorkspace, n_iters: int):
             a = triple.u
         proj = residual.T @ a
         locals_.append(fnorm_sq - float(np.sum(proj[supp] ** 2)))
-        order = np.argsort(-np.abs(proj), kind="stable")
-        supp = np.sort(order[:k])
+        supp = _top_k(np.abs(proj), k)
         vals = proj[supp]
         locals_.append(fnorm_sq - float(np.sum(vals**2)))
 
@@ -163,12 +194,15 @@ def inter_row_switch(residual, row_i: RowWorkspace, row_j: RowWorkspace):
 
     ``residual`` is the batch residual with both rows' contributions removed.
     Every column outside the two rows' shared support is a candidate; each
-    candidate column offers its better-|projection| row (ties to the first
-    row), and the strongest candidates, as many as the symmetric difference
-    of the two supports, become the new support on those columns with the
-    projection values as coefficients. Shared-support columns keep their old
-    entries, so the combined nonzero count of the two rows is exactly
-    preserved and the joint local objective never increases.
+    candidate column offers its better-|projection| row, and the strongest
+    candidates, as many as the symmetric difference of the two supports,
+    become the new support on those columns with the projection values as
+    coefficients. Tie rules: a column with equal |projections| offers the
+    first row, and at the selection boundary equal candidates go to the
+    smaller column indices, as a stable sort would. Shared-support columns
+    keep their old entries bit for bit, so the combined nonzero count of the
+    two rows is exactly preserved and the joint local objective never
+    increases. Malformed rows raise ValueError as in :func:`inner_row_switch`.
     """
     Yt = as_matrix(residual, "residual")
     p = Yt.shape[1]
@@ -177,32 +211,28 @@ def inter_row_switch(residual, row_i: RowWorkspace, row_j: RowWorkspace):
     if a_i.shape[0] != Yt.shape[0] or a_j.shape[0] != Yt.shape[0]:
         raise ValueError("atom length does not match the residual row count")
     _require_unit_atoms(np.column_stack((a_i, a_j)), "row-pair atom")
-    set_i = {int(c) for c in row_i.support}
-    set_j = {int(c) for c in row_j.support}
-    if any(c >= p or c < 0 for c in set_i | set_j):
-        raise ValueError("support column out of range: column count mismatch")
-    shared = set_i & set_j
-    unique_count = len(set_i | set_j) - len(shared)
+    (si, vi, in_i), (sj, vj, in_j) = (_row_arrays(ws, p) for ws in (row_i, row_j))
+    shared = in_i & in_j
+    unique_count = np.count_nonzero(in_i ^ in_j)
     if unique_count == 0:
         return row_i, row_j
 
-    cand_cols = np.asarray(sorted(set(range(p)) - shared), dtype=np.intp)
-    M = np.vstack((a_i, a_j)) @ Yt[:, cand_cols]
+    M = np.vstack((a_i, a_j)) @ Yt
     absM = np.abs(M)
     pick_first = absM[0] >= absM[1]  # ties go to the first row
     best = np.where(pick_first, absM[0], absM[1])
-    order = np.argsort(-best, kind="stable")[:unique_count]
+    best[shared] = -1.0  # below every candidate, so never picked
+    picked = _top_k(best, unique_count)
 
     # shared columns keep their entries; each picked column joins its row
-    new = [{c: v for c, v in zip(map(int, ws.support), ws.values) if c in shared}
-           for ws in (row_i, row_j)]
-    for t in order:
-        r = 0 if pick_first[t] else 1
-        new[r][int(cand_cols[t])] = float(M[r, t])
     out = []
-    for ws, entries in zip((row_i, row_j), new):
-        cols = np.asarray(sorted(entries), dtype=np.intp)
-        out.append(RowWorkspace(ws.atom, cols, np.asarray([entries[c] for c in cols])))
+    for r, (ws, supp, vals) in enumerate(((row_i, si, vi), (row_j, sj, vj))):
+        keep = shared[supp]
+        new = picked[pick_first[picked] == (r == 0)]
+        cols = np.concatenate((supp[keep], new))
+        order = np.argsort(cols)
+        values = np.concatenate((vals[keep], M[r, new]))
+        out.append(RowWorkspace(ws.atom, cols[order], values[order]))
     return tuple(out)
 
 
@@ -244,21 +274,19 @@ def amplitude_adjust(Y, A, X: SparseCoeff, n_iters: int):
         js = np.flatnonzero(sizes == k)
         groups.append((js, starts[js, None] + np.arange(k)))
 
-    def dense(row_of_entry, n_rows):
-        out = np.zeros((n_rows, X.p))
-        out[row_of_entry, cols] = vals
-        return out
-
     objectives = []
     for _ in range(n_iters):
-        _fit_atoms(Y, A, used, dense(slot, used.size))
+        _fit_atoms(Y, A, rows, cols, vals)
         Au = A[:, used]
         G = Au.T @ Au
         for js, pos in groups:
             S = slot[pos]
             rhs = np.einsum("mck,mc->ck", Au[:, S], Y[:, js])
             vals[pos] = solve_gram(G[S[:, :, None], S[:, None, :]], rhs)
-        objectives.append(_sq_norm(Y - A @ dense(rows, X.n)))
+        Xd = np.zeros((X.n, X.p))
+        Xd[rows, cols] = vals
+        objectives.append(_sq_norm(Y - A @ Xd))
+        del Xd  # not held through the next round's solves: it would raise the peak memory
     return A, SparseCoeff.from_triplets(X.n, X.p, rows, cols, vals), objectives
 
 
@@ -339,24 +367,25 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
             for i, j in _sample_pairs(n, fraction, rng):
                 si, vi = X.row_entries(i)
                 sj, vj = X.row_entries(j)
-                if set(si) == set(sj):
-                    continue  # empty symmetric difference: no-op
-                olds = np.asarray(sorted(set(si) | set(sj)), dtype=np.intp)
-                sq_old = float(np.sum(R[:, olds] ** 2))
+                if np.array_equal(si, sj):
+                    continue  # equal (sorted) supports: empty symmetric difference, no-op
+                cover = np.zeros(X.p, dtype=bool)  # columns either row touches
+                cover[si] = cover[sj] = True
+                sq_old = float(np.sum(R[:, np.flatnonzero(cover)] ** 2))
                 R[:, si] += np.outer(A[:, i], vi)
                 R[:, sj] += np.outer(A[:, j], vj)
                 wi, wj = inter_row_switch(
                     R, RowWorkspace(A[:, i], si, vi), RowWorkspace(A[:, j], sj, vj)
                 )
-                news = sorted((set(wi.support) | set(wj.support)) - set(olds))
-                if news:
-                    sq_old += float(np.sum(R[:, np.asarray(news, dtype=np.intp)] ** 2))
+                gained = np.zeros(X.p, dtype=bool)
+                gained[wi.support] = gained[wj.support] = True
+                gained &= ~cover
+                sq_old += float(np.sum(R[:, np.flatnonzero(gained)] ** 2))
                 R[:, wi.support] -= np.outer(wi.atom, wi.values)
                 R[:, wj.support] -= np.outer(wj.atom, wj.values)
                 X.set_row(i, wi.support, wi.values)
                 X.set_row(j, wj.support, wj.values)
-                touched = np.asarray(sorted(set(olds) | set(news)), dtype=np.intp)
-                obj += float(np.sum(R[:, touched] ** 2)) - sq_old
+                obj += float(np.sum(R[:, np.flatnonzero(cover | gained)] ** 2)) - sq_old
                 trace.append("inter", obj)
 
         # --- re-seed unused atoms (objective-neutral: their rows are zero) ---

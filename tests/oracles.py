@@ -3,8 +3,9 @@
 Everything here is deliberately naive and shares no code with the package:
 QR-based least squares, one-sided Jacobi SVD, the Gram ridge decision by
 SVD condition number and Cholesky, a literal greedy OMP with lstsq refits,
-an explicitly materialized block-diagonal pursuit, and exhaustive support
-enumerations.
+an explicitly materialized block-diagonal pursuit, exhaustive support
+enumerations, and the full-sort, set-based row selections the switching
+phases used before they moved to partial selection and masks.
 """
 from __future__ import annotations
 
@@ -172,6 +173,51 @@ def best_pair_assignment(Yt, a_i, a_j, shared, size):
             val = sum(M[r, c] ** 2 for r, c in zip(rows, cols))
             best = max(best, val)
     return best
+
+
+def stable_top_k(mag, k):
+    """Indices of the ``k`` largest entries by one full stable sort, ascending.
+
+    The inner-row support selection as first written: ties at the boundary
+    go to the smaller index because the sort is stable.
+    """
+    return np.sort(np.argsort(-np.asarray(mag), kind="stable")[:k])
+
+
+def reference_inter_row_switch(Yt, a_i, s_i, v_i, a_j, s_j, v_j):
+    """Set-based inter-row switching, frozen from the package's first version.
+
+    Candidates are ``set(range(p))`` minus the shared columns, ranked by a
+    full stable sort; each row is rebuilt from a ``col -> value`` dict.
+    Returns ``((cols_i, vals_i), (cols_j, vals_j))``; an empty symmetric
+    difference returns the inputs unchanged.
+    """
+    Yt = np.asarray(Yt, dtype=np.float64)
+    p = Yt.shape[1]
+    rows = ((s_i, v_i), (s_j, v_j))
+    set_i = {int(c) for c in s_i}
+    set_j = {int(c) for c in s_j}
+    shared = set_i & set_j
+    unique_count = len(set_i | set_j) - len(shared)
+    if unique_count == 0:
+        return rows
+
+    cand_cols = np.asarray(sorted(set(range(p)) - shared), dtype=np.intp)
+    M = np.vstack((a_i, a_j)) @ Yt[:, cand_cols]
+    absM = np.abs(M)
+    pick_first = absM[0] >= absM[1]
+    best = np.where(pick_first, absM[0], absM[1])
+    order = np.argsort(-best, kind="stable")[:unique_count]
+    new = [{c: v for c, v in zip(map(int, s), v) if c in shared} for s, v in rows]
+    for t in order:
+        r = 0 if pick_first[t] else 1
+        new[r][int(cand_cols[t])] = float(M[r, t])
+    out = []
+    for entries in new:
+        cols = sorted(entries)
+        out.append((np.asarray(cols, dtype=np.intp),
+                    np.asarray([entries[c] for c in cols], dtype=np.float64)))
+    return tuple(out)
 
 
 def two_pass_stats(values):

@@ -1,7 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 
 from batchsvd import block_omp, dict_approx_init, initial_dictionary, objective, omp
+from batchsvd.coding import _fit_atoms
+from batchsvd.linalg import solve_gram
 
 from oracles import kron_omp, reference_omp
 
@@ -176,3 +180,62 @@ class TestInitialDictionary:
         Y[:, 2] = [1.0, 0.0, 0.0]
         A = initial_dictionary(Y, 3, np.random.default_rng(2))
         assert np.allclose(np.linalg.norm(A, axis=0), 1.0)
+
+
+class TestFitAtoms:
+    @staticmethod
+    def _problem(rng, m=5, n=7, p=30, nnz=60):
+        Y = rng.standard_normal((m, p))
+        A = _unit_cols(rng, m, n)
+        flat = rng.choice((n - 2) * p, size=nnz, replace=False)  # atoms n-2, n-1 unused
+        rows, cols = flat // p, flat % p
+        return Y, A, rows, cols, rng.standard_normal(nnz)
+
+    def test_matches_dense_normal_equations(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            Y, A, rows, cols, vals = self._problem(rng)
+            Xd = np.zeros((A.shape[1], Y.shape[1]))
+            Xd[rows, cols] = vals
+            used = np.unique(rows)
+            expected = solve_gram(Xd[used] @ Xd[used].T, Xd[used] @ Y.T).T
+            got = A.copy()
+            _fit_atoms(Y, got, rows, cols, vals)
+            assert np.allclose(got[:, used], expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+            unused = np.setdiff1d(np.arange(A.shape[1]), used)
+            assert np.array_equal(got[:, unused], A[:, unused])
+
+    def test_triplet_order_irrelevant(self):
+        rng = np.random.default_rng(12)
+        Y, A, rows, cols, vals = self._problem(rng)
+        first, second = A.copy(), A.copy()
+        _fit_atoms(Y, first, rows, cols, vals)
+        perm = rng.permutation(rows.size)
+        _fit_atoms(Y, second, rows[perm], cols[perm], vals[perm])
+        assert np.allclose(first, second, rtol=0, atol=1e-12)
+
+    def test_empty_triplets_noop(self):
+        rng = np.random.default_rng(13)
+        Y, A, *_ = self._problem(rng)
+        out = A.copy()
+        _fit_atoms(Y, out, np.array([], dtype=np.intp), np.array([], dtype=np.intp), np.array([]))
+        assert np.array_equal(out, A)
+
+    def test_duplicate_rows_ridged_and_logged(self, caplog):
+        # atoms 0 and 1 have identical coefficient rows: X_u X_u^T is singular
+        rng = np.random.default_rng(14)
+        Y = rng.standard_normal((4, 6))
+        x = rng.standard_normal(6)
+        rows, cols, vals = np.repeat([0, 1], 6), np.tile(np.arange(6), 2), np.tile(x, 2)
+        Xu = np.vstack((x, x))
+        with caplog.at_level(logging.DEBUG, logger="batchsvd.linalg"):
+            solve_gram(Xu @ Xu.T, Xu @ Y.T)
+            dense_lines = [r.getMessage() for r in caplog.records]
+            caplog.clear()
+            A = _unit_cols(rng, 4, 3)
+            _fit_atoms(Y, A, rows, cols, vals)
+            lines = [r.getMessage() for r in caplog.records]
+        assert len(dense_lines) == 1 and dense_lines[0].startswith("gram solve: cond=")
+        assert lines == dense_lines
+        assert np.all(np.isfinite(A))
+        assert np.allclose(A[:, 0], A[:, 1])  # the ridge splits the fit evenly

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from batchsvd import RowWorkspace, inner_row_switch
+from batchsvd.solver import _top_k
 
-from oracles import best_fixed_atom_support
+from oracles import best_fixed_atom_support, stable_top_k
 
 
 def _unit(rng, m):
@@ -117,3 +120,56 @@ def test_missing_residual_rejected():
     ws = RowWorkspace(np.ones(2), np.array([0]), np.array([1.0]))
     with pytest.raises(ValueError, match="residual"):
         inner_row_switch(None, ws, 1)
+
+
+@pytest.mark.parametrize("support", [[2, 2], [-1, 2], [1, 9]])
+def test_malformed_support_rejected(support):
+    # a repeated column used to drop an entry and raise the local trace, a
+    # negative one wrapped to the last column, and one past p gave IndexError
+    rng = np.random.default_rng(5)
+    ws = RowWorkspace(_unit(rng, 3), np.array(support), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="support column"):
+        inner_row_switch(rng.standard_normal((3, 6)), ws, 1)
+
+
+def test_values_length_mismatch_rejected():
+    ws = RowWorkspace(np.array([1.0, 0, 0]), np.array([0, 1]), np.array([1.0]))
+    with pytest.raises(ValueError, match="length mismatch"):
+        inner_row_switch(np.eye(3), ws, 1)
+
+
+@given(st.lists(st.integers(0, 3) | st.floats(0, 4), min_size=1, max_size=40), st.data())
+def test_top_k_matches_stable_sort(mags, data):
+    # small integers make exact ties at the selection boundary the common case
+    mag = np.asarray(mags, dtype=np.float64)
+    k = data.draw(st.integers(1, mag.size) | st.sampled_from([1, mag.size]))
+    assert np.array_equal(_top_k(mag, k), stable_top_k(mag, k))
+
+
+@st.composite
+def tied_rows(draw):
+    """Integer residuals with repeated columns and canonical or dyadic atoms: exact ties."""
+    m = draw(st.integers(1, 4))
+    p = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.integers(-2, 3, size=(m, draw(st.integers(1, p))))
+    residual = base[:, rng.integers(base.shape[1], size=p)].astype(np.float64)
+    if draw(st.booleans()) and m == 4:
+        atom = np.full(4, 0.5) * rng.choice([-1.0, 1.0], size=4)  # unit, exact products
+    else:
+        atom = np.eye(m)[draw(st.integers(0, m - 1))]
+    k = draw(st.integers(1, p) | st.sampled_from([1, p]))
+    supp = np.sort(rng.choice(p, size=k, replace=False))
+    return residual, RowWorkspace(atom, supp, rng.integers(-2, 3, size=k).astype(np.float64))
+
+
+@given(tied_rows(), st.integers(1, 3))
+def test_selection_is_stable_top_k_of_final_projection(problem, n_iters):
+    residual, ws = problem
+    out, _ = inner_row_switch(residual, ws, n_iters)
+    if out.degenerate:
+        assert np.array_equal(out.support, ws.support)
+        return
+    proj = residual.T @ out.atom
+    assert np.array_equal(out.support, stable_top_k(np.abs(proj), ws.support.size))
+    assert np.array_equal(out.values, proj[out.support])

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from batchsvd import RowWorkspace, inter_row_switch
 
-from oracles import best_pair_assignment
+from oracles import best_pair_assignment, reference_inter_row_switch
 
 
 def _unit(rng, m):
@@ -118,3 +120,76 @@ def test_out_of_range_support_rejected():
     wj = RowWorkspace(np.array([0.0, 1, 0]), np.array([1]), np.array([1.0]))
     with pytest.raises(ValueError, match="column"):
         inter_row_switch(Yt, wi, wj)
+
+
+@pytest.mark.parametrize("support, values, match", [
+    ([0, 1, 2], [1.0], "length mismatch"),  # used to drop two entries silently
+    ([0, 0], [1.0, 2.0], "duplicate"),  # used to return 2 entries for the 3 given
+])
+def test_malformed_row_rejected(support, values, match):
+    Yt = np.arange(12.0).reshape(3, 4)
+    wi = RowWorkspace(np.array([1.0, 0, 0]), np.array(support), np.array(values))
+    wj = RowWorkspace(np.array([0.0, 1, 0]), np.array([1]), np.array([1.0]))
+    with pytest.raises(ValueError, match=match):
+        inter_row_switch(Yt, wi, wj)
+
+
+@st.composite
+def row_pairs(draw):
+    """Row pairs with identical, nested, disjoint or random supports, up to k = p.
+
+    ``exact`` problems have integer residuals with repeated columns and
+    canonical or dyadic atoms, one possibly equal to the other, so every
+    projection is exact and ties between columns and between rows decide
+    the picks. Others are Gaussian.
+    """
+    exact = draw(st.booleans())
+    m = draw(st.integers(1, 4))
+    p = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if exact:
+        base = rng.integers(-2, 3, size=(m, draw(st.integers(1, p))))
+        Yt = base[:, rng.integers(base.shape[1], size=p)].astype(np.float64)
+        dyadic = np.full(4, 0.5) * rng.choice([-1.0, 1.0], size=4) if m == 4 else None
+        pool = [np.eye(m)[c] for c in range(m)] + ([dyadic] if m == 4 else [])
+        a_i = pool[draw(st.integers(0, len(pool) - 1))]
+        a_j = pool[draw(st.integers(0, len(pool) - 1))]
+    else:
+        Yt = rng.standard_normal((m, p))
+        a_i, a_j = _unit(rng, m), _unit(rng, m)
+    relation = draw(st.sampled_from(["identical", "nested", "disjoint", "random"]))
+    si = np.sort(rng.choice(p, size=draw(st.integers(0, p) | st.just(p)), replace=False))
+    if relation == "identical":
+        sj = si.copy()
+    elif relation == "nested":
+        sj = np.sort(rng.choice(si, size=draw(st.integers(0, si.size)), replace=False))
+    elif relation == "disjoint":
+        rest = np.setdiff1d(np.arange(p), si)
+        sj = np.sort(rng.choice(rest, size=draw(st.integers(0, rest.size)), replace=False))
+    else:
+        sj = np.sort(rng.choice(p, size=draw(st.integers(0, p)), replace=False))
+    if draw(st.booleans()):
+        si, sj = sj, si
+    wi = RowWorkspace(a_i, si, rng.integers(-3, 4, size=si.size) * 0.75)
+    wj = RowWorkspace(a_j, sj, rng.standard_normal(sj.size))
+    return exact, Yt, wi, wj
+
+
+@given(row_pairs())
+def test_matches_set_based_oracle(problem):
+    exact, Yt, wi, wj = problem
+    out = inter_row_switch(Yt, wi, wj)
+    ref = reference_inter_row_switch(Yt, wi.atom, wi.support, wi.values,
+                                     wj.atom, wj.support, wj.values)
+    shared = np.intersect1d(wi.support, wj.support)
+    for ws, got, (cols, vals) in zip((wi, wj), out, ref):
+        assert np.array_equal(got.support, cols)
+        if exact:
+            assert np.array_equal(got.values, vals)
+        else:
+            # the oracle correlates only the candidate columns, which may
+            # round the same products differently in the last bits
+            assert np.allclose(got.values, vals, rtol=1e-12, atol=1e-12 * np.abs(Yt).max())
+        # shared columns keep their old values bit for bit
+        kept = np.isin(got.support, shared)
+        assert np.array_equal(got.values[kept], ws.values[np.isin(ws.support, shared)])
