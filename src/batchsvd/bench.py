@@ -117,7 +117,7 @@ def report_to_dict(result: RunResult, cfg: LearnConfig | None) -> dict:
         "std_error": result.std,
         "total_nnz": result.coefficients.nnz,
         "avg_nnz_per_sample": result.coefficients.nnz / result.coefficients.p,
-        "objective_trace": result.trace.to_list(),
+        "objective_trace": result.trace.entries(),
         "config": asdict(cfg) if cfg is not None else None,
     }
 

@@ -1,9 +1,10 @@
 """Greedy sparse coding over sample batches.
 
-The coefficient matrix keeps one ``col -> value`` dict per nonempty row, so
-the switching procedures can relocate structural nonzeros row by row while
-the global budget stays a plain entry count. Every other reader and writer
-moves the whole matrix at once, as ``(rows, cols, vals)`` triplet arrays.
+The coefficient matrix is one immutable set of ``(rows, cols, vals)``
+triplet arrays in column-then-row order, and every reader and writer moves
+it whole; the global budget is its entry count. The switching procedures
+edit it as per-row ``(support, values)`` lists split from the triplets and
+joined back, checked, once per outer round.
 Coding is greedy pursuit on one kernel, :class:`_Paths`, that advances
 blocks of samples one OMP level at a time: per-sample OMP, and a heap merge
 of those paths that spends one nonzero budget across all samples at once.
@@ -28,32 +29,37 @@ _BLOCK = 256  # columns per batched OMP level: bounds the c x n correlation matr
 
 
 class SparseCoeff:
-    """Sparse n x p coefficient matrix keyed by row.
+    """Immutable sparse n x p coefficient matrix held as triplet arrays.
 
     Entries are structural: a stored value may be numerically zero and still
-    counts toward the nonzero budget. Each nonempty row is a ``col -> value``
-    dict keyed by its row index, so memory follows the entries and not ``n``;
-    an emptied row is dropped. A whole matrix goes in through
-    :meth:`from_triplets` and comes out through :meth:`entries`, both as
-    ``(rows, cols, vals)`` arrays; the switching phases edit it one row at a
-    time through the row methods.
+    counts toward the nonzero budget. The store is three read-only arrays,
+    ``intp`` rows, ``intp`` columns and ``float64`` values, in the canonical
+    order: by column, then row. A matrix goes in through
+    :meth:`from_triplets` and comes out through :meth:`entries`; code that
+    edits rows splits the arrays with :func:`_split_rows` and joins its
+    edits back with :func:`_join_rows`.
     """
 
-    __slots__ = ("n", "p", "_rows")
+    __slots__ = ("n", "p", "_rows", "_cols", "_vals")
 
     def __init__(self, n: int, p: int):
         n, p = int(n), int(p)
         if n < 1 or p < 1:
             raise ValueError(f"SparseCoeff needs n >= 1 and p >= 1, got {n}x{p}")
         self.n, self.p = n, p
-        self._rows: dict[int, dict] = {}  # row -> {col -> value}, nonempty rows only
+        self._store(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
+
+    def _store(self, rows, cols, vals):
+        for a in (rows, cols, vals):
+            a.flags.writeable = False
+        self._rows, self._cols, self._vals = rows, cols, vals
 
     @classmethod
     def from_triplets(cls, n: int, p: int, rows, cols, vals) -> "SparseCoeff":
         """Build from aligned row-index, column-index and value arrays.
 
         Every index must lie in range and every ``(row, col)`` pair may
-        appear once; structural zeros are kept.
+        appear once; structural zeros are kept. The store is a sorted copy.
         """
         X = cls(n, p)
         rows, cols = _indices(rows, "row"), _indices(cols, "column")
@@ -64,11 +70,11 @@ class SparseCoeff:
             bad = np.flatnonzero((index < 0) | (index >= size))
             if bad.size:
                 raise ValueError(f"{kind} index {index[bad[0]]} out of range for {X.n}x{X.p}")
-        t = _first_repeat(rows, cols)
+        rows, cols = rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
+        order, t = _canonical_order(rows, cols)
         if t is not None:
             raise ValueError(f"duplicate entry ({rows[t]}, {cols[t]})")
-        for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-            X._rows.setdefault(i, {})[j] = v
+        X._store(rows[order], cols[order], vals[order])
         return X
 
     @classmethod
@@ -78,88 +84,41 @@ class SparseCoeff:
         rows, cols = np.nonzero(arr)
         return cls.from_triplets(*arr.shape, rows, cols, arr[rows, cols])
 
-    def _row(self, i: int) -> dict:
-        """Row i's stored dict, or an empty one for an empty row."""
-        if not 0 <= i < self.n:
-            raise ValueError(f"row index {i} out of range for {self.n}x{self.p}")
-        return self._rows.get(i, {})
-
     @property
     def nnz(self) -> int:
-        return sum(len(r) for r in self._rows.values())
-
-    def row_size(self, i: int) -> int:
-        return len(self._row(i))
-
-    def row_support(self, i: int) -> list:
-        return sorted(self._row(i))
-
-    def row_entries(self, i: int):
-        """Return (cols, values) for row i, sorted by column index."""
-        row = self._row(i)
-        cols = sorted(row)
-        vals = [row[c] for c in cols]
-        return np.asarray(cols, dtype=np.intp), np.asarray(vals, dtype=np.float64)
-
-    def set_row(self, i: int, cols, values):
-        """Replace the whole support of row i."""
-        self._row(i)  # range check before replacing the row
-        if len(cols) != len(values):
-            raise ValueError("column indices and values differ in length")
-        line = dict(zip(_indices(cols, "column").tolist(), (float(v) for v in values)))
-        if len(line) != len(cols):
-            raise ValueError("duplicate column indices")
-        for c in line:
-            if not 0 <= c < self.p:
-                raise ValueError(f"column {c} out of range")
-        if line:
-            self._rows[i] = line
-        else:
-            self._rows.pop(i, None)
-
-    def scale_row(self, i: int, factor: float):
-        row = self._row(i)
-        factor = float(factor)
-        for c in row:
-            row[c] *= factor
-
-    def permute_rows(self, order):
-        """Reorder rows so that new row k is old row ``order[k]``."""
-        order = [int(i) for i in order]
-        if sorted(order) != list(range(self.n)):
-            raise ValueError("order must be a permutation of the row indices")
-        self._rows = {k: self._rows[i] for k, i in enumerate(order) if i in self._rows}
-
-    def to_dense(self) -> np.ndarray:
-        rows, cols, vals = self.entries()
-        out = np.zeros((self.n, self.p))
-        out[rows, cols] = vals
-        return out
-
-    def copy(self) -> "SparseCoeff":
-        out = SparseCoeff(self.n, self.p)
-        out._rows = {i: dict(r) for i, r in self._rows.items()}
-        return out
+        return self._vals.size
 
     def entries(self):
-        """``(rows, cols, vals)`` arrays sorted by column, then row: the serialization order."""
-        rows, cols, vals = [], [], []
-        for i, row in self._rows.items():
-            rows += [i] * len(row)
-            cols += row.keys()
-            vals += row.values()
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        order = np.lexsort((rows, cols))
-        return rows[order], cols[order], np.asarray(vals, dtype=np.float64)[order]
+        """The stored read-only ``(rows, cols, vals)`` arrays, sorted by column, then row."""
+        return self._rows, self._cols, self._vals
+
+    def to_dense(self) -> np.ndarray:
+        out = np.zeros((self.n, self.p))
+        out[self._rows, self._cols] = self._vals
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, SparseCoeff):
             return NotImplemented
-        return (self.n, self.p, self._rows) == (other.n, other.p, other._rows)
+        return (self.n, self.p) == (other.n, other.p) and all(
+            map(np.array_equal, self.entries(), other.entries()))
 
     def __repr__(self):
         return f"SparseCoeff({self.n}x{self.p}, nnz={self.nnz})"
+
+
+def _split_rows(X: SparseCoeff):
+    """Per-row ``(supports, values)`` lists of X: row i's columns ascending, aligned values."""
+    rows, cols, vals = X.entries()
+    order = np.lexsort((cols, rows))
+    bounds = np.cumsum(np.bincount(rows, minlength=X.n))[:-1]
+    return np.split(cols[order], bounds), np.split(vals[order], bounds)
+
+
+def _join_rows(n: int, p: int, supports, values) -> SparseCoeff:
+    """The n x p store whose row i holds ``supports[i]`` with ``values[i]``; checked as any triplets."""
+    rows = np.repeat(np.arange(n), [s.size for s in supports])
+    return SparseCoeff.from_triplets(n, p, rows, np.concatenate(supports), np.concatenate(values))
 
 
 def _indices(a, kind: str) -> np.ndarray:
@@ -170,14 +129,15 @@ def _indices(a, kind: str) -> np.ndarray:
     return a
 
 
-def _first_repeat(rows, cols):
-    """Position of the first ``(rows[t], cols[t])`` pair seen earlier, or None."""
+def _canonical_order(rows, cols):
+    """The column-then-row sort order of the pairs, and the position of the
+    first pair that repeats an earlier one, or None."""
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
     order = np.lexsort((rows, cols))  # stable: each pair's first position leads its run
     rows, cols = rows[order], cols[order]
     repeat = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
-    return int(order[1:][repeat].min()) if repeat.any() else None
+    return order, (int(order[1:][repeat].min()) if repeat.any() else None)
 
 
 @dataclass(frozen=True)
@@ -230,17 +190,21 @@ def _require_unit_atoms(A, name: str):
         raise ValueError(f"{name} columns must be unit-normalized")
 
 
-def _normalize_atoms(A: np.ndarray, X: SparseCoeff, rows):
-    """Rescale atoms ``rows`` of A to unit norm in place, keeping A X unchanged.
+def _normalize_atoms(A: np.ndarray, which) -> np.ndarray:
+    """Rescale atoms ``which`` of A to unit norm in place; return the per-atom factors.
 
-    Each rescaled atom's coefficient row is multiplied by the old norm. Atoms
-    that are zero or already exactly unit are left alone.
+    Multiplying each coefficient row by its atom's factor (the old norm)
+    keeps A X unchanged. Atoms that are zero, already exactly unit or not in
+    ``which`` are left alone and get factor 1.0, which leaves values bit for
+    bit.
     """
-    for i in rows:
+    factors = np.ones(A.shape[1])
+    for i in which:
         nrm = np.linalg.norm(A[:, i])
         if nrm > 0.0 and nrm != 1.0:
             A[:, i] /= nrm
-            X.scale_row(i, nrm)
+            factors[i] = nrm
+    return factors
 
 
 def _fit_atoms(Y, A: np.ndarray, rows, cols, vals):
@@ -502,7 +466,8 @@ def dict_approx_init(Y, A0, budget: int, iters: int):
         # re-normalize so the next coding round sees unit atoms; only used
         # atoms, since rescaling an untouched atom by a norm a rounding error
         # away from 1 would change its bits
-        _normalize_atoms(A, X, np.flatnonzero(used))
+        factors = _normalize_atoms(A, np.flatnonzero(used))
+        X = SparseCoeff.from_triplets(n, X.p, rows, cols, vals * factors[rows])
         trace.append(_sq_norm(Y - A @ X.to_dense()))
 
     dead = np.flatnonzero(~used_ever)

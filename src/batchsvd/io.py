@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .coding import SparseCoeff, _first_repeat
+from .coding import SparseCoeff, _canonical_order
 
 
 class ParseError(ValueError):
@@ -121,7 +121,7 @@ def load_sparse(path) -> SparseCoeff:
         rows.append(i)
         cols.append(j)
         vals.append(val)
-    t = _first_repeat(rows, cols)
+    t = _canonical_order(rows, cols)[1]
     if t is not None:
         raise ParseError(f"{path}: line {t + 2}: duplicate entry ({rows[t] + 1}, {cols[t] + 1})")
     return SparseCoeff.from_triplets(n, p, rows, cols, vals)

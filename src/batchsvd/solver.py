@@ -21,8 +21,10 @@ from .coding import (
     _code_per_sample,
     _fit_atoms,
     _indices,
+    _join_rows,
     _normalize_atoms,
     _require_unit_atoms,
+    _split_rows,
     reseed_dead_atoms,
 )
 from .linalg import NumericalError, _sq_norm, as_matrix, rank1_svd, solve_gram
@@ -63,12 +65,6 @@ class ObjectiveTrace:
         if phase is None:
             return [v for _, v in self._entries]
         return [v for ph, v in self._entries if ph == phase]
-
-    def to_list(self) -> list:
-        return [[ph, v] for ph, v in self._entries]
-
-    def __len__(self):
-        return len(self._entries)
 
     def phase_violations(self, rtol: float = 1e-9) -> list:
         """Monotonicity breaks within contiguous runs of a monotone phase."""
@@ -266,6 +262,7 @@ def amplitude_adjust(Y, A, X: SparseCoeff, n_iters: int):
         raise ValueError("n_iters must be at least 1")
     Y, A = _working_copies(Y, A, X)
     rows, cols, vals = X.entries()  # the support is frozen: take it once, in column order
+    vals = vals.copy()  # the stored arrays are read-only
     used, slot = np.unique(rows, return_inverse=True)  # slot: entry's row within used
     sizes = np.bincount(cols, minlength=X.p)
     starts = np.cumsum(sizes) - sizes
@@ -324,15 +321,16 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
     of X is identical before and after.
     """
     Y, A = _working_copies(Y, A, X)
-    X = X.copy()
-    n = X.n
+    n, p = X.n, X.p
     nnz_total = X.nnz
 
     # visit heavier rows first; the order is fixed for the whole run
-    sizes = np.asarray([X.row_size(i) for i in range(n)])
-    order = np.argsort(-sizes, kind="stable")
+    rows, cols, vals = X.entries()
+    order = np.argsort(-np.bincount(rows, minlength=n), kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)  # new index of each old row
     A = A[:, order]
-    X.permute_rows(order)
+    X = SparseCoeff.from_triplets(n, p, rank[rows], cols, vals)
 
     rng = np.random.default_rng(cfg.seed)
     trace = ObjectiveTrace()
@@ -344,32 +342,34 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
         if outer:
             R = Y - A @ X.to_dense()  # refresh the residual to cap incremental drift
         outer_start = obj
+        supports, values = _split_rows(X)  # row i's ascending columns and their values
 
         # --- inner-row phase ---
         for i in range(n):
-            if X.row_size(i) == 0:
+            if supports[i].size == 0:
                 continue
-            supp, vals = X.row_entries(i)
+            supp, vals = supports[i], values[i]
             R[:, supp] += np.outer(A[:, i], vals)
             ws, local = inner_row_switch(R, RowWorkspace(A[:, i], supp, vals), cfg.inner_sweeps)
             A[:, i] = ws.atom
-            X.set_row(i, ws.support, ws.values)
+            supports[i], values[i] = ws.support, ws.values
             R[:, ws.support] -= np.outer(ws.atom, ws.values)
             obj = local[-1]
             trace.append("inner", obj)
         inner_decrement = outer_start - obj
 
-        _normalize_atoms(A, X, range(n))  # objective-neutral
+        factors = _normalize_atoms(A, range(n))  # objective-neutral
+        values = [v * f for v, f in zip(values, factors)]
 
         # --- inter-row phase, only when the inner phase stalls ---
         if inner_decrement < cfg.trigger:
             fraction = cfg.effective_pair_fraction(n)
             for i, j in _sample_pairs(n, fraction, rng):
-                si, vi = X.row_entries(i)
-                sj, vj = X.row_entries(j)
+                si, vi = supports[i], values[i]
+                sj, vj = supports[j], values[j]
                 if np.array_equal(si, sj):
                     continue  # equal (sorted) supports: empty symmetric difference, no-op
-                cover = np.zeros(X.p, dtype=bool)  # columns either row touches
+                cover = np.zeros(p, dtype=bool)  # columns either row touches
                 cover[si] = cover[sj] = True
                 sq_old = float(np.sum(R[:, np.flatnonzero(cover)] ** 2))
                 R[:, si] += np.outer(A[:, i], vi)
@@ -377,23 +377,24 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
                 wi, wj = inter_row_switch(
                     R, RowWorkspace(A[:, i], si, vi), RowWorkspace(A[:, j], sj, vj)
                 )
-                gained = np.zeros(X.p, dtype=bool)
+                gained = np.zeros(p, dtype=bool)
                 gained[wi.support] = gained[wj.support] = True
                 gained &= ~cover
                 sq_old += float(np.sum(R[:, np.flatnonzero(gained)] ** 2))
                 R[:, wi.support] -= np.outer(wi.atom, wi.values)
                 R[:, wj.support] -= np.outer(wj.atom, wj.values)
-                X.set_row(i, wi.support, wi.values)
-                X.set_row(j, wj.support, wj.values)
+                supports[i], values[i] = wi.support, wi.values
+                supports[j], values[j] = wj.support, wj.values
                 obj += float(np.sum(R[:, np.flatnonzero(cover | gained)] ** 2)) - sq_old
                 trace.append("inter", obj)
 
         # --- re-seed unused atoms (objective-neutral: their rows are zero) ---
-        dead = [i for i in range(n) if X.row_size(i) == 0]
+        dead = [i for i in range(n) if supports[i].size == 0]
         if dead:
             reseed_dead_atoms(A, dead, Y, R)
 
-        # --- amplitude phase ---
+        # --- amplitude phase, on the edited rows joined back and checked ---
+        X = _join_rows(n, p, supports, values)
         A, X, objectives = amplitude_adjust(Y, A, X, cfg.amplitude_iters)
         for obj in objectives:
             trace.append("amplitude", obj)
@@ -404,8 +405,9 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
         if outer_start - obj <= cfg.epsilon:
             break
 
-    _normalize_atoms(A, X, range(n))  # unit-norm atoms on the way out
-    return A, X, trace
+    factors = _normalize_atoms(A, range(n))  # unit-norm atoms on the way out
+    rows, cols, vals = X.entries()
+    return A, SparseCoeff.from_triplets(n, p, rows, cols, vals * factors[rows]), trace
 
 
 def ksvd(Y, A0, k: int, iters: int):
@@ -435,16 +437,15 @@ def ksvd(Y, A0, k: int, iters: int):
     for _ in range(iters):
         coded = _code_per_sample(Y, A, k)
         Xd = coded.to_dense()
-        row_users = [coded.row_support(i) for i in range(n)]
+        row_users = _split_rows(coded)[0]
         trace.append("outer", _sq_norm(Y - A @ Xd))
 
         # atom-by-atom rank-1 updates
         for i in range(n):
-            users = row_users[i]
-            if not users:
+            cols = row_users[i]
+            if not cols.size:
                 reseed_dead_atoms(A, [i], Y, Y - A @ Xd)
                 continue
-            cols = np.asarray(users, dtype=np.intp)
             E = Y[:, cols] - A @ Xd[:, cols] + np.outer(A[:, i], Xd[i, cols])
             if not E.any():
                 Xd[i, cols] = 0.0

@@ -136,7 +136,7 @@ def test_empty_rows_left_alone():
     dead_atoms = A[:, 3:].copy()
     A2, X2, _ = amplitude_adjust(Y, A, X, 2)
     assert np.array_equal(A2[:, 3:], dead_atoms)
-    assert X2.row_size(3) == 0 and X2.row_size(4) == 0
+    assert not np.isin(X2.entries()[0], [3, 4]).any()
 
 
 def test_bad_iteration_count():
@@ -160,7 +160,7 @@ def test_coefficient_halfstep_matches_per_column_least_squares(caplog):
         cols += [j] * k
         vals += rng.standard_normal(k).tolist()
     X = SparseCoeff.from_triplets(n, p, rows, cols, vals)
-    assert X.row_size(n - 1) == 0
+    assert n - 1 not in X.entries()[0]
     assert {r.size for r in _col_rows(X)} >= set(range(1, m + 1))
 
     with caplog.at_level(logging.DEBUG, logger="batchsvd.linalg"):

@@ -94,7 +94,7 @@ class TestRunResult:
         d = report_to_dict(rep, None)
         assert d["total_nnz"] == X.nnz
         assert d["avg_nnz_per_sample"] == X.nnz / 6
-        assert rep.trace.to_list() == [["outer", pytest.approx(float(np.sum(expect**2)))]]
+        assert rep.trace.entries() == [("outer", pytest.approx(float(np.sum(expect**2))))]
 
     @pytest.mark.parametrize("shape", [(5, 6), (4, 7)])
     def test_coefficient_shape_mismatch_rejected(self, shape):

@@ -39,7 +39,7 @@ class TestObjectiveTrace:
         tr.append("inner", 4.0)
         tr.append("outer", 4.0)
         assert tr.values("inner") == [5.0, 4.0]
-        assert tr.to_list() == [["inner", 5.0], ["inner", 4.0], ["outer", 4.0]]
+        assert tr.entries() == [("inner", 5.0), ("inner", 4.0), ("outer", 4.0)]
 
     def test_phase_violation_detection(self):
         tr = ObjectiveTrace()
@@ -125,7 +125,7 @@ class TestBatchSvd:
         A2, X2, t2 = batch_svd(Y, A0, X0, cfg)
         assert np.array_equal(A1, A2)
         assert X1 == X2
-        assert t1.to_list() == t2.to_list()
+        assert t1.entries() == t2.entries()
 
     def test_trigger_gates_inter_phase(self):
         Y, A0, X0 = _prepared_instance(9)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from batchsvd import LearnConfig, SparseCoeff, load_sparse, save_sparse
+from batchsvd.coding import _join_rows, _split_rows
 
 
 def _sc(n, p, *triplets):
@@ -21,37 +22,6 @@ def test_structural_zero_counts():
     X = _sc(2, 2, (0, 1, 0.0))
     assert X.nnz == 1
     assert _triplets(X) == [(0, 1, 0.0)]
-
-
-def test_set_row_and_col():
-    # rows are written whole; columns are read back through entries()
-    X = SparseCoeff(4, 5)
-    X.set_row(2, [0, 3], [1.0, -2.0])
-    assert X.row_support(2) == [0, 3]
-    X.set_row(0, [3], [7.0])
-    rows, cols, vals = X.entries()
-    assert rows[cols == 3].tolist() == [0, 2]
-    assert vals[cols == 3].tolist() == [7.0, -2.0]
-    X.set_row(2, [], [])
-    assert X.row_size(2) == 0
-    assert _triplets(X) == [(0, 3, 7.0)]
-
-
-@pytest.mark.parametrize("row", [-1, 3])
-def test_row_index_checked(row):
-    # both ends: -1 must not wrap to the last row, n must not raise IndexError
-    X = _sc(3, 4, (2, 1, 1.0))
-    calls = [
-        lambda: X.set_row(row, [0], [1.0]),
-        lambda: X.row_size(row),
-        lambda: X.row_support(row),
-        lambda: X.row_entries(row),
-        lambda: X.scale_row(row, 2.0),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError, match=f"row index {row} out of range"):
-            call()
-    assert X.row_entries(2)[1].tolist() == [1.0]  # last row untouched
 
 
 @pytest.mark.parametrize("row, col, kind, bad", [
@@ -76,17 +46,6 @@ def test_from_triplets_rejects_non_integer_columns(bad):
         SparseCoeff.from_triplets(3, 3, [0], [bad], [1.0])
 
 
-@pytest.mark.parametrize("bad", [1.5, float("nan"), True])
-def test_set_row_rejects_non_integer_columns(bad):
-    # 1.5 used to be truncated to column 1
-    X = _sc(3, 3, (0, 2, 4.0))
-    with pytest.raises(ValueError, match="column indices must be integers"):
-        X.set_row(0, [bad], [1.0])
-    assert _triplets(X) == [(0, 2, 4.0)]  # the row is left as it was
-    X.set_row(0, np.array([], dtype=np.float64), [])  # an empty row still clears it
-    assert X.nnz == 0
-
-
 def test_from_triplets_builds_empty_store_from_empty_lists():
     X = SparseCoeff.from_triplets(3, 3, [], [], [])
     assert X == SparseCoeff(3, 3) and X.nnz == 0
@@ -100,22 +59,20 @@ def test_from_triplets_rejects_duplicates_and_ragged_input():
 
 
 def test_emptied_rows_compare_equal_to_never_used_rows():
-    X = SparseCoeff(3, 4)
-    X.set_row(1, [0, 2], [1.0, 2.0])
-    X.set_row(0, [3], [4.0])
-    X.set_row(1, [], [])
-    X.set_row(0, [], [])
+    supports, values = _split_rows(_sc(3, 4, (1, 0, 1.0), (1, 2, 2.0), (0, 3, 4.0)))
+    for i in (0, 1):
+        supports[i], values[i] = supports[i][:0], values[i][:0]
+    X = _join_rows(3, 4, supports, values)
     assert X == SparseCoeff(3, 4)
-    assert X.copy() == X and _triplets(X) == [] and not X.to_dense().any()
-    X.set_row(2, [0], [1.0])
-    X.permute_rows([2, 0, 1])
-    assert _triplets(X) == [(0, 0, 1.0)]
+    assert _triplets(X) == [] and not X.to_dense().any()
 
 
 def test_duplicate_rejected():
-    X = SparseCoeff(3, 3)
-    with pytest.raises(ValueError, match="duplicate"):
-        X.set_row(0, [1, 1], [1.0, 2.0])
+    # a row edit that repeats a column is caught when the rows are joined back
+    supports = [np.array([1, 1]), np.array([], dtype=np.intp), np.array([], dtype=np.intp)]
+    values = [np.array([1.0, 2.0]), np.array([]), np.array([])]
+    with pytest.raises(ValueError, match=r"duplicate entry \(0, 1\)"):
+        _join_rows(3, 3, supports, values)
 
 
 def test_dense_round_trip():
@@ -127,25 +84,12 @@ def test_dense_round_trip():
     assert X.nnz == np.count_nonzero(D)
 
 
-def test_permute_rows():
-    X = _sc(3, 4, (0, 1, 1.0), (2, 3, 2.0))
-    X.permute_rows([2, 0, 1])
-    assert _triplets(X) == [(1, 1, 1.0), (0, 3, 2.0)]
-
-
 def test_entries_sorted_by_col_then_row():
     X = _sc(3, 3, (2, 0, 1.0), (0, 2, 2.0), (1, 0, 3.0))
     rows, cols, vals = X.entries()
     assert (rows.dtype, cols.dtype, vals.dtype) == (np.intp, np.intp, np.float64)
     assert list(zip(rows.tolist(), cols.tolist())) == [(1, 0), (2, 0), (0, 2)]
     assert vals.tolist() == [3.0, 1.0, 2.0]
-
-
-def test_copy_is_deep():
-    X = _sc(2, 2, (0, 0, 1.0))
-    Y = X.copy()
-    Y.set_row(1, [1], [2.0])
-    assert X.nnz == 1 and Y.nnz == 2
 
 
 def test_bad_dimensions():
@@ -180,6 +124,18 @@ def test_triplet_round_trips(tmp_path_factory, store):
     for i, j, v in entries:
         D[i, j] = v
     assert np.array_equal(X.to_dense(), D)
+    for a in X.entries():  # the store is immutable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    supports, values = _split_rows(X)
+    assert len(supports) == len(values) == n
+    for i, (supp, vals) in enumerate(zip(supports, values)):
+        assert (supp.dtype, vals.dtype) == (np.intp, np.float64)
+        row = sorted((j, v) for r, j, v in entries if r == i)  # empty rows included
+        assert list(zip(supp.tolist(), vals.tolist())) == row
+    joined = _join_rows(n, p, supports, values)
+    assert joined == X
+    assert joined.entries()[2].tobytes() == X.entries()[2].tobytes()  # -0.0 keeps its sign
     path = tmp_path_factory.mktemp("store") / "x.coef"
     save_sparse(path, X)
     assert load_sparse(path) == X
