@@ -19,7 +19,7 @@ from .coding import (
     dict_approx_init,
     initial_dictionary,
 )
-from .linalg import _sq_norm, as_matrix
+from .linalg import _factors, _sq_norm, as_matrix
 from .solver import ObjectiveTrace, batch_svd, ksvd
 
 ALGO_LABELS = ("batch", "ksvd", "rnd-omp")
@@ -84,13 +84,7 @@ class RunResult:
 
         Without a solver trace, the final objective is recorded as the one entry.
         """
-        Y = as_matrix(Y, "Y")
-        A = as_matrix(A, "A")
-        if A.shape[0] != Y.shape[0] or (X.n, X.p) != (A.shape[1], Y.shape[1]):
-            raise ValueError(
-                f"shape mismatch: Y is {Y.shape[0]}x{Y.shape[1]}, A is "
-                f"{A.shape[0]}x{A.shape[1]}, X is {X.n}x{X.p}"
-            )
+        Y, A = _factors(Y, A, (X.n, X.p))
         R = Y - A @ X.to_dense()
         if trace is None:
             trace = ObjectiveTrace()
@@ -178,7 +172,7 @@ def run_benchmark(
         if algo not in algos:
             continue
         if algo == "batch":
-            A_init, X_init, _ = dict_approx_init(Y, A0, cfg.budget, cfg.init_iters)
+            A_init, X_init = dict_approx_init(Y, A0, cfg.budget, cfg.init_iters)
             A, X, trace = batch_svd(Y, A_init, X_init, cfg)
         elif algo == "ksvd":
             A, X, trace = ksvd(Y, A0, per_sample_k, ksvd_iters)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _sq_norm, as_matrix, as_vector, solve_gram
+from .linalg import _factors, as_matrix, as_vector, solve_gram
 
 log = logging.getLogger(__name__)
 
@@ -410,9 +410,11 @@ def reseed_dead_atoms(A: np.ndarray, dead_rows, Y, residual) -> int:
     """Replace unused atoms in-place with the worst-represented samples.
 
     Dead atoms point at the sample columns with the largest residual norms
-    (normalized, distinct per call, skipping zero samples). Falls back to a
-    basis vector in the pathological case where no usable sample remains.
-    Returns the number of atoms replaced.
+    (normalized, skipping zero samples). The samples are distinct within a
+    call, so every solver passes all of a round's dead atoms in one call;
+    separate calls with the same residual would give them the same sample.
+    Falls back to a basis vector in the pathological case where no usable
+    sample remains. Returns the number of atoms replaced.
     """
     dead_rows = sorted(int(i) for i in dead_rows)
     if not dead_rows:
@@ -441,23 +443,20 @@ def dict_approx_init(Y, A0, budget: int, iters: int):
     Runs ``iters`` rounds of {X <- block_omp(Y, A, budget); A <- argmin
     ||Y - A X||_F^2 over the atoms with nonempty rows}, re-normalizing atoms
     (with compensating row rescales) after every dictionary update. Returns
-    the final pair plus the objective recorded after every half-step; the
-    recorded sequence carries no monotonicity guarantee. Atoms whose rows
-    stayed empty through every round are re-seeded at the end.
+    the final pair ``(A, X)``; the rounds carry no monotonicity guarantee.
+    Atoms whose rows stayed empty through every round are re-seeded at the
+    end, all in one :func:`reseed_dead_atoms` call.
     """
-    Y = as_matrix(Y, "Y")
-    A0 = as_matrix(A0, "A0")
+    Y, A0 = _factors(Y, A0)
     if iters < 1:
         raise ValueError("iters must be at least 1")
     _require_unit_atoms(A0, "A0")
     n = A0.shape[1]
     A = A0.copy()
-    trace: list[float] = []
     used_ever = np.zeros(n, dtype=bool)
 
     for _ in range(iters):
         X = block_omp(Y, A, budget)
-        trace.append(_sq_norm(Y - A @ X.to_dense()))
         rows, cols, vals = X.entries()
         used = np.zeros(n, dtype=bool)
         used[rows] = True
@@ -468,10 +467,9 @@ def dict_approx_init(Y, A0, budget: int, iters: int):
         # away from 1 would change its bits
         factors = _normalize_atoms(A, np.flatnonzero(used))
         X = SparseCoeff.from_triplets(n, X.p, rows, cols, vals * factors[rows])
-        trace.append(_sq_norm(Y - A @ X.to_dense()))
 
     dead = np.flatnonzero(~used_ever)
     if dead.size:
         reseed_dead_atoms(A, dead, Y, Y - A @ X.to_dense())
         log.info("dictionary init: re-seeded %d never-used atoms", dead.size)
-    return A, X, trace
+    return A, X

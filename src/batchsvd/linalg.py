@@ -157,15 +157,23 @@ def objective(Y, A, X) -> float:
     ``X`` may be a dense array or anything exposing ``to_dense()`` (the
     sparse coefficient matrix).
     """
-    Y = as_matrix(Y, "Y")
-    A = as_matrix(A, "A")
     Xd = X.to_dense() if hasattr(X, "to_dense") else as_matrix(X, "X")
-    m, p = Y.shape
-    if A.shape[0] != m or A.shape[1] != Xd.shape[0] or Xd.shape[1] != p:
-        raise ValueError(
-            f"shape mismatch: Y {Y.shape}, A {A.shape}, X {Xd.shape}"
-        )
+    Y, A = _factors(Y, A, Xd.shape)
     return _sq_norm(Y - A @ Xd)
+
+
+def _factors(Y, A, x_shape=None):
+    """Y and A as checked matrices with ``A``'s rows matching ``Y``'s.
+
+    With ``x_shape`` given, the coefficient shape must also be n x p, so that
+    ``A X`` has the shape of Y; any mismatch raises ValueError.
+    """
+    Y, A = as_matrix(Y, "Y"), as_matrix(A, "A")
+    (m, p), (m_a, n) = Y.shape, A.shape
+    if m_a != m or (x_shape is not None and tuple(x_shape) != (n, p)):
+        x = "" if x_shape is None else ", X is {}x{}".format(*x_shape)
+        raise ValueError(f"shape mismatch: Y is {m}x{p}, A is {m_a}x{n}{x}")
+    return Y, A
 
 
 def _sq_norm(R) -> float:

@@ -27,7 +27,7 @@ from .coding import (
     _split_rows,
     reseed_dead_atoms,
 )
-from .linalg import NumericalError, _sq_norm, as_matrix, rank1_svd, solve_gram
+from .linalg import NumericalError, _factors, _sq_norm, as_matrix, rank1_svd, solve_gram
 
 log = logging.getLogger(__name__)
 
@@ -232,15 +232,6 @@ def inter_row_switch(residual, row_i: RowWorkspace, row_j: RowWorkspace):
     return tuple(out)
 
 
-def _working_copies(Y, A, X: SparseCoeff):
-    """Validated Y plus a private copy of A for a solver to update."""
-    Y = as_matrix(Y, "Y")
-    A = as_matrix(A, "A").copy()
-    if X.n != A.shape[1] or X.p != Y.shape[1] or A.shape[0] != Y.shape[0]:
-        raise ValueError(f"shape mismatch: Y {Y.shape}, A {A.shape}, X {X.n}x{X.p}")
-    return Y, A
-
-
 def amplitude_adjust(Y, A, X: SparseCoeff, n_iters: int):
     """Alternating least squares on amplitudes with the support frozen.
 
@@ -260,7 +251,8 @@ def amplitude_adjust(Y, A, X: SparseCoeff, n_iters: int):
     """
     if n_iters < 1:
         raise ValueError("n_iters must be at least 1")
-    Y, A = _working_copies(Y, A, X)
+    Y, A = _factors(Y, A, (X.n, X.p))
+    A = A.copy()
     rows, cols, vals = X.entries()  # the support is frozen: take it once, in column order
     vals = vals.copy()  # the stored arrays are read-only
     used, slot = np.unique(rows, return_inverse=True)  # slot: entry's row within used
@@ -320,7 +312,7 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
     together with the recorded objective trace. The structural nonzero count
     of X is identical before and after.
     """
-    Y, A = _working_copies(Y, A, X)
+    Y, A = _factors(Y, A, (X.n, X.p))
     n, p = X.n, X.p
     nnz_total = X.nnz
 
@@ -329,7 +321,7 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
     order = np.argsort(-np.bincount(rows, minlength=n), kind="stable")
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)  # new index of each old row
-    A = A[:, order]
+    A = A[:, order]  # a copy: the caller's A is never written
     X = SparseCoeff.from_triplets(n, p, rank[rows], cols, vals)
 
     rng = np.random.default_rng(cfg.seed)
@@ -413,47 +405,49 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
 def ksvd(Y, A0, k: int, iters: int):
     """Classic K-SVD with a fixed per-sample budget.
 
-    Codes every sample independently with OMP (at most ``k`` atoms each),
-    then updates atoms one at a time by a rank-1 fit of the residual
-    restricted to the samples using that atom. Unused atoms are re-seeded
-    from the worst-represented samples. The recorded objective trace is not
-    guaranteed monotone: the greedy coding step can increase it.
+    Each pass codes every sample independently with OMP (at most ``k`` atoms
+    each) and forms the residual ``R = Y - A X`` once. It then updates atoms
+    one at a time, as the inner phase of :func:`batch_svd` does: atom i's
+    contribution is added back to R on the samples using it, a rank-1 fit of
+    that block replaces the atom and its coefficients, and the refit
+    contribution is taken out of R again. Atoms no sample used in the pass
+    are re-seeded from the worst-represented samples once, after the atom
+    loop, all in one call. Records the objective after coding and after the
+    updates; the trace is not guaranteed monotone, since the greedy coding
+    step can increase it.
     """
-    Y = as_matrix(Y, "Y")
-    A0 = as_matrix(A0, "A0")
-    m, p = Y.shape
-    n = A0.shape[1]
-    if A0.shape[0] != m:
-        raise ValueError(f"dimension mismatch: Y is {m}x{p}, A0 is {A0.shape[0]}x{n}")
-    if not (1 <= k <= min(m, n)):
-        raise ValueError(f"k must satisfy 1 <= k <= min(m, n) = {min(m, n)}, got {k}")
-    _require_unit_atoms(A0, "A0")
+    Y, A = _factors(Y, A0)
+    _require_unit_atoms(A, "A0")
     if iters < 1:
         raise ValueError("iters must be at least 1")
 
-    A = A0.copy()
+    A = A.copy()
+    n, p = A.shape[1], Y.shape[1]
     trace = ObjectiveTrace()
 
     for _ in range(iters):
         coded = _code_per_sample(Y, A, k)
-        Xd = coded.to_dense()
-        row_users = _split_rows(coded)[0]
-        trace.append("outer", _sq_norm(Y - A @ Xd))
+        supports, values = _split_rows(coded)
+        R = Y - A @ coded.to_dense()
+        trace.append("outer", _sq_norm(R))
 
-        # atom-by-atom rank-1 updates
+        # atom-by-atom rank-1 updates on the running residual
         for i in range(n):
-            cols = row_users[i]
+            cols = supports[i]
             if not cols.size:
-                reseed_dead_atoms(A, [i], Y, Y - A @ Xd)
                 continue
-            E = Y[:, cols] - A @ Xd[:, cols] + np.outer(A[:, i], Xd[i, cols])
-            if not E.any():
-                Xd[i, cols] = 0.0
-                continue
-            triple = rank1_svd(E)
-            A[:, i] = triple.u
-            Xd[i, cols] = triple.sigma * triple.v
-        trace.append("outer", _sq_norm(Y - A @ Xd))
+            E = R[:, cols] + np.outer(A[:, i], values[i])
+            if E.any():
+                triple = rank1_svd(E)
+                A[:, i] = triple.u
+                values[i] = triple.sigma * triple.v
+            else:
+                values[i] = np.zeros(cols.size)
+            R[:, cols] = E - np.outer(A[:, i], values[i])
 
-    rows, cols, _ = coded.entries()  # last coding pass's support, updated values
-    return A, SparseCoeff.from_triplets(n, p, rows, cols, Xd[rows, cols]), trace
+        dead = [i for i in range(n) if supports[i].size == 0]
+        if dead:
+            reseed_dead_atoms(A, dead, Y, R)
+        trace.append("outer", _sq_norm(R))
+
+    return A, _join_rows(n, p, supports, values), trace

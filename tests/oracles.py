@@ -4,8 +4,9 @@ Everything here is deliberately naive and shares no code with the package:
 QR-based least squares, one-sided Jacobi SVD, the Gram ridge decision by
 SVD condition number and Cholesky, a literal greedy OMP with lstsq refits,
 an explicitly materialized block-diagonal pursuit, exhaustive support
-enumerations, and the full-sort, set-based row selections the switching
-phases used before they moved to partial selection and masks.
+enumerations, the full-sort, set-based row selections the switching
+phases used before they moved to partial selection and masks, and the dense
+K-SVD loop, which takes the package's kernels as arguments.
 """
 from __future__ import annotations
 
@@ -218,6 +219,42 @@ def reference_inter_row_switch(Yt, a_i, s_i, v_i, a_j, s_j, v_j):
         out.append((np.asarray(cols, dtype=np.intp),
                     np.asarray([entries[c] for c in cols], dtype=np.float64)))
     return tuple(out)
+
+
+def reference_ksvd(Y, A0, k, iters, code, rank1, reseed):
+    """K-SVD by the dense loop the package first used, frozen as an oracle.
+
+    Every pass rebuilds each atom's block ``Y[:, cols] - A @ X[:, cols]``
+    from a dense X and re-seeds each dead atom in its own call, with its own
+    full residual. The package's kernels come in as arguments, so the loop
+    shares no code with the package: ``code(Y, A, k)`` returns the per-sample
+    coding as ``(rows, cols, vals)`` triplets, ``rank1(E)`` the leading
+    singular triple of E with attributes ``sigma``, ``u`` and ``v``, and
+    ``reseed(A, dead, Y, residual)`` re-seeds the listed atoms of A in place.
+    Returns the dictionary, the final triplets and the outer objectives.
+    """
+    A = np.array(A0, dtype=np.float64)
+    n = A.shape[1]
+    outer = []
+    for _ in range(iters):
+        rows, cols, vals = code(Y, A, k)
+        Xd = np.zeros((n, Y.shape[1]))
+        Xd[rows, cols] = vals
+        outer.append(float(np.sum((Y - A @ Xd) ** 2)))
+        for i in range(n):
+            users = np.sort(cols[rows == i])
+            if not users.size:
+                reseed(A, [i], Y, Y - A @ Xd)
+                continue
+            E = Y[:, users] - A @ Xd[:, users] + np.outer(A[:, i], Xd[i, users])
+            if not E.any():
+                Xd[i, users] = 0.0
+                continue
+            triple = rank1(E)
+            A[:, i] = triple.u
+            Xd[i, users] = triple.sigma * triple.v
+        outer.append(float(np.sum((Y - A @ Xd) ** 2)))
+    return A, (rows, cols, Xd[rows, cols]), outer
 
 
 def two_pass_stats(values):

@@ -21,7 +21,8 @@ separates the row indices of one column.
 import numpy as np
 import pytest
 
-from batchsvd import LearnConfig, block_omp, dict_approx_init, initial_dictionary, run_benchmark
+from batchsvd import (LearnConfig, block_omp, dict_approx_init, initial_dictionary, objective,
+                      run_benchmark)
 from batchsvd.coding import _code_per_sample
 
 from oracles import make_planted
@@ -180,9 +181,9 @@ def test_block_omp_golden(instance):
 
 def test_dict_approx_init_golden(instance):
     Y, _, A0 = instance
-    A, X, trace = dict_approx_init(Y, A0, 48, 4)
+    A, X = dict_approx_init(Y, A0, 48, 4)
     R = Y - A @ X.to_dense()
-    _check("dict_approx_init", X, float(np.linalg.norm(R, axis=0).mean()), trace[-1])
+    _check("dict_approx_init", X, float(np.linalg.norm(R, axis=0).mean()), objective(Y, A, X))
 
 
 def test_run_benchmark_golden(instance):

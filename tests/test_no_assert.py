@@ -1,4 +1,4 @@
-"""Package invariants must raise typed errors that survive ``python -O``.
+"""Package hygiene: typed errors that survive ``python -O``, and no dead imports.
 
 A bare ``assert`` is stripped under ``-O``, so no module of the package may
 contain one.
@@ -19,3 +19,25 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"bare assert statements in the package: {found}"
+
+
+def test_package_has_no_unused_imports():
+    # a deletion can leave its helpers' imports behind; __init__.py imports
+    # only to re-export, and __future__ imports are compiler directives
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert not unused, f"unused imports in the package: {unused}"

@@ -19,9 +19,10 @@ from batchsvd import (
 )
 from batchsvd import solver
 from batchsvd.cli import main
-from batchsvd.linalg import NumericalError
+from batchsvd.coding import _code_per_sample
+from batchsvd.linalg import NumericalError, rank1_svd
 
-from oracles import make_planted
+from oracles import make_planted, reference_ksvd
 
 
 def _prepared_instance(seed, m=6, n=10, p=40, budget=80):
@@ -259,3 +260,37 @@ class TestKsvd:
         _, _, trace = ksvd(Y, A0, k=2, iters=8)
         vals = trace.values("outer")
         assert vals[-1] < vals[0]  # improves overall, monotonicity not required
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        Y = rng.standard_normal((8, 60))
+        A0 = initial_dictionary(Y, 12, rng)
+        k = 2 + seed % 2
+
+        def no_dead_atoms(*args):
+            raise AssertionError("instance has a dead atom")
+
+        def code(Y, A, k):
+            return _code_per_sample(Y, A, k).entries()
+
+        A_ref, (rows, cols, vals), outer_ref = reference_ksvd(
+            Y, A0, k, 3, code, rank1_svd, no_dead_atoms)
+        A, X, trace = ksvd(Y, A0, k, 3)
+        got_rows, got_cols, got_vals = X.entries()
+        assert np.array_equal(got_rows, rows) and np.array_equal(got_cols, cols)
+        np.testing.assert_allclose(got_vals, vals, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(A, A_ref, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(trace.values("outer"), outer_ref, rtol=1e-9)
+        assert np.isclose(trace.values("outer")[-1], objective(Y, A, X), rtol=1e-9, atol=0)
+
+    def test_dead_atoms_reseeded_with_distinct_samples(self):
+        # only atoms 0 and 1 can code these samples, so atoms 2-5 die together
+        Y = np.zeros((6, 40))
+        Y[:2] = np.random.default_rng(0).standard_normal((2, 40))
+        A, X, trace = ksvd(Y, np.eye(6), 1, 1)
+        assert set(X.entries()[0].tolist()) <= {0, 1}
+        gram = np.abs(A.T @ A)
+        close = np.argwhere(np.triu(gram, k=1) > 1 - 1e-12)
+        assert close.size == 0, f"atom pairs point the same way: {close.tolist()}"
+        assert np.isclose(trace.values("outer")[-1], objective(Y, A, X), rtol=1e-9, atol=0)
