@@ -26,6 +26,9 @@ UNIT_NORM_TOL = 1e-8
 # residuals below this (relative to the input norm, floored at 1) count as zero
 ZERO_RESIDUAL_RTOL = 1e-12
 _BLOCK = 256  # columns per batched OMP level: bounds the c x n correlation matrix
+# block_omp extends, with a path that ran out, every path within _LOOKAHEAD levels of its
+# end whose last computed gain is at least _GAIN_BAND times the gain just taken
+_LOOKAHEAD, _GAIN_BAND = 4, 0.5
 
 
 class SparseCoeff:
@@ -207,22 +210,18 @@ def _normalize_atoms(A: np.ndarray, which) -> np.ndarray:
     return factors
 
 
-def _fit_atoms(Y, A: np.ndarray, rows, cols, vals):
-    """Refit in place the atoms used by the coefficient triplets ``(rows, cols, vals)``.
+def _atom_fitter(rows, cols):
+    """The dictionary least squares on a frozen support, as ``fit(Y, A, vals)``.
 
-    Solves the dictionary least squares ``min ||Y - A_u X_u||_F`` over the
-    used atoms ``u = unique(rows)``, whose coefficient rows ``X_u`` the
-    triplets hold; the other atoms are left untouched. Both normal-equation
-    products come from the triplets without a dense ``X_u``: ``X_u X_u^T``
-    is one weighted ``bincount`` over every pair of entries sharing a
-    column, and ``X_u Y^T`` one per row of Y.
+    ``fit`` solves ``min ||Y - A_u X_u||_F`` in place over the used atoms
+    ``u = unique(rows)``, whose coefficient rows ``X_u`` are the triplets
+    ``(rows, cols, vals)``; other atoms are left untouched. ``X_u X_u^T`` is
+    one weighted ``bincount`` over every pair of entries sharing a column,
+    and ``X_u Y^T`` one per row of Y; their index plan is built once, here.
     """
     rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-    vals = np.asarray(vals, dtype=np.float64)
-    if not rows.size:
-        return
     order = np.argsort(cols, kind="stable")  # each column's entries contiguous
-    rows, cols, vals = rows[order], cols[order], vals[order]
+    rows, cols = rows[order], cols[order]
     used, slot = np.unique(rows, return_inverse=True)
     u = used.size
     counts = np.bincount(cols)
@@ -230,12 +229,17 @@ def _fit_atoms(Y, A: np.ndarray, rows, cols, vals):
     first = np.repeat(np.arange(cols.size), size)  # entry e once per entry of its column
     offset = np.arange(first.size) - np.repeat(np.cumsum(size) - size, size)
     second = np.repeat((np.cumsum(counts) - counts)[cols], size) + offset  # its partners
-    gram = np.bincount(slot[first] * u + slot[second], weights=vals[first] * vals[second],
-                       minlength=u * u).reshape(u, u)
-    rhs = np.empty((u, Y.shape[0]))
-    for d, y in enumerate(Y):
-        rhs[:, d] = np.bincount(slot, weights=vals * y[cols], minlength=u)
-    A[:, used] = solve_gram(gram, rhs).T
+    pair = slot[first] * u + slot[second]
+
+    def fit(Y, A, vals):
+        vals = np.asarray(vals, dtype=np.float64)[order]
+        gram = np.bincount(pair, weights=vals[first] * vals[second], minlength=u * u)
+        rhs = np.empty((u, Y.shape[0]))
+        for d, y in enumerate(Y):
+            rhs[:, d] = np.bincount(slot, weights=vals * y[cols], minlength=u)
+        A[:, used] = solve_gram(gram.reshape(u, u), rhs).T
+
+    return fit
 
 
 def omp(y, A, k: int):
@@ -261,9 +265,12 @@ def block_omp(Y, A, budget: int) -> SparseCoeff:
     takes the largest |correlation| over unselected (atom, sample) pairs,
     ties to the smaller sample, then atom, and refits only that sample. So
     the pursuit is a heap merge, keyed on ``(-|correlation|, sample)``, of
-    the p per-sample OMP paths, which :class:`_Paths` extends in batches as
-    the merge uses them up. It stops once the whole residual is zero
-    relative to ``||Y||``; a sample may take more than m atoms, up to n.
+    the p per-sample OMP paths. When the merge uses up a path, one
+    :meth:`_Paths.extend` call advances it, and every path within
+    ``_LOOKAHEAD`` levels of its end whose last computed gain is at least
+    ``_GAIN_BAND`` times the gain just taken, by one level each. It stops
+    once the whole residual is zero relative to ``||Y||``; a sample may take
+    more than m atoms, up to n.
     """
     A, Y = as_matrix(A, "A"), as_matrix(Y, "Y")
     n, p = A.shape[1], Y.shape[1]
@@ -274,23 +281,26 @@ def block_omp(Y, A, budget: int) -> SparseCoeff:
     zero_tol = ZERO_RESIDUAL_RTOL * max(1.0, np.linalg.norm(Y))  # the residual-is-zero bound
     paths = _Paths(Y, A)
     paths.extend(np.arange(p))
-    used = np.zeros(p, dtype=np.intp)  # steps the merge took from each path
+    used = [0] * p  # steps the merge took from each path
     col_sq = paths.sq[:, 0].copy()  # squared residual norm of each sample
     w = int(col_sq.argmax())  # while w's residual is nonzero, so is the whole one
     heap = sorted(zip((-paths.gain[:, 0]).tolist(), range(p)))  # sorted, so a heap
+    pop, push, sqrt = heapq.heappop, heapq.heappush, math.sqrt
     for _ in range(budget):
-        if math.sqrt(col_sq[w]) <= zero_tol:
+        if sqrt(col_sq.item(w)) <= zero_tol:
             w = int(col_sq.argmax())
-            if math.sqrt(col_sq.sum()) <= zero_tol:
+            if sqrt(col_sq.sum()) <= zero_tol:
                 break
-        j = heapq.heappop(heap)[1]
-        used[j] += 1
-        if used[j] == paths.known[j]:  # j ran out: extend it and every path near its end
-            paths.extend(np.flatnonzero((used >= paths.known - 2) & (paths.known <= n)))
-        col_sq[j] = paths.sq[j, used[j]]
-        if used[j] < n:
-            heapq.heappush(heap, (-paths.gain[j, used[j]], j))
-    return SparseCoeff.from_triplets(n, p, *paths.triplets(used))
+        g, j = pop(heap)
+        t = used[j] = used[j] + 1
+        if t == paths.known.item(j):  # j ran out: extend it and the paths near their end
+            near = np.array(used) >= paths.known - _LOOKAHEAD
+            near &= paths.gain[np.arange(p), paths.known - 1] >= -g * _GAIN_BAND
+            paths.extend(np.flatnonzero(near & (paths.known <= n)))
+        col_sq[j] = paths.sq.item(j, t)
+        if t < n:
+            push(heap, (-paths.gain.item(j, t), j))
+    return SparseCoeff.from_triplets(n, p, *paths.triplets(np.array(used, dtype=np.intp)))
 
 
 def _code_per_sample(Y, A, k: int) -> SparseCoeff:
@@ -319,8 +329,9 @@ def _pursue(Y: np.ndarray, A: np.ndarray, k: int):
 
 def _blocks(cols, depth):
     """``(d, block)`` for runs of at most ``_BLOCK`` of ``cols`` with equal ``depth[col] = d``."""
-    for d in np.unique(depth[cols]):
-        same = cols[depth[cols] == d]
+    at = depth[cols]  # read once, up front: the caller may advance depth while iterating
+    for d in np.unique(at):
+        same = cols[at == d]
         yield from ((d, same[lo:lo + _BLOCK]) for lo in range(0, same.size, _BLOCK))
 
 
@@ -352,7 +363,7 @@ class _Paths:
         return C, Yc - np.einsum("cdm,cd->cm", AS, C)
 
     def extend(self, cols):
-        """Compute the next level of every column in ``cols``."""
+        """Compute the next level of every column in ``cols``: each advances exactly one level."""
         w, n = self.atom.shape[1], self.A.shape[1]
         if self.known[cols].max(initial=0) == w:  # double the depth capacity, up to n + 1
             pad = ((0, 0), (0, min(w, n + 1 - w)))
@@ -460,7 +471,7 @@ def dict_approx_init(Y, A0, budget: int, iters: int):
         rows, cols, vals = X.entries()
         used = np.zeros(n, dtype=bool)
         used[rows] = True
-        _fit_atoms(Y, A, rows, cols, vals)
+        _atom_fitter(rows, cols)(Y, A, vals)
         used_ever |= used
         # re-normalize so the next coding round sees unit atoms; only used
         # atoms, since rescaling an untouched atom by a norm a rounding error

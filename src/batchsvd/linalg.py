@@ -8,6 +8,7 @@ convention, no environment-dependent branching.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,14 +70,17 @@ def solve_gram(G: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     ``G`` is one k x k Gram or a stack of them shaped ``(..., k, k)``. ``B``
     is either one right-hand side per Gram, shaped ``(..., k)``, or ``r`` of
-    them, shaped ``(..., k, r)``; the result has the shape of ``B``. One
-    ``eigvalsh`` call gives every Gram's eigenvalues, and a Gram is solved
-    as it stands iff its smallest eigenvalue is positive and its largest is
-    at most ``COND_LIMIT`` times that. Any other Gram gets a ridge of
-    ``RIDGE_SCALE * trace(G) / k``, logged once at debug level with its
-    condition number ``max|eig| / min|eig|``; NumericalError, carrying that
-    number, is raised when the ridge does not make the Gram positive
-    definite. The whole stack is then solved by one batched LAPACK solve.
+    them, shaped ``(..., k, r)``; the result has the shape of ``B``. A Gram
+    is solved as it stands iff its smallest eigenvalue is positive and its
+    largest is at most ``COND_LIMIT`` times that: one Cholesky of the stack
+    shifted by ``trace(G) / (COND_LIMIT / 2)`` certifies this for all members
+    (a 2x margin for rounding), and only if it fails, or a trace is not
+    finite and positive, does one ``eigvalsh`` call decide each member. Any
+    other Gram gets a ridge of ``RIDGE_SCALE * trace(G) / k``, logged once at
+    debug level with its condition number ``max|eig| / min|eig|``;
+    NumericalError, carrying that number, is raised when the ridge does not
+    make the Gram positive definite. The whole stack is then solved by one
+    batched LAPACK solve.
     """
     G = np.asarray(G, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -84,20 +88,27 @@ def solve_gram(G: np.ndarray, B: np.ndarray) -> np.ndarray:
     if G.size == 0:
         return np.zeros_like(B)
     stack = G.reshape(-1, k, k)  # a single Gram is a one-member stack
-    eig = np.linalg.eigvalsh(stack)  # ascending
-    ridged = ~((eig[:, 0] > 0) & (eig[:, -1] <= COND_LIMIT * eig[:, 0]))
-    lam = np.zeros(len(stack))
-    for t in np.flatnonzero(ridged):
-        lam[t] = RIDGE_SCALE * np.trace(stack[t]) / k
-        mag = np.abs(eig[t])
-        cond = mag.max() / mag.min() if mag.min() > 0 else np.inf
-        log.debug("gram solve: cond=%.3e, ridge %.3e applied", cond, lam[t])
-        if eig[t, 0] + lam[t] <= 0:
-            raise NumericalError(
-                f"gram matrix is rank-deficient beyond ridge rescue (cond estimate {cond:.3e})"
-            )
-    if ridged.any():
-        G = G + lam.reshape(G.shape[:-2] + (1, 1)) * np.eye(k)
+    tr = np.trace(stack, axis1=1, axis2=2)
+    try:  # success proves lambda_min > 2 tr / COND_LIMIT >= 2 lambda_max / COND_LIMIT
+        certified = bool(np.all((tr > 0) & np.isfinite(tr))) and np.linalg.cholesky(
+            stack - (tr / (COND_LIMIT / 2))[:, None, None] * np.eye(k)) is not None
+    except np.linalg.LinAlgError:
+        certified = False
+    if not certified:
+        eig = np.linalg.eigvalsh(stack)  # ascending
+        ridged = ~((eig[:, 0] > 0) & (eig[:, -1] <= COND_LIMIT * eig[:, 0]))
+        lam = np.zeros(len(stack))
+        for t in np.flatnonzero(ridged):
+            lam[t] = RIDGE_SCALE * np.trace(stack[t]) / k
+            mag = np.abs(eig[t])
+            cond = mag.max() / mag.min() if mag.min() > 0 else np.inf
+            log.debug("gram solve: cond=%.3e, ridge %.3e applied", cond, lam[t])
+            if eig[t, 0] + lam[t] <= 0:
+                raise NumericalError(
+                    f"gram matrix is rank-deficient beyond ridge rescue (cond estimate {cond:.3e})"
+                )
+        if ridged.any():
+            G = G + lam.reshape(G.shape[:-2] + (1, 1)) * np.eye(k)
     vectors = B.ndim == G.ndim - 1
     Z = np.linalg.solve(G, B[..., None] if vectors else B)
     return Z[..., 0] if vectors else Z
@@ -125,7 +136,7 @@ def rank1_svd(M, tol: float = 1e-10, max_iter: int = 500) -> SingularTriple:
     converged = False
     for _ in range(max_iter):
         w = M.T @ u
-        wn = np.linalg.norm(w)
+        wn = math.sqrt(w @ w)  # np.linalg.norm's own formula, without its overhead
         if wn == 0.0:
             # start orthogonal to the row space: restart from a basis vector
             u = np.zeros(m)
@@ -134,15 +145,16 @@ def rank1_svd(M, tol: float = 1e-10, max_iter: int = 500) -> SingularTriple:
             continue
         v = w / wn
         z = M @ v
-        sigma = np.linalg.norm(z)
-        if np.linalg.norm(z - sigma * u) <= tol * fnorm:
+        sigma = math.sqrt(z @ z)
+        gap = z - sigma * u
+        if math.sqrt(gap @ gap) <= tol * fnorm:
             converged = True
             u = z / sigma
             break
         u = z / sigma
     # make the returned triple self-consistent: sigma and v derived from u
     w = M.T @ u
-    sigma = float(np.linalg.norm(w))
+    sigma = math.sqrt(w @ w)
     v = w / sigma
     idx = int(np.argmax(np.abs(u)))
     if u[idx] < 0:
@@ -154,12 +166,31 @@ def rank1_svd(M, tol: float = 1e-10, max_iter: int = 500) -> SingularTriple:
 def objective(Y, A, X) -> float:
     """Squared Frobenius reconstruction error ``||Y - A X||_F^2``.
 
-    ``X`` may be a dense array or anything exposing ``to_dense()`` (the
-    sparse coefficient matrix).
+    ``X`` may be a dense array or the sparse coefficient matrix. A sparse X
+    is summed over its :func:`_support_groups` by :func:`_group_sq`, with no
+    dense product, as ``amplitude_adjust`` records its objectives.
     """
-    Xd = X.to_dense() if hasattr(X, "to_dense") else as_matrix(X, "X")
-    Y, A = _factors(Y, A, Xd.shape)
-    return _sq_norm(Y - A @ Xd)
+    if not hasattr(X, "entries"):
+        Xd = as_matrix(X, "X")
+        Y, A = _factors(Y, A, Xd.shape)
+        return _sq_norm(Y - A @ Xd)
+    Y, A = _factors(Y, A, (X.n, X.p))
+    rows, cols, vals = X.entries()
+    return sum(_group_sq(Y[:, js], A[:, rows[pos]], vals[pos])
+               for js, pos in _support_groups(cols, X.p))
+
+
+def _support_groups(cols, p: int):
+    """``(js, pos)`` per support size k, ascending: columns js with k entries, (c, k) positions."""
+    sizes = np.bincount(cols, minlength=p)
+    starts = np.cumsum(sizes) - sizes
+    by_size = ((k, np.flatnonzero(sizes == k)) for k in np.unique(sizes))
+    return [(js, starts[js, None] + np.arange(k)) for k, js in by_size]
+
+
+def _group_sq(Yg, AS, z) -> float:
+    """Squared norm of a group's residual ``Yg - A_S z``; ``AS`` is (m, c, k), ``z`` is (c, k)."""
+    return _sq_norm(Yg - np.einsum("mck,ck->mc", AS, z))
 
 
 def _factors(Y, A, x_shape=None):
@@ -178,4 +209,5 @@ def _factors(Y, A, x_shape=None):
 
 def _sq_norm(R) -> float:
     """Squared Frobenius norm of a residual: the objective every trace records."""
-    return float(np.dot(R.ravel(), R.ravel()))
+    R = R.ravel("K")  # in memory order: no copy of a non-C-ordered block
+    return float(np.dot(R, R))

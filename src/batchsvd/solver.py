@@ -19,7 +19,7 @@ from .coding import (
     LearnConfig,
     SparseCoeff,
     _code_per_sample,
-    _fit_atoms,
+    _atom_fitter,
     _indices,
     _join_rows,
     _normalize_atoms,
@@ -27,7 +27,8 @@ from .coding import (
     _split_rows,
     reseed_dead_atoms,
 )
-from .linalg import NumericalError, _factors, _sq_norm, as_matrix, rank1_svd, solve_gram
+from .linalg import (NumericalError, _factors, _group_sq, _sq_norm, _support_groups, as_matrix,
+                     rank1_svd, solve_gram)
 
 log = logging.getLogger(__name__)
 
@@ -169,7 +170,7 @@ def inner_row_switch(residual, row: RowWorkspace, n_iters: int):
         triple = rank1_svd(block)
         # monotonicity guard: keep the incoming atom if the (possibly
         # unconverged) power iteration returned a weaker direction
-        a_norm = np.linalg.norm(a)
+        a_norm = np.sqrt(a @ a)
         if a_norm > 0.0:
             a_unit = a / a_norm
             old_energy = float(np.sum((block.T @ a_unit) ** 2))
@@ -241,7 +242,9 @@ def amplitude_adjust(Y, A, X: SparseCoeff, n_iters: int):
     half-step takes all its small systems ``A_S^T A_S z = A_S^T y_j`` from
     one Gram ``G = A_u^T A_u`` of the used atoms per round (the precomputed
     Gram of Batch-OMP): the columns are grouped by support size once per
-    call, and each group is solved as one stack by :func:`solve_gram`.
+    call, and each group is solved as one stack by :func:`solve_gram`. No
+    n x p array is formed: a round's objective sums the groups' residuals
+    ``Y[:, js] - A_S z`` exactly as ``linalg.objective`` sums a sparse X.
     Structural positions of X are bit-identical before and after, and atoms
     whose rows are empty are left untouched. The objective never increases
     at either half-step as long as every solve is exact; a system that
@@ -256,26 +259,22 @@ def amplitude_adjust(Y, A, X: SparseCoeff, n_iters: int):
     rows, cols, vals = X.entries()  # the support is frozen: take it once, in column order
     vals = vals.copy()  # the stored arrays are read-only
     used, slot = np.unique(rows, return_inverse=True)  # slot: entry's row within used
-    sizes = np.bincount(cols, minlength=X.p)
-    starts = np.cumsum(sizes) - sizes
-    groups = []  # (columns, (c, k) entry positions) per support size k
-    for k in np.unique(sizes[sizes > 0]):
-        js = np.flatnonzero(sizes == k)
-        groups.append((js, starts[js, None] + np.arange(k)))
+    fit = _atom_fitter(rows, cols)
+    groups = [(slot[pos], pos, Y[:, js]) for js, pos in _support_groups(cols, X.p)]
 
     objectives = []
     for _ in range(n_iters):
-        _fit_atoms(Y, A, rows, cols, vals)
+        fit(Y, A, vals)
         Au = A[:, used]
         G = Au.T @ Au
-        for js, pos in groups:
-            S = slot[pos]
-            rhs = np.einsum("mck,mc->ck", Au[:, S], Y[:, js])
-            vals[pos] = solve_gram(G[S[:, :, None], S[:, None, :]], rhs)
-        Xd = np.zeros((X.n, X.p))
-        Xd[rows, cols] = vals
-        objectives.append(_sq_norm(Y - A @ Xd))
-        del Xd  # not held through the next round's solves: it would raise the peak memory
+        parts = []  # the objective, group by group, as linalg.objective sums it
+        for S, pos, Yg in groups:
+            AS = Au[:, S]
+            if S.size:
+                rhs = np.einsum("mck,mc->ck", AS, Yg)
+                vals[pos] = solve_gram(G[S[:, :, None], S[:, None, :]], rhs)
+            parts.append(_group_sq(Yg, AS, vals[pos]))
+        objectives.append(sum(parts))
     return A, SparseCoeff.from_triplets(X.n, X.p, rows, cols, vals), objectives
 
 

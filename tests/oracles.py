@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive and shares no code with the package:
 QR-based least squares, one-sided Jacobi SVD, the Gram ridge decision by
-SVD condition number and Cholesky, a literal greedy OMP with lstsq refits,
+SVD condition number and Cholesky, the per-member eigenvalue ridge rule
+that ``solve_gram`` applied before its Cholesky certificate, a literal
+greedy OMP with lstsq refits,
 an explicitly materialized block-diagonal pursuit, exhaustive support
 enumerations, the full-sort, set-based row selections the switching
 phases used before they moved to partial selection and masks, and the dense
@@ -43,6 +45,28 @@ def reference_ridge(G, cond_limit, ridge_scale):
         return cond, True, False
     except np.linalg.LinAlgError:
         return cond, True, True
+
+
+def eigvalsh_ridges(G, cond_limit, ridge_scale):
+    """The eigenvalue ridge rule, member by member: ``[(lam, debug line or None)]``.
+
+    A Gram is left alone (``lam = 0``) iff its smallest eigenvalue is
+    positive and its largest at most ``cond_limit`` times that; any other
+    gets ``ridge_scale * trace / k`` and logs its condition number
+    ``max|eig| / min|eig|``, as ``solve_gram`` did for every stack before it
+    certified stacks by one Cholesky factorization.
+    """
+    out = []
+    for g in np.asarray(G, dtype=np.float64):
+        eig = np.linalg.eigvalsh(g)
+        if eig[0] > 0 and eig[-1] <= cond_limit * eig[0]:
+            out.append((0.0, None))
+            continue
+        lam = ridge_scale * np.trace(g) / len(g)
+        mag = np.abs(eig)
+        cond = mag.max() / mag.min() if mag.min() > 0 else np.inf
+        out.append((lam, f"gram solve: cond={cond:.3e}, ridge {lam:.3e} applied"))
+    return out
 
 
 def jacobi_svd(M, sweeps: int = 60, tol: float = 1e-14):

@@ -2,8 +2,10 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from batchsvd import SparseCoeff, amplitude_adjust, objective
+from batchsvd import NumericalError, SparseCoeff, amplitude_adjust, objective
 from batchsvd.linalg import solve_gram
 
 from oracles import qr_solve
@@ -186,3 +188,34 @@ def test_coefficient_halfstep_matches_per_column_least_squares(caplog):
     trace = [objective(Y, A, X)] + objs
     for a, b in zip(trace, trace[1:]):
         assert b - a <= 1e-9 * max(abs(a), abs(b))
+
+
+@st.composite
+def sparse_problems(draw):
+    """Small problems with empty columns, up to K = n*p entries, zero samples and duplicate atoms."""
+    m, n, p = draw(st.integers(1, 5)), draw(st.integers(1, 7)), draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((m, n))
+    A[:, rng.integers(n, size=draw(st.integers(0, n - 1)))] = A[:, :1]  # copies of atom 0
+    A /= np.linalg.norm(A, axis=0)
+    Y = rng.standard_normal((m, p))
+    Y[:, rng.random(p) < 0.3] = 0.0
+    K = draw(st.integers(0, n * p) | st.just(n * p))
+    flat = rng.choice(n * p, size=K, replace=False)
+    return Y, A, SparseCoeff.from_triplets(n, p, flat // p, flat % p, rng.standard_normal(K))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_problems())
+def test_sparse_objective_matches_dense_and_amplitude(problem):
+    Y, A, X = problem
+    Xd = X.to_dense()
+    dense = float(np.sum((Y - A @ Xd) ** 2))
+    # rounding of the residual entries, relative to the size of their terms
+    scale = float(np.sum((np.abs(Y) + np.abs(A) @ np.abs(Xd)) ** 2))
+    assert abs(objective(Y, A, X) - dense) <= 1e-12 * scale
+    try:
+        A2, X2, objs = amplitude_adjust(Y, A, X, 2)
+    except NumericalError:
+        return  # an atom refit to zero left a one-atom column beyond ridge rescue
+    assert objs[-1] == objective(Y, A2, X2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from batchsvd import block_omp, dict_approx_init, initial_dictionary, objective, omp
-from batchsvd.coding import _fit_atoms
+from batchsvd.coding import _atom_fitter
 from batchsvd.linalg import solve_gram
 
 from oracles import kron_omp, reference_omp
@@ -199,7 +199,7 @@ class TestFitAtoms:
             used = np.unique(rows)
             expected = solve_gram(Xd[used] @ Xd[used].T, Xd[used] @ Y.T).T
             got = A.copy()
-            _fit_atoms(Y, got, rows, cols, vals)
+            _atom_fitter(rows, cols)(Y, got, vals)
             assert np.allclose(got[:, used], expected, rtol=0, atol=1e-12 * np.abs(expected).max())
             unused = np.setdiff1d(np.arange(A.shape[1]), used)
             assert np.array_equal(got[:, unused], A[:, unused])
@@ -208,16 +208,16 @@ class TestFitAtoms:
         rng = np.random.default_rng(12)
         Y, A, rows, cols, vals = self._problem(rng)
         first, second = A.copy(), A.copy()
-        _fit_atoms(Y, first, rows, cols, vals)
+        _atom_fitter(rows, cols)(Y, first, vals)
         perm = rng.permutation(rows.size)
-        _fit_atoms(Y, second, rows[perm], cols[perm], vals[perm])
+        _atom_fitter(rows[perm], cols[perm])(Y, second, vals[perm])
         assert np.allclose(first, second, rtol=0, atol=1e-12)
 
     def test_empty_triplets_noop(self):
         rng = np.random.default_rng(13)
         Y, A, *_ = self._problem(rng)
         out = A.copy()
-        _fit_atoms(Y, out, np.array([], dtype=np.intp), np.array([], dtype=np.intp), np.array([]))
+        _atom_fitter(np.array([], dtype=np.intp), np.array([], dtype=np.intp))(Y, out, np.array([]))
         assert np.array_equal(out, A)
 
     def test_duplicate_rows_ridged_and_logged(self, caplog):
@@ -232,7 +232,7 @@ class TestFitAtoms:
             dense_lines = [r.getMessage() for r in caplog.records]
             caplog.clear()
             A = _unit_cols(rng, 4, 3)
-            _fit_atoms(Y, A, rows, cols, vals)
+            _atom_fitter(rows, cols)(Y, A, vals)
             lines = [r.getMessage() for r in caplog.records]
         assert len(dense_lines) == 1 and dense_lines[0].startswith("gram solve: cond=")
         assert lines == dense_lines

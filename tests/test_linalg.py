@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from batchsvd import (
     NumericalError,
     SparseCoeff,
+    block_omp,
     objective,
     rank1_svd,
 )
 from batchsvd.linalg import COND_LIMIT, RIDGE_SCALE, solve_gram
 
-from oracles import align_sign, jacobi_svd, qr_solve, reference_ridge
+from oracles import align_sign, eigvalsh_ridges, jacobi_svd, qr_solve, reference_ridge
 
 
 def _normal_solve(A, y):
@@ -200,6 +201,80 @@ class TestSolveGram:
         G[1] = 0.0
         with pytest.raises(NumericalError, match="cond"):
             solve_gram(G, np.ones((len(G), 3)))
+
+
+def _with_spectrum(eigs, seed):
+    """A symmetric Gram with eigenvalues ``eigs`` in a seeded orthonormal basis."""
+    Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(eigs), len(eigs))))[0]
+    G = (Q * np.asarray(eigs, dtype=np.float64)) @ Q.T
+    return (G + G.T) / 2
+
+
+def _duplicate_atom_gram(seed):
+    a, b = np.random.default_rng(seed).standard_normal((2, 5))
+    M = np.column_stack([a, a, b]) / np.linalg.norm(np.column_stack([a, a, b]), axis=0)
+    return M.T @ M
+
+
+# name -> (stack, whether the Cholesky certificate alone decides it). The
+# certificate passes when cond < COND_LIMIT/(2k) and may pass up to about
+# COND_LIMIT/2 (for one dominant eigenvalue); beyond that eigvalsh decides.
+BOUNDARY_STACKS = {
+    "one-by-one": (np.array([[[2.5]]]), True),
+    "zero-trace": (np.zeros((1, 2, 2)), False),
+    "singular": (_duplicate_atom_gram(1)[None], False),
+    "just-below-limit-over-2k": (
+        _with_spectrum([1.0, 1.0, 2 * 3 / (0.99 * COND_LIMIT)], 2)[None], True),
+    "between-certified": (_with_spectrum([1.0, 1.0 / (0.3 * COND_LIMIT)], 3)[None], True),
+    "between-eigvalsh": (_with_spectrum([1.0, 1.0 / (0.7 * COND_LIMIT)], 4)[None], False),
+    "one-member-fails-cholesky": (np.stack(
+        [_with_spectrum([1.0, 2.0, 3.0], 5), _duplicate_atom_gram(6),
+         _with_spectrum([0.5, 1.0, 4.0], 7)]), False),
+}
+
+
+class TestCholeskyCertificate:
+    @staticmethod
+    def _counting_eigvalsh(monkeypatch):
+        calls, real = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a, *args, **kw: calls.append(len(a)) or real(a, *args, **kw))
+        return calls
+
+    @pytest.mark.parametrize("name", list(BOUNDARY_STACKS))
+    def test_boundary_stacks_keep_the_eigenvalue_rule(self, name, monkeypatch, caplog):
+        G, certified = BOUNDARY_STACKS[name]
+        k = G.shape[-1]
+        rule = eigvalsh_ridges(G, COND_LIMIT, RIDGE_SCALE)
+        B = np.random.default_rng(8).standard_normal(G.shape[:2])
+        lam = np.array([r for r, _ in rule])
+        calls = self._counting_eigvalsh(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="batchsvd.linalg"):
+            if name == "zero-trace":  # ridge of zero: beyond rescue, as before
+                with pytest.raises(NumericalError, match="cond estimate inf"):
+                    solve_gram(G, B)
+            else:
+                Z = solve_gram(G, B)
+                expected = np.linalg.solve(G + lam[:, None, None] * np.eye(k), B[..., None])
+                assert np.array_equal(Z, expected[..., 0])
+        assert [r.getMessage() for r in _ridge_lines(caplog)] == [m for _, m in rule if m]
+        assert calls == ([] if certified else [len(G)])
+
+    def test_well_conditioned_work_never_calls_eigvalsh(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        rng = np.random.default_rng(9)
+        M = rng.standard_normal((40, 7, 4))
+        G = np.swapaxes(M, 1, 2) @ M
+        B = rng.standard_normal((40, 4, 3))
+        np.testing.assert_allclose(G @ solve_gram(G, B), B, rtol=0, atol=1e-9)
+        assert solve_gram(G[0], B[0, :, 0]).shape == (4,)
+        Y = rng.standard_normal((16, 200))
+        A = rng.standard_normal((16, 32))
+        A /= np.linalg.norm(A, axis=0)
+        assert block_omp(Y, A, 400).nnz == 400
 
 
 class TestRank1Svd:

@@ -8,7 +8,9 @@ identical atoms differently, so they break that tie by noise, while the
 coders must take the smaller index first. Fits ``A_S c`` are compared
 relative to the sample norm at 1e-9, since a ridged system may split its
 weight between duplicate atoms differently from the oracle's lstsq. A
-memory test pins the column blocking of the kernel.
+memory test pins the column blocking of the kernel, and two work tests pin
+how far the paths run: one level per listed column and extend call, and at
+most ``_LOOKAHEAD + 1`` levels per sample beyond the merge's picks.
 """
 import itertools
 import tracemalloc
@@ -17,8 +19,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batchsvd import block_omp, omp
-from batchsvd.coding import _BLOCK, _code_per_sample
+from batchsvd import block_omp, coding, omp
+from batchsvd.coding import _BLOCK, _LOOKAHEAD, _Paths, _code_per_sample
 
 from oracles import kron_omp, reference_omp
 
@@ -160,3 +162,46 @@ def test_column_blocks_bound_memory():
         finally:
             tracemalloc.stop()
         assert peak <= limit * 2**20
+
+
+def _unit_atoms(rng, m, n):
+    A = rng.standard_normal((m, n))
+    return A / np.linalg.norm(A, axis=0)
+
+
+def test_extend_advances_each_listed_column_exactly_one_level():
+    # columns at depths 1, 2 and 3; one extend call must not carry a column
+    # it has just advanced into the next depth's block
+    rng = np.random.default_rng(21)
+    Y, A = rng.standard_normal((8, 12)), _unit_atoms(rng, 8, 16)
+    paths = _Paths(Y, A)
+    paths.extend(np.arange(12))
+    paths.extend(np.arange(8))
+    paths.extend(np.arange(4))
+    assert sorted(set(paths.known.tolist())) == [1, 2, 3]
+    listed = np.array([0, 2, 5, 6, 9, 11])  # two columns at each depth
+    before = paths.known.copy()
+    paths.extend(listed)
+    step = np.zeros(12, dtype=np.intp)
+    step[listed] = 1
+    assert np.array_equal(paths.known - before, step)
+
+
+def test_block_omp_computes_few_levels_past_its_picks(monkeypatch):
+    # every extended path stays within _LOOKAHEAD levels of the merge, so the
+    # levels computed are at most the picks plus (_LOOKAHEAD + 1) per sample
+    made = []
+
+    class Recorded(_Paths):
+        def __init__(self, Y, A):
+            super().__init__(Y, A)
+            made.append(self)
+
+    monkeypatch.setattr(coding, "_Paths", Recorded)
+    rng = np.random.default_rng(22)
+    m, n, p = 16, 48, 300
+    Y, A = rng.standard_normal((m, p)), _unit_atoms(rng, m, n)
+    X = block_omp(Y, A, 900)
+    (paths,) = made
+    assert X.nnz == 900
+    assert paths.known.sum() <= X.nnz + (_LOOKAHEAD + 1) * p
