@@ -6,12 +6,12 @@ it whole; the global budget is its entry count. The switching procedures
 edit it as per-row ``(support, values)`` lists split from the triplets and
 joined back, checked, once per outer round.
 Coding is greedy pursuit on one kernel, :class:`_Paths`, that advances
-blocks of samples one OMP level at a time: per-sample OMP, and a heap merge
-of those paths that spends one nonzero budget across all samples at once.
+blocks of samples one OMP level at a time: per-sample OMP, and a merge of
+those paths, by one selection over their running-minimum gains, that spends
+one nonzero budget across all samples at once.
 """
 from __future__ import annotations
 
-import heapq
 import logging
 import math
 from dataclasses import dataclass
@@ -26,9 +26,6 @@ UNIT_NORM_TOL = 1e-8
 # residuals below this (relative to the input norm, floored at 1) count as zero
 ZERO_RESIDUAL_RTOL = 1e-12
 _BLOCK = 256  # columns per batched OMP level: bounds the c x n correlation matrix
-# block_omp extends, with a path that ran out, every path within _LOOKAHEAD levels of its
-# end whose last computed gain is at least _GAIN_BAND times the gain just taken
-_LOOKAHEAD, _GAIN_BAND = 4, 0.5
 
 
 class SparseCoeff:
@@ -264,13 +261,17 @@ def block_omp(Y, A, budget: int) -> SparseCoeff:
     OMP on the stacked samples with the block-diagonal dictionary: each step
     takes the largest |correlation| over unselected (atom, sample) pairs,
     ties to the smaller sample, then atom, and refits only that sample. So
-    the pursuit is a heap merge, keyed on ``(-|correlation|, sample)``, of
-    the p per-sample OMP paths. When the merge uses up a path, one
-    :meth:`_Paths.extend` call advances it, and every path within
-    ``_LOOKAHEAD`` levels of its end whose last computed gain is at least
-    ``_GAIN_BAND`` times the gain just taken, by one level each. It stops
-    once the whole residual is zero relative to ``||Y||``; a sample may take
-    more than m atoms, up to n.
+    each sample follows its own OMP path, and the pursuit merges the p
+    paths, taking step t of a path only after its step t - 1. That merge
+    takes the steps in descending order of their running-minimum gain
+    ``min(gain[j, :t + 1])``, ties to the smaller sample, then the earlier
+    step, so its picks are the first ``budget`` steps of that order. They
+    are selected in rounds: each ranks the computed steps by one partition
+    and extends, by one level, every path whose computed steps were all
+    picked, until no such path is left; paths whose residual is already
+    zero wait while any other path is extended. The pursuit stops before
+    the first pick at which the whole residual is zero relative to
+    ``||Y||``; a sample may take more than m atoms, up to n.
     """
     A, Y = as_matrix(A, "A"), as_matrix(Y, "Y")
     n, p = A.shape[1], Y.shape[1]
@@ -280,27 +281,76 @@ def block_omp(Y, A, budget: int) -> SparseCoeff:
 
     zero_tol = ZERO_RESIDUAL_RTOL * max(1.0, np.linalg.norm(Y))  # the residual-is-zero bound
     paths = _Paths(Y, A)
-    paths.extend(np.arange(p))
-    used = [0] * p  # steps the merge took from each path
-    col_sq = paths.sq[:, 0].copy()  # squared residual norm of each sample
-    w = int(col_sq.argmax())  # while w's residual is nonzero, so is the whole one
-    heap = sorted(zip((-paths.gain[:, 0]).tolist(), range(p)))  # sorted, so a heap
-    pop, push, sqrt = heapq.heappop, heapq.heappush, math.sqrt
-    for _ in range(budget):
-        if sqrt(col_sq.item(w)) <= zero_tol:
-            w = int(col_sq.argmax())
-            if sqrt(col_sq.sum()) <= zero_tol:
+    running = np.full(p, np.inf)  # running-minimum gain of each path's last computed step
+    first_zero = np.full(p, n + 1)  # the first level at which a sample's residual is zero
+    sample, step, kappa = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)
+    grow = np.arange(p)
+    while grow.size:
+        paths.extend(grow)
+        level = paths.known[grow] - 1
+        hit = grow[np.sqrt(paths.sq[grow, level]) <= zero_tol]
+        first_zero[hit] = np.minimum(first_zero[hit], paths.known[hit] - 1)
+        grow, level = grow[level < n], level[level < n]  # level n is a residual, not a step
+        running[grow] = np.minimum(running[grow], paths.gain[grow, level])
+        sample, step = np.concatenate((sample, grow)), np.concatenate((step, level))
+        kappa = np.concatenate((kappa, running[grow]))
+        picks = _top_k(kappa, budget, sample)
+        used = np.bincount(sample[picks], minlength=p)
+        grow = np.flatnonzero(used == paths.known)  # every computed step picked: extend
+        if np.all(first_zero <= np.minimum(used, paths.known - 1)):
+            stop = _zero_stop(paths, sample, step, kappa, picks, grow, zero_tol)
+            if stop is not None:
+                used = stop
                 break
-        g, j = pop(heap)
-        t = used[j] = used[j] + 1
-        if t == paths.known.item(j):  # j ran out: extend it and the paths near their end
-            near = np.array(used) >= paths.known - _LOOKAHEAD
-            near &= paths.gain[np.arange(p), paths.known - 1] >= -g * _GAIN_BAND
-            paths.extend(np.flatnonzero(near & (paths.known <= n)))
-        col_sq[j] = paths.sq.item(j, t)
-        if t < n:
-            push(heap, (-paths.gain.item(j, t), j))
-    return SparseCoeff.from_triplets(n, p, *paths.triplets(np.array(used, dtype=np.intp)))
+        live = grow[first_zero[grow] >= paths.known[grow]]
+        grow = live if live.size else grow  # zero residuals wait: the pursuit may stop first
+    return SparseCoeff.from_triplets(n, p, *paths.triplets(used))
+
+
+def _zero_stop(paths, sample, step, kappa, picks, grow, zero_tol):
+    """Per-sample pick counts at which :func:`block_omp` stops on a zero residual, or None.
+
+    The pursuit stops before the first pick at which ``sqrt(col_sq.sum())``
+    is at most ``zero_tol``, where ``col_sq[j] = sq[j, c_j]`` for the c_j
+    steps taken from sample j so far. A rounded sum of non-negative terms is
+    never below its largest term, so only states in which every sample's
+    residual is zero on its own are summed. The ``picks`` of the computed
+    steps ``(sample, step, kappa)`` are put in the merge's order, and only
+    the states that no later round can change are tested: those before the
+    last computed step of a path in ``grow``.
+    """
+    sq = paths.sq
+    order = picks[np.lexsort((step[picks], sample[picks], -kappa[picks]))]
+    j, t = sample[order], step[order]  # after each pick, j's residual is sq[j, t + 1]
+    if grow.size:
+        end = (np.isin(j, grow) & (t == paths.known[j] - 1)).argmax()
+        j, t = j[:end], t[:end]
+    zero = np.sqrt(sq) <= zero_tol
+    flips = zero[j, t].astype(np.intp) - zero[j, t + 1]
+    nonzero = np.count_nonzero(~zero[:, 0]) + np.concatenate(([0], np.cumsum(flips)))
+    for s in np.flatnonzero(nonzero[:picks.size] == 0):  # states before a pick
+        counts = np.bincount(j[:s], minlength=sq.shape[0])
+        if math.sqrt(sq[np.arange(sq.shape[0]), counts].sum()) <= zero_tol:
+            return counts
+    return None
+
+
+def _top_k(mag: np.ndarray, k: int, rank=None) -> np.ndarray:
+    """Ascending indices of the ``k`` largest entries of ``mag``.
+
+    Ties go to the smaller index, as in ``np.argsort(-mag, kind="stable")[:k]``,
+    or with ``rank`` given to the smaller ``rank``, then the smaller index.
+    One partition finds the k-th largest value ``t`` instead of a full sort:
+    every entry above ``t`` is taken, then the first entries equal to it.
+    """
+    if k >= mag.size:
+        return np.arange(mag.size)
+    t = np.partition(mag, mag.size - k)[mag.size - k]
+    above = np.flatnonzero(mag > t)
+    ties = np.flatnonzero(mag == t)
+    if rank is not None:
+        ties = ties[np.argsort(rank[ties], kind="stable")]
+    return np.sort(np.concatenate((above, ties[: k - above.size])))
 
 
 def _code_per_sample(Y, A, k: int) -> SparseCoeff:
@@ -373,7 +423,10 @@ class _Paths:
             R = self._refit(js, d)[1] if d else self.Yt[js]
             self.sq[js, d] = np.einsum("cm,cm->c", R, R)
             if d < n:
-                scores = np.abs(R @ self.A)
+                # numpy multiplies one row by gemv, whose rounding differs from
+                # gemm's: a lone column goes in twice, so that its bits never
+                # depend on the columns that share its block
+                scores = np.abs((R if js.size > 1 else np.repeat(R, 2, axis=0)) @ self.A)[:js.size]
                 scores[np.arange(js.size)[:, None], self.atom[js, :d]] = -1.0
                 self.atom[js, d] = scores.argmax(axis=1)
                 self.gain[js, d] = scores[np.arange(js.size), self.atom[js, d]]

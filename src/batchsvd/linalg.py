@@ -2,8 +2,9 @@
 
 Small Gram-system solves, the leading singular triple, and the squared
 Frobenius reconstruction objective. Everything operates on float64 numpy
-arrays and is deterministic: fixed power-iteration start, fixed sign
-convention, no environment-dependent branching.
+arrays and is deterministic: a power iteration from the caller's start
+vector or a fixed default one, a fixed sign convention, no
+environment-dependent branching.
 """
 from __future__ import annotations
 
@@ -80,13 +81,22 @@ def solve_gram(G: np.ndarray, B: np.ndarray) -> np.ndarray:
     debug level with its condition number ``max|eig| / min|eig|``;
     NumericalError, carrying that number, is raised when the ridge does not
     make the Gram positive definite. The whole stack is then solved by one
-    batched LAPACK solve.
+    batched LAPACK solve. A stack of 1x1 Grams whose entries are all finite
+    and positive, with one right-hand side each, passes the certificate by
+    construction and is solved as ``B / G``, which is bit for bit what
+    LAPACK's solve returns.
     """
     G = np.asarray(G, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     k = G.shape[-1]
     if G.size == 0:
         return np.zeros_like(B)
+    vectors = B.ndim == G.ndim - 1
+    if k == 1 and vectors:
+        g = G[..., 0]
+        if np.all((g > 0) & (g < np.inf)):
+            with np.errstate(over="ignore"):  # LAPACK overflows to inf silently too
+                return B / g
     stack = G.reshape(-1, k, k)  # a single Gram is a one-member stack
     tr = np.trace(stack, axis1=1, axis2=2)
     try:  # success proves lambda_min > 2 tr / COND_LIMIT >= 2 lambda_max / COND_LIMIT
@@ -109,18 +119,20 @@ def solve_gram(G: np.ndarray, B: np.ndarray) -> np.ndarray:
                 )
         if ridged.any():
             G = G + lam.reshape(G.shape[:-2] + (1, 1)) * np.eye(k)
-    vectors = B.ndim == G.ndim - 1
     Z = np.linalg.solve(G, B[..., None] if vectors else B)
     return Z[..., 0] if vectors else Z
 
 
-def rank1_svd(M, tol: float = 1e-10, max_iter: int = 500) -> SingularTriple:
+def rank1_svd(M, tol: float = 1e-10, max_iter: int = 500, start=None) -> SingularTriple:
     """Leading singular triple of M by power iteration on ``M M^T``.
 
-    The start vector is the normalized all-ones vector; a start that lands in
-    the null space of ``M^T`` restarts from successive basis vectors. Stops
-    once ``||M v - sigma u|| <= tol * ||M||_F``; after ``max_iter`` sweeps the
-    best iterate is returned with ``converged=False``.
+    The iteration starts from ``start / ||start||``, a length-m vector, or
+    by default from the normalized all-ones vector. A start orthogonal to
+    the column space of M (a zero start too) falls back to the default one,
+    and a default start that lands in the null space of ``M^T`` restarts
+    from successive basis vectors. Stops once ``||M v - sigma u|| <= tol *
+    ||M||_F``; after ``max_iter`` sweeps the best iterate is returned with
+    ``converged=False``.
     """
     M = as_matrix(M, "M")
     if tol <= 0:
@@ -131,16 +143,22 @@ def rank1_svd(M, tol: float = 1e-10, max_iter: int = 500) -> SingularTriple:
         raise ValueError("all-zero matrix has no leading singular triple")
     m = M.shape[0]
     fnorm = np.linalg.norm(M)
-    u = np.full(m, 1.0 / np.sqrt(m))
-    basis_next = 0
+    u = default = np.full(m, 1.0 / np.sqrt(m))
+    basis_next = 0  # the next restart: -1 is the default start, 0.. the basis vectors
+    if start is not None:
+        start = as_vector(start, "start")
+        if start.shape[0] != m:
+            raise ValueError(f"start has length {start.shape[0]}, M has {m} rows")
+        nrm = math.sqrt(start @ start)
+        u, basis_next = (start / nrm if nrm > 0.0 else start), -1
     converged = False
     for _ in range(max_iter):
         w = M.T @ u
         wn = math.sqrt(w @ w)  # np.linalg.norm's own formula, without its overhead
         if wn == 0.0:
-            # start orthogonal to the row space: restart from a basis vector
-            u = np.zeros(m)
-            u[basis_next % m] = 1.0
+            # start orthogonal to the column space: restart from the default
+            # start, then from successive basis vectors
+            u = default if basis_next < 0 else np.eye(m)[basis_next % m]
             basis_next += 1
             continue
         v = w / wn

@@ -11,6 +11,7 @@ here too for equal-budget comparisons.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,7 @@ from .coding import (
     _normalize_atoms,
     _require_unit_atoms,
     _split_rows,
+    _top_k,
     reseed_dead_atoms,
 )
 from .linalg import (NumericalError, _factors, _group_sq, _sq_norm, _support_groups, as_matrix,
@@ -96,21 +98,6 @@ class RowWorkspace:
     degenerate: bool = field(default=False)
 
 
-def _top_k(mag: np.ndarray, k: int) -> np.ndarray:
-    """Ascending indices of the ``k`` largest entries of ``mag``, ties to the smaller index.
-
-    The set is that of ``np.argsort(-mag, kind="stable")[:k]``, found by one
-    partition instead of a full sort: every entry above the k-th largest
-    value ``t``, plus the lowest-index entries equal to ``t``.
-    """
-    if k >= mag.size:
-        return np.arange(mag.size)
-    t = np.partition(mag, mag.size - k)[mag.size - k]
-    above = np.flatnonzero(mag > t)
-    ties = np.flatnonzero(mag == t)[: k - above.size]
-    return np.sort(np.concatenate((above, ties)))
-
-
 def _row_arrays(row: RowWorkspace, p: int):
     """A row's support, values and p-column support mask; a malformed row raises ValueError."""
     supp = _indices(row.support, "support column").astype(np.intp, copy=False)
@@ -141,49 +128,63 @@ def inner_row_switch(residual, row: RowWorkspace, n_iters: int):
     or values of another length, raise ValueError.
 
     Returns the updated row and the local objective recorded at entry and
-    after every half-step; the sequence is non-increasing.
+    after every half-step; the sequence is non-increasing. The rounds run
+    on :func:`_inner_row`, the kernel ``batch_svd`` calls directly.
     """
     if np.ndim(residual) != 2:
         raise ValueError("residual must be a 2-D array")
     if n_iters < 1:
         raise ValueError("n_iters must be at least 1")
     supp, vals, _ = _row_arrays(row, residual.shape[1])
-    k = supp.size
-    if k < 1:
+    if supp.size < 1:
         raise ValueError("inner-row switching needs a nonempty support")
     a = np.asarray(row.atom, dtype=np.float64).copy()
 
     fnorm_sq = _sq_norm(residual)
     c_supp = residual[:, supp].T @ a
-    entry_obj = fnorm_sq - 2.0 * float(vals @ c_supp) + float(a @ a) * float(vals @ vals)
-    locals_ = [entry_obj]
-    degenerate = False
-
-    for _ in range(n_iters):
-        block = residual[:, supp]
-        if not block.any():
-            # nothing to fit on this support: zero the row, keep the atom
-            vals = np.zeros(k)
-            degenerate = True
-            locals_.append(fnorm_sq)
-            break
-        triple = rank1_svd(block)
-        # monotonicity guard: keep the incoming atom if the (possibly
-        # unconverged) power iteration returned a weaker direction
-        a_norm = np.sqrt(a @ a)
-        if a_norm > 0.0:
-            a_unit = a / a_norm
-            old_energy = float(np.sum((block.T @ a_unit) ** 2))
-            a = triple.u if triple.sigma**2 >= old_energy else a_unit
-        else:
-            a = triple.u
-        proj = residual.T @ a
-        locals_.append(fnorm_sq - float(np.sum(proj[supp] ** 2)))
-        supp = _top_k(np.abs(proj), k)
-        vals = proj[supp]
-        locals_.append(fnorm_sq - float(np.sum(vals**2)))
-
+    locals_ = [fnorm_sq - 2.0 * float(vals @ c_supp) + float(a @ a) * float(vals @ vals)]
+    a, supp, vals, _ = _inner_row(residual, a, supp, vals, n_iters, fnorm_sq, locals_)
+    degenerate = len(locals_) < 2 * n_iters + 1  # the kernel stops early only on a zero block
     return RowWorkspace(a, supp, vals, degenerate), locals_
+
+
+def _inner_row(R, a, supp, vals, n_iters: int, fnorm_sq: float, halfsteps=None):
+    """The rounds of :func:`inner_row_switch` on arrays, unchecked.
+
+    ``R`` is the residual with the row added back, ``fnorm_sq`` its squared
+    norm, ``a`` the row's atom and ``supp`` a valid nonempty support. Each
+    rank-1 fit starts from the current atom, so a converged row costs one
+    power iteration. Returns the new atom, support and values and the row's
+    final objective ``||R - a x^T||^2``; a round whose support block of R
+    is all zero zeroes the values, keeps the atom and ends the rounds. Each
+    half-step's objective is appended to ``halfsteps`` when a list is given.
+    """
+    for _ in range(n_iters):
+        block = R[:, supp]
+        if not block.any():
+            vals, obj = np.zeros(supp.size), fnorm_sq
+            if halfsteps is not None:
+                halfsteps.append(obj)
+            break
+        a_norm = math.sqrt(a @ a)
+        if a_norm > 0.0:
+            # monotonicity guard: keep the incoming atom if the (possibly
+            # unconverged) power iteration returned a weaker direction
+            a_unit = a / a_norm
+            triple = rank1_svd(block, start=a_unit)
+            old = block.T @ a_unit
+            a = triple.u if triple.sigma**2 >= old @ old else a_unit
+        else:
+            a = rank1_svd(block).u
+        proj = R.T @ a
+        if halfsteps is not None:
+            halfsteps.append(fnorm_sq - float(proj[supp] @ proj[supp]))
+        supp = _top_k(np.abs(proj), supp.size)
+        vals = proj[supp]
+        obj = fnorm_sq - float(vals @ vals)
+        if halfsteps is not None:
+            halfsteps.append(obj)
+    return a, supp, vals, obj
 
 
 def inter_row_switch(residual, row_i: RowWorkspace, row_j: RowWorkspace):
@@ -300,7 +301,8 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
     """Monotone batchwise solver: switching plus amplitude refinement.
 
     Rows are ordered once by descending support size, then each outer round
-    sweeps every nonempty row with :func:`inner_row_switch`, rescales atoms
+    sweeps every nonempty row with the inner-row kernel (:func:`_inner_row`,
+    handed the residual norm kept up to date row by row), rescales atoms
     to unit norm, runs :func:`inter_row_switch` over a seeded sample of row
     pairs whenever the inner phase improved by less than ``cfg.trigger``, and
     finishes with ``cfg.amplitude_iters`` amplitude alternations. Stops when
@@ -337,15 +339,20 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
 
         # --- inner-row phase ---
         for i in range(n):
-            if supports[i].size == 0:
+            supp = supports[i]
+            if supp.size == 0:
                 continue
-            supp, vals = supports[i], values[i]
-            R[:, supp] += np.outer(A[:, i], vals)
-            ws, local = inner_row_switch(R, RowWorkspace(A[:, i], supp, vals), cfg.inner_sweeps)
-            A[:, i] = ws.atom
-            supports[i], values[i] = ws.support, ws.values
-            R[:, ws.support] -= np.outer(ws.atom, ws.values)
-            obj = local[-1]
+            # ||R||^2 with the row added back, from the running objective:
+            # only the support's columns of R change
+            block = R[:, supp]
+            obj -= _sq_norm(block)
+            block += np.outer(A[:, i], values[i])
+            R[:, supp] = block
+            a, supp, vals, obj = _inner_row(R, A[:, i], supp, values[i], cfg.inner_sweeps,
+                                            obj + _sq_norm(block))
+            A[:, i] = a
+            supports[i], values[i] = supp, vals
+            R[:, supp] -= np.outer(a, vals)
             trace.append("inner", obj)
         inner_decrement = outer_start - obj
 

@@ -5,14 +5,17 @@ QR-based least squares, one-sided Jacobi SVD, the Gram ridge decision by
 SVD condition number and Cholesky, the per-member eigenvalue ridge rule
 that ``solve_gram`` applied before its Cholesky certificate, a literal
 greedy OMP with lstsq refits,
-an explicitly materialized block-diagonal pursuit, exhaustive support
+an explicitly materialized block-diagonal pursuit, the heap merge that
+``block_omp`` ran on the package's path kernel, exhaustive support
 enumerations, the full-sort, set-based row selections the switching
 phases used before they moved to partial selection and masks, and the dense
 K-SVD loop, which takes the package's kernels as arguments.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 
 import numpy as np
 
@@ -161,6 +164,48 @@ def kron_omp(Y, A, budget):
     D = np.kron(np.eye(p), A)  # stacked column j*n + i holds atom i for sample j
     support, coef = reference_omp(Y.flatten(order="F"), D, budget)
     return {(q % n, q // n): float(c) for q, c in zip(support, coef)}
+
+
+def heap_merge_omp(Y, A, budget, paths, zero_rtol=1e-12):
+    """Batchwise OMP as the heap merge of per-sample paths, frozen from the package.
+
+    ``paths(Y, A)`` is the package's path kernel, passed in so that this
+    module imports nothing from the package: ``extend(cols)`` advances each
+    listed column one OMP level, ``known``, ``gain`` and ``sq`` hold each
+    column's computed levels, and ``triplets(depth)`` refits the first
+    ``depth[j]`` picks of every column. The merge pops steps keyed on
+    ``(-gain, sample)``, one head per path. When it uses up a path, it
+    extends that path and every path within four levels of its end whose
+    last computed gain is at least half the gain just taken. Before each
+    pick it stops once ``sqrt(col_sq.sum())``, the residual norm, is at most
+    ``zero_rtol * max(1, ||Y||)``; it sums only after the residual of the
+    sample that was largest at the last sum has fallen that far. Returns
+    the kernel's triplets.
+    """
+    lookahead, gain_band = 4, 0.5
+    n, p = A.shape[1], Y.shape[1]
+    zero_tol = zero_rtol * max(1.0, np.linalg.norm(Y))
+    kernel = paths(Y, A)
+    kernel.extend(np.arange(p))
+    used = [0] * p
+    col_sq = kernel.sq[:, 0].copy()
+    w = int(col_sq.argmax())
+    heap = sorted(zip((-kernel.gain[:, 0]).tolist(), range(p)))
+    for _ in range(budget):
+        if math.sqrt(col_sq[w]) <= zero_tol:
+            w = int(col_sq.argmax())
+            if math.sqrt(col_sq.sum()) <= zero_tol:
+                break
+        g, j = heapq.heappop(heap)
+        t = used[j] = used[j] + 1
+        if t == kernel.known[j]:
+            near = np.array(used) >= kernel.known - lookahead
+            near &= kernel.gain[np.arange(p), kernel.known - 1] >= -g * gain_band
+            kernel.extend(np.flatnonzero(near & (kernel.known <= n)))
+        col_sq[j] = kernel.sq[j, t]
+        if t < n:
+            heapq.heappush(heap, (-kernel.gain[j, t], j))
+    return kernel.triplets(np.array(used, dtype=np.intp))
 
 
 def best_fixed_atom_support(Yt, a, k):

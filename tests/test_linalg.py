@@ -203,6 +203,43 @@ class TestSolveGram:
             solve_gram(G, np.ones((len(G), 3)))
 
 
+class TestOneByOneGrams:
+    """A stack of positive finite 1x1 Grams with one right-hand side each is a division."""
+
+    def test_division_is_bit_identical_to_lapack(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        g = 10.0 ** rng.uniform(-320, 308, 200_000)  # subnormal to huge; overflows give inf
+        b = rng.standard_normal(g.size) * 10.0 ** rng.uniform(-300, 300, g.size)
+        lapack = np.linalg.solve(g[:, None, None], b[:, None, None])[..., 0]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a positive 1x1 stack went to LAPACK")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        assert np.array_equal(solve_gram(g[:, None, None], b[:, None]), lapack)
+        assert np.array_equal(solve_gram(g[:1, None], b[:1]), lapack[0])  # one 1x1 Gram, 2-D
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1e-3, np.nan, np.inf])
+    def test_other_members_keep_the_eigenvalue_rule(self, bad, caplog):
+        G = np.array([2.0, bad, 3.0]).reshape(3, 1, 1)
+        B = np.array([[1.0], [2.0], [3.0]])
+        rule = eigvalsh_ridges(G, COND_LIMIT, RIDGE_SCALE)
+        with caplog.at_level(logging.DEBUG, logger="batchsvd.linalg"):
+            if bad <= 0:  # no ridge rescues a zero or negative Gram
+                with pytest.raises(NumericalError, match="cond estimate"):
+                    solve_gram(G, B)
+            else:
+                lam = np.array([lam for lam, _ in rule])[:, None, None]
+                ridged = np.linalg.solve(G + lam, B[..., None])[..., 0]
+                assert np.array_equal(solve_gram(G, B), ridged, equal_nan=True)
+        assert [r.getMessage() for r in _ridge_lines(caplog)] == [s for _, s in rule if s]
+
+    def test_several_right_hand_sides_take_the_lapack_path(self):
+        G, B = np.full((1, 1), 4.0), np.array([[1.0, 2.0, 3.0]])
+        assert np.array_equal(solve_gram(G, B), np.linalg.solve(G, B))
+
+
 def _with_spectrum(eigs, seed):
     """A symmetric Gram with eigenvalues ``eigs`` in a seeded orthonormal basis."""
     Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(eigs), len(eigs))))[0]
@@ -338,6 +375,47 @@ class TestRank1Svd:
         t = rank1_svd(M)
         assert np.isclose(t.sigma, 1.0, atol=1e-10)
         assert np.allclose(np.abs(t.u), [1 / np.sqrt(2)] * 2, atol=1e-10)
+
+
+    @staticmethod
+    def _gapped(rng, m, q):
+        """An m x q matrix with singular values 3, 1, 0.5, ...: a clear leading gap."""
+        U, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        V, _ = np.linalg.qr(rng.standard_normal((q, q)))
+        s = np.r_[3.0, 1.0, np.full(min(m, q) - 2, 0.5)]
+        return (U[:, : s.size] * s) @ V[:, : s.size].T
+
+    def test_start_matches_cold_start_within_tol(self):
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            m, q = (int(x) for x in rng.integers(2, 9, size=2))
+            M = self._gapped(rng, m, q)
+            cold = rank1_svd(M)
+            for start in (rng.standard_normal(m), -cold.u, cold.u + 1e-3 * rng.standard_normal(m)):
+                warm = rank1_svd(M, start=start)
+                assert warm.converged
+                assert abs(warm.sigma - cold.sigma) <= 1e-10 * np.linalg.norm(M)
+                assert np.linalg.norm(warm.u - cold.u) <= 1e-9
+                assert np.linalg.norm(warm.v - cold.v) <= 1e-9
+
+    @pytest.mark.parametrize("start", [[0.0, 0.0, 1.0], [0.0, 0.0, -2.0], [0.0, 0.0, 0.0]])
+    def test_start_orthogonal_to_the_column_space_falls_back(self, start):
+        # M's columns span e1 and e2; a start along e3 (or zero) is annihilated
+        # by M^T, and the iteration reruns from the default start, bit for bit
+        M = np.array([[2.0, 1.0, 0.5, 0.0], [0.0, 1.0, -1.0, 3.0], [0.0, 0.0, 0.0, 0.0]])
+        cold, warm = rank1_svd(M), rank1_svd(M, start=np.array(start))
+        assert warm.converged and warm.sigma == cold.sigma
+        assert np.array_equal(warm.u, cold.u) and np.array_equal(warm.v, cold.v)
+
+    def test_start_and_default_both_orthogonal_reach_the_basis_restart(self):
+        M = np.outer(np.array([1.0, -1.0]) / np.sqrt(2), [1.0, 0.0, 0.0])
+        cold, warm = rank1_svd(M), rank1_svd(M, start=np.array([3.0, 3.0]))
+        assert np.isclose(warm.sigma, 1.0, atol=1e-10)
+        assert np.array_equal(warm.u, cold.u)
+
+    def test_start_of_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="start"):
+            rank1_svd(np.eye(3), start=np.ones(2))
 
 
 class TestObjective:

@@ -8,7 +8,6 @@ from batchsvd import (
     BudgetError,
     LearnConfig,
     ObjectiveTrace,
-    RowWorkspace,
     SparseCoeff,
     batch_svd,
     block_omp,
@@ -186,22 +185,57 @@ def test_sample_pairs_matches_enumeration(fraction):
             assert rng.random() == ref_rng.random()  # later rounds draw the same
 
 
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_inner_objective_tracks_the_factorization_row_by_row(seed, monkeypatch):
+    # batch_svd hands each row's kernel the residual norm kept up to date from
+    # the running objective; after every row of the first round, the recorded
+    # inner objective must still be ||Y - A X||^2 of the factors at that point
+    rng = np.random.default_rng(seed)
+    m, n, p, budget = 8, 12, 60, 150
+    Y = rng.standard_normal((m, p))
+    A0 = initial_dictionary(Y, n, rng)
+    rows, cols, vals = block_omp(Y, A0, budget).entries()
+    # rows in the solver's visiting order, by descending size: its row i is row i here
+    order = np.argsort(-np.bincount(rows, minlength=n), kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    A0, X0 = A0[:, order], SparseCoeff.from_triplets(n, p, rank[rows], cols, vals)
+    fits = []
+    real = solver._inner_row
+
+    def recording(*args):
+        atom, supp, vals, obj = real(*args)
+        fits.append((atom.copy(), supp, vals, obj))  # the atom may be a view of the solver's A
+        return atom, supp, vals, obj
+
+    monkeypatch.setattr(solver, "_inner_row", recording)
+    trace = batch_svd(Y, A0, X0, LearnConfig(budget=budget, max_outer=1, seed=0))[2]
+    A, Xd = A0.copy(), X0.to_dense()
+    visited = np.flatnonzero(np.bincount(X0.entries()[0], minlength=n))
+    assert len(fits) == visited.size == len(trace.values("inner"))
+    for i, (atom, supp, row_vals, obj), recorded in zip(visited, fits, trace.values("inner")):
+        A[:, i], Xd[i] = atom, 0.0
+        Xd[i, supp] = row_vals
+        assert recorded == obj
+        assert abs(obj - np.sum((Y - A @ Xd) ** 2)) <= 1e-12 * np.sum(Y**2)
+
+
 class TestBudgetCheck:
     """A broken switching step that loses a nonzero must fail loudly."""
 
     @pytest.fixture
     def leaky_inner(self, monkeypatch):
-        real = solver.inner_row_switch
+        real = solver._inner_row
         dropped = []
 
-        def leaky(residual, row, n_iters):
-            out, local = real(residual, row, n_iters)
-            if not dropped and out.support.size > 1:  # lose exactly one entry
-                dropped.append(out)
-                out = RowWorkspace(out.atom, out.support[:-1], out.values[:-1])
-            return out, local
+        def leaky(R, atom, supp, vals, n_iters, fnorm_sq, halfsteps=None):
+            atom, supp, vals, obj = real(R, atom, supp, vals, n_iters, fnorm_sq, halfsteps)
+            if not dropped and supp.size > 1:  # lose exactly one entry
+                dropped.append(supp)
+                supp, vals = supp[:-1], vals[:-1]
+            return atom, supp, vals, obj
 
-        monkeypatch.setattr(solver, "inner_row_switch", leaky)
+        monkeypatch.setattr(solver, "_inner_row", leaky)
 
     def test_library_raises_typed_error(self, leaky_inner):
         Y, A0, X0 = _prepared_instance(2)
