@@ -34,7 +34,6 @@ from .linalg import (
 from .solver import (
     BudgetError,
     ObjectiveTrace,
-    RowWorkspace,
     amplitude_adjust,
     batch_svd,
     inner_row_switch,
@@ -50,7 +49,6 @@ __all__ = [
     "NumericalError",
     "ObjectiveTrace",
     "ParseError",
-    "RowWorkspace",
     "RunResult",
     "SingularTriple",
     "SparseCoeff",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +130,15 @@ def _indices(a, kind: str) -> np.ndarray:
     return a
 
 
+def _count(value, name: str):
+    """``value`` if it is an integer of at least 1, numpy's too but not a bool; else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return value
+
+
 def _canonical_order(rows, cols):
     """The column-then-row sort order of the pairs, and the position of the
     first pair that repeats an earlier one, or None."""
@@ -160,11 +170,8 @@ class LearnConfig:
     max_outer: int = 20
 
     def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError("budget must be at least 1")
-        for name in ("init_iters", "inner_sweeps", "amplitude_iters", "max_outer"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        for name in ("budget", "init_iters", "inner_sweeps", "amplitude_iters", "max_outer"):
+            _count(getattr(self, name), name)
         # written so that NaN fails too; inf stays valid
         if not self.epsilon >= 0:
             raise ValueError("epsilon must be a nonnegative number")
@@ -275,7 +282,7 @@ def block_omp(Y, A, budget: int) -> SparseCoeff:
     """
     A, Y = as_matrix(A, "A"), as_matrix(Y, "Y")
     n, p = A.shape[1], Y.shape[1]
-    if not (1 <= budget <= n * p):
+    if _count(budget, "budget") > n * p:
         raise ValueError(f"budget must satisfy 1 <= budget <= n*p = {n * p}, got {budget}")
     _require_unit_atoms(A, "dictionary")
 
@@ -363,7 +370,7 @@ def _pursue(Y: np.ndarray, A: np.ndarray, k: int):
     """Per-sample OMP triplets; a column stops early once its residual is zero."""
     m, n = A.shape
     paths = _Paths(Y, A)
-    if not (1 <= k <= min(m, n)):
+    if _count(k, "k") > min(m, n):
         raise ValueError(f"k must satisfy 1 <= k <= min(m, n) = {min(m, n)}, got {k}")
     if np.any(np.linalg.norm(A, axis=0) == 0.0):
         raise ValueError("dictionary has an all-zero column")
@@ -512,8 +519,7 @@ def dict_approx_init(Y, A0, budget: int, iters: int):
     end, all in one :func:`reseed_dead_atoms` call.
     """
     Y, A0 = _factors(Y, A0)
-    if iters < 1:
-        raise ValueError("iters must be at least 1")
+    _count(iters, "iters")
     _require_unit_atoms(A0, "A0")
     n = A0.shape[1]
     A = A0.copy()

@@ -5,22 +5,23 @@ squared reconstruction error while the total structural nonzero count stays
 fixed: inner-row switching (relocate one row's nonzeros among columns),
 inter-row switching (exchange nonzeros between row pairs on their unique
 columns), and amplitude adjustment (alternating least squares with the
-support frozen). A standard K-SVD baseline with a per-sample budget lives
-here too for equal-budget comparisons.
+support frozen). ``batch_svd`` runs the switches' array kernels directly;
+the public switches validate, then run them. A K-SVD baseline with a
+per-sample budget lives here too for equal-budget comparisons.
 """
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coding import (
     LearnConfig,
     SparseCoeff,
-    _code_per_sample,
     _atom_fitter,
+    _code_per_sample,
+    _count,
     _indices,
     _join_rows,
     _normalize_atoms,
@@ -83,38 +84,21 @@ class ObjectiveTrace:
         return [(a, b) for a, b in zip(seq, seq[1:]) if _rises(a, b, rtol)]
 
 
-@dataclass
-class RowWorkspace:
-    """One coefficient row mid-update: its atom and its aligned entries.
-
-    ``support`` and ``values`` are aligned; the support is what the nonzero
-    budget counts. ``degenerate`` is set by :func:`inner_row_switch` when
-    the row's residual block was all zero and its values were zeroed.
-    """
-
-    atom: np.ndarray
-    support: np.ndarray
-    values: np.ndarray
-    degenerate: bool = field(default=False)
-
-
-def _row_arrays(row: RowWorkspace, p: int):
-    """A row's support, values and p-column support mask; a malformed row raises ValueError."""
-    supp = _indices(row.support, "support column").astype(np.intp, copy=False)
-    vals = np.asarray(row.values, dtype=np.float64).reshape(-1)
+def _row_arrays(support, values, p: int):
+    """A row's support and values as arrays; a malformed row raises ValueError."""
+    supp = _indices(support, "support column").astype(np.intp, copy=False)
+    vals = np.asarray(values, dtype=np.float64).reshape(-1)
     if vals.size != supp.size:
         raise ValueError("support and values length mismatch")
     bad = np.flatnonzero((supp < 0) | (supp >= p))
     if bad.size:
         raise ValueError(f"support column {supp[bad[0]]} out of range for {p} columns")
-    mask = np.zeros(p, dtype=bool)
-    mask[supp] = True
-    if np.count_nonzero(mask) != supp.size:
+    if np.unique(supp).size != supp.size:
         raise ValueError("duplicate support column")
-    return supp, vals, mask
+    return supp, vals
 
 
-def inner_row_switch(residual, row: RowWorkspace, n_iters: int):
+def inner_row_switch(residual, atom, support, values, n_iters: int):
     """Alternate rank-1 refits with support re-selection for one row.
 
     ``residual`` is the batch residual with this row's contribution added
@@ -124,28 +108,28 @@ def inner_row_switch(residual, row: RowWorkspace, n_iters: int):
     |projection| onto that atom and sets the coefficients to those
     projections. Tie rule: at the selection boundary, equal |projections|
     go to the smaller column indices, as a stable sort would. The support
-    size never changes. A repeated, negative or out-of-range support column,
-    or values of another length, raise ValueError.
-
-    Returns the updated row and the local objective recorded at entry and
-    after every half-step; the sequence is non-increasing. The rounds run
-    on :func:`_inner_row`, the kernel ``batch_svd`` calls directly.
+    size never changes. A non-finite residual, an atom of another length, a
+    repeated, negative or out-of-range support column, or values of another
+    length, raise ValueError. Returns the new atom, support and values and
+    the local objective at entry and after every half-step, non-increasing
+    and shorter than ``2 * n_iters + 1`` only when an all-zero support block
+    zeroed the values and ended the rounds. The rounds run on
+    :func:`_inner_row`, the kernel ``batch_svd`` calls directly.
     """
-    if np.ndim(residual) != 2:
-        raise ValueError("residual must be a 2-D array")
-    if n_iters < 1:
-        raise ValueError("n_iters must be at least 1")
-    supp, vals, _ = _row_arrays(row, residual.shape[1])
+    R = as_matrix(residual, "residual")
+    _count(n_iters, "n_iters")
+    a = np.array(atom, dtype=np.float64)  # a copy
+    if a.shape != R.shape[:1]:
+        raise ValueError("atom length does not match the residual row count")
+    supp, vals = _row_arrays(support, values, R.shape[1])
     if supp.size < 1:
         raise ValueError("inner-row switching needs a nonempty support")
-    a = np.asarray(row.atom, dtype=np.float64).copy()
 
-    fnorm_sq = _sq_norm(residual)
-    c_supp = residual[:, supp].T @ a
+    fnorm_sq = _sq_norm(R)
+    c_supp = R[:, supp].T @ a
     locals_ = [fnorm_sq - 2.0 * float(vals @ c_supp) + float(a @ a) * float(vals @ vals)]
-    a, supp, vals, _ = _inner_row(residual, a, supp, vals, n_iters, fnorm_sq, locals_)
-    degenerate = len(locals_) < 2 * n_iters + 1  # the kernel stops early only on a zero block
-    return RowWorkspace(a, supp, vals, degenerate), locals_
+    a, supp, vals, _ = _inner_row(R, a, supp, vals, n_iters, fnorm_sq, locals_)
+    return a, supp, vals, locals_
 
 
 def _inner_row(R, a, supp, vals, n_iters: int, fnorm_sq: float, halfsteps=None):
@@ -187,35 +171,50 @@ def _inner_row(R, a, supp, vals, n_iters: int, fnorm_sq: float, halfsteps=None):
     return a, supp, vals, obj
 
 
-def inter_row_switch(residual, row_i: RowWorkspace, row_j: RowWorkspace):
+def inter_row_switch(residual, a_i, s_i, v_i, a_j, s_j, v_j):
     """Exchange structural nonzeros between two rows, count preserved.
 
-    ``residual`` is the batch residual with both rows' contributions removed.
-    Every column outside the two rows' shared support is a candidate; each
-    candidate column offers its better-|projection| row, and the strongest
-    candidates, as many as the symmetric difference of the two supports,
-    become the new support on those columns with the projection values as
-    coefficients. Tie rules: a column with equal |projections| offers the
-    first row, and at the selection boundary equal candidates go to the
-    smaller column indices, as a stable sort would. Shared-support columns
-    keep their old entries bit for bit, so the combined nonzero count of the
-    two rows is exactly preserved and the joint local objective never
-    increases. Malformed rows raise ValueError as in :func:`inner_row_switch`.
+    ``residual`` is the batch residual with both rows (unit atom ``a_r``,
+    values ``v_r`` on columns ``s_r``) added back. Every column outside the
+    shared support is a candidate; each offers its better-|projection| row,
+    and the strongest candidates, as many as the symmetric difference of the
+    two supports, become the new support on those columns with the
+    projection values as coefficients. Tie rules: a column with equal
+    |projections| offers the first row, and at the selection boundary equal
+    candidates go to the smaller column indices, as a stable sort would.
+    Shared columns keep their old entries bit for bit, so the two rows'
+    nonzero count is preserved and their joint objective never increases.
+    Bad input raises ValueError as in :func:`inner_row_switch`, as do
+    non-unit atoms. Returns ``((s_i, v_i), (s_j, v_j))``, supports ascending,
+    from :func:`_inter_row`, the kernel ``batch_svd`` calls directly.
     """
-    Yt = as_matrix(residual, "residual")
-    p = Yt.shape[1]
-    a_i = np.asarray(row_i.atom, dtype=np.float64)
-    a_j = np.asarray(row_j.atom, dtype=np.float64)
-    if a_i.shape[0] != Yt.shape[0] or a_j.shape[0] != Yt.shape[0]:
+    R = as_matrix(residual, "residual")
+    a_i, a_j = np.asarray(a_i, dtype=np.float64), np.asarray(a_j, dtype=np.float64)
+    if a_i.shape != R.shape[:1] or a_j.shape != R.shape[:1]:
         raise ValueError("atom length does not match the residual row count")
     _require_unit_atoms(np.column_stack((a_i, a_j)), "row-pair atom")
-    (si, vi, in_i), (sj, vj, in_j) = (_row_arrays(ws, p) for ws in (row_i, row_j))
+    (s_i, v_i), (s_j, v_j) = (_row_arrays(s, v, R.shape[1]) for s, v in ((s_i, v_i), (s_j, v_j)))
+    return _inter_row(R, a_i, a_j, s_i, v_i, s_j, v_j)[:2]
+
+
+def _inter_row(R, a_i, a_j, s_i, v_i, s_j, v_j):
+    """The selection of :func:`inter_row_switch` on arrays, unchecked.
+
+    Returns both new ``(support, values)`` rows and the change of the joint
+    objective ``||R - a_i x_i^T - a_j x_j^T||^2`` from ``M = [a_i; a_j] R``:
+    ``-sum M^2`` over the new unique entries plus ``sum (2 v M - v^2)`` over
+    the old ones; every ``||R_c||^2`` and every shared column cancels. Exact
+    for the unit atoms ``_normalize_atoms`` leaves before the phase; after the
+    inner phase a zero atom carries only zero values and adds nothing.
+    """
+    in_i, in_j = np.zeros((2, R.shape[1]), dtype=bool)
+    in_i[s_i] = in_j[s_j] = True
     shared = in_i & in_j
     unique_count = np.count_nonzero(in_i ^ in_j)
     if unique_count == 0:
-        return row_i, row_j
+        return (s_i, v_i), (s_j, v_j), 0.0
 
-    M = np.vstack((a_i, a_j)) @ Yt
+    M = np.vstack((a_i, a_j)) @ R
     absM = np.abs(M)
     pick_first = absM[0] >= absM[1]  # ties go to the first row
     best = np.where(pick_first, absM[0], absM[1])
@@ -223,15 +222,16 @@ def inter_row_switch(residual, row_i: RowWorkspace, row_j: RowWorkspace):
     picked = _top_k(best, unique_count)
 
     # shared columns keep their entries; each picked column joins its row
-    out = []
-    for r, (ws, supp, vals) in enumerate(((row_i, si, vi), (row_j, sj, vj))):
+    out, change = [], 0.0
+    for r, (supp, vals) in enumerate(((s_i, v_i), (s_j, v_j))):
         keep = shared[supp]
         new = picked[pick_first[picked] == (r == 0)]
+        gone, m_new = vals[~keep], M[r, new]
+        change += float(gone @ (2.0 * M[r, supp[~keep]] - gone)) - float(m_new @ m_new)
         cols = np.concatenate((supp[keep], new))
         order = np.argsort(cols)
-        values = np.concatenate((vals[keep], M[r, new]))
-        out.append(RowWorkspace(ws.atom, cols[order], values[order]))
-    return tuple(out)
+        out.append((cols[order], np.concatenate((vals[keep], m_new))[order]))
+    return out[0], out[1], change
 
 
 def amplitude_adjust(Y, A, X: SparseCoeff, n_iters: int):
@@ -253,8 +253,7 @@ def amplitude_adjust(Y, A, X: SparseCoeff, n_iters: int):
     ridged round can raise it slightly. Returns updated copies of A and X
     and the objective after each round.
     """
-    if n_iters < 1:
-        raise ValueError("n_iters must be at least 1")
+    _count(n_iters, "n_iters")
     Y, A = _factors(Y, A, (X.n, X.p))
     A = A.copy()
     rows, cols, vals = X.entries()  # the support is frozen: take it once, in column order
@@ -303,11 +302,11 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
     Rows are ordered once by descending support size, then each outer round
     sweeps every nonempty row with the inner-row kernel (:func:`_inner_row`,
     handed the residual norm kept up to date row by row), rescales atoms
-    to unit norm, runs :func:`inter_row_switch` over a seeded sample of row
-    pairs whenever the inner phase improved by less than ``cfg.trigger``, and
-    finishes with ``cfg.amplitude_iters`` amplitude alternations. Stops when
-    an outer round improves by at most ``cfg.epsilon`` or after
-    ``cfg.max_outer`` rounds.
+    to unit norm, runs the inter-row kernel (:func:`_inter_row`, which
+    returns the objective change) over a seeded sample of row pairs whenever
+    the inner phase improved by less than ``cfg.trigger``, and finishes with
+    ``cfg.amplitude_iters`` amplitude alternations. Stops when an outer round
+    improves by at most ``cfg.epsilon`` or after ``cfg.max_outer`` rounds.
 
     Returns the updated dictionary and coefficients (atoms unit-normalized)
     together with the recorded objective trace. The structural nonzero count
@@ -363,27 +362,15 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
         if inner_decrement < cfg.trigger:
             fraction = cfg.effective_pair_fraction(n)
             for i, j in _sample_pairs(n, fraction, rng):
-                si, vi = supports[i], values[i]
-                sj, vj = supports[j], values[j]
-                if np.array_equal(si, sj):
+                if np.array_equal(supports[i], supports[j]):
                     continue  # equal (sorted) supports: empty symmetric difference, no-op
-                cover = np.zeros(p, dtype=bool)  # columns either row touches
-                cover[si] = cover[sj] = True
-                sq_old = float(np.sum(R[:, np.flatnonzero(cover)] ** 2))
-                R[:, si] += np.outer(A[:, i], vi)
-                R[:, sj] += np.outer(A[:, j], vj)
-                wi, wj = inter_row_switch(
-                    R, RowWorkspace(A[:, i], si, vi), RowWorkspace(A[:, j], sj, vj)
-                )
-                gained = np.zeros(p, dtype=bool)
-                gained[wi.support] = gained[wj.support] = True
-                gained &= ~cover
-                sq_old += float(np.sum(R[:, np.flatnonzero(gained)] ** 2))
-                R[:, wi.support] -= np.outer(wi.atom, wi.values)
-                R[:, wj.support] -= np.outer(wj.atom, wj.values)
-                supports[i], values[i] = wi.support, wi.values
-                supports[j], values[j] = wj.support, wj.values
-                obj += float(np.sum(R[:, np.flatnonzero(cover | gained)] ** 2)) - sq_old
+                for r in (i, j):
+                    R[:, supports[r]] += np.outer(A[:, r], values[r])
+                (supports[i], values[i]), (supports[j], values[j]), change = _inter_row(
+                    R, A[:, i], A[:, j], supports[i], values[i], supports[j], values[j])
+                for r in (i, j):
+                    R[:, supports[r]] -= np.outer(A[:, r], values[r])
+                obj += change
                 trace.append("inter", obj)
 
         # --- re-seed unused atoms (objective-neutral: their rows are zero) ---
@@ -424,8 +411,7 @@ def ksvd(Y, A0, k: int, iters: int):
     """
     Y, A = _factors(Y, A0)
     _require_unit_atoms(A, "A0")
-    if iters < 1:
-        raise ValueError("iters must be at least 1")
+    _count(iters, "iters")
 
     A = A.copy()
     n, p = A.shape[1], Y.shape[1]

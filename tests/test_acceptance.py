@@ -11,7 +11,6 @@ import numpy as np
 
 from batchsvd import (
     LearnConfig,
-    RowWorkspace,
     amplitude_adjust,
     batch_svd,
     block_omp,
@@ -76,14 +75,13 @@ def test_inner_row_oracle():
         cols = np.sort(rng.choice(p, size=k, replace=False))
         z = rng.standard_normal(k) + np.sign(rng.standard_normal(k))
         Yt[:, cols] = np.outer(a, z)
-        ws = RowWorkspace(a.copy(), cols, z)
-        out, locals_ = inner_row_switch(Yt, ws, 1)
+        atom, supp, vals, locals_ = inner_row_switch(Yt, a.copy(), cols, z, 1)
         x = np.zeros(p)
-        x[out.support] = out.values
-        achieved = float(np.sum((Yt - np.outer(out.atom, x)) ** 2))
+        x[supp] = vals
+        achieved = float(np.sum((Yt - np.outer(atom, x)) ** 2))
         best = best_fixed_atom_support(Yt, a, k)
         assert abs(achieved - best) <= 1e-10, f"trial {trial}: {achieved} vs {best}"
-        assert out.support.size == k
+        assert supp.size == k
     _passed("inner-row exhaustive oracle (200 instances)")
 
 
@@ -104,18 +102,18 @@ def test_inter_row_oracle():
         size = len(set(map(int, si)) ^ set(map(int, sj)))
         if size == 0 or size > 6:
             continue
-        wi = RowWorkspace(_unit(rng, m), si, rng.standard_normal(si.size))
-        wj = RowWorkspace(_unit(rng, m), sj, rng.standard_normal(sj.size))
-        oi, oj = inter_row_switch(Yt, wi, wj)
-        assert oi.support.size + oj.support.size == si.size + sj.size, (
+        a_i, vi = _unit(rng, m), rng.standard_normal(si.size)
+        a_j, vj = _unit(rng, m), rng.standard_normal(sj.size)
+        oi, oj = inter_row_switch(Yt, a_i, si, vi, a_j, sj, vj)
+        assert oi[0].size + oj[0].size == si.size + sj.size, (
             f"trial {trial}: nonzero count not preserved"
         )
         achieved = 0.0
-        for ws in (oi, oj):
-            for c, v in zip(ws.support, ws.values):
+        for supp, vals in (oi, oj):
+            for c, v in zip(supp, vals):
                 if int(c) not in shared:
                     achieved += v**2
-        best = best_pair_assignment(Yt, wi.atom, wj.atom, shared, size)
+        best = best_pair_assignment(Yt, a_i, a_j, shared, size)
         assert abs(achieved - best) <= 1e-10, f"trial {trial}: {achieved} vs {best}"
         checked += 1
     _passed("inter-row exhaustive oracle (200 instances)")

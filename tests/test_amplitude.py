@@ -144,6 +144,8 @@ def test_empty_rows_left_alone():
 def test_bad_iteration_count():
     with pytest.raises(ValueError):
         amplitude_adjust(np.eye(2), np.eye(2), SparseCoeff.from_dense(np.eye(2)), 0)
+    with pytest.raises(ValueError, match="n_iters must be an integer, got 1.5"):
+        amplitude_adjust(np.eye(2), np.eye(2), SparseCoeff.from_dense(np.eye(2)), 1.5)
 
 
 def test_coefficient_halfstep_matches_per_column_least_squares(caplog):

@@ -21,6 +21,11 @@ class TestOmp:
         assert list(supp) == [1]
         assert np.allclose(coef, [5.0])
 
+    def test_non_integer_k_rejected(self):
+        with pytest.raises(ValueError, match="k must be an integer, got 1.5"):
+            omp(np.array([0.0, 5.0, 0.0]), np.eye(3), 1.5)
+        assert list(omp(np.array([0.0, 5.0, 0.0]), np.eye(3), np.int32(1))[0]) == [1]
+
     def test_orthonormal_exact_recovery(self):
         rng = np.random.default_rng(0)
         Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
@@ -120,6 +125,12 @@ class TestBlockOmp:
         with pytest.raises(ValueError, match="unit"):
             block_omp(np.eye(2), 2 * np.eye(2), 1)
 
+    def test_non_integer_budget_rejected(self):
+        # used to reach np.partition and raise TypeError
+        with pytest.raises(ValueError, match="budget must be an integer, got 1.5"):
+            block_omp(np.eye(2), np.eye(2), 1.5)
+        assert block_omp(np.eye(2), np.eye(2), np.int64(2)).nnz == 2
+
 
 class TestDictApproxInit:
     def test_planted_exact_model_single_round(self):
@@ -150,6 +161,15 @@ class TestDictApproxInit:
     def test_zero_rounds_rejected(self):
         with pytest.raises(ValueError):
             dict_approx_init(np.eye(3), np.eye(3), budget=3, iters=0)
+
+    @pytest.mark.parametrize("budget, iters, match", [
+        (10.5, 1, "budget must be an integer, got 10.5"),
+        (3, 1.5, "iters must be an integer, got 1.5"),
+        (3, True, "iters must be an integer, got True"),
+    ])
+    def test_non_integer_counts_rejected(self, budget, iters, match):
+        with pytest.raises(ValueError, match=match):
+            dict_approx_init(np.eye(3), np.eye(3), budget=budget, iters=iters)
 
     def test_atoms_unit_norm_on_exit(self):
         rng = np.random.default_rng(10)

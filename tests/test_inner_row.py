@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from batchsvd import RowWorkspace, inner_row_switch
+from batchsvd import inner_row_switch
 from batchsvd.solver import _top_k
 
 from oracles import best_fixed_atom_support, stable_top_k
@@ -28,11 +28,10 @@ def test_planted_rank_one_is_fixed_point():
     cols = np.array([1, 3, 5])
     x[cols] = rng.standard_normal(k) + np.sign(rng.standard_normal(k))
     residual = np.outer(a, x)
-    ws = RowWorkspace(a.copy(), cols, x[cols])
-    out, locals_ = inner_row_switch(residual, ws, 2)
-    assert set(out.support) == set(cols)
+    atom, supp, vals, locals_ = inner_row_switch(residual, a.copy(), cols, x[cols], 2)
+    assert set(supp) == set(cols)
     assert locals_[-1] < 1e-18
-    assert _local_objective(residual, out.atom, out.support, out.values) < 1e-18
+    assert _local_objective(residual, atom, supp, vals) < 1e-18
 
 
 def test_full_support_equals_rank_one_identity():
@@ -41,13 +40,10 @@ def test_full_support_equals_rank_one_identity():
     rng = np.random.default_rng(1)
     Yt = rng.standard_normal((4, 6))
     sigma1 = np.linalg.svd(Yt, compute_uv=False)[0]
-    ws = RowWorkspace(_unit(rng, 4), np.arange(6), np.zeros(6))
-    out, locals_ = inner_row_switch(Yt, ws, 1)
+    atom, supp, vals, locals_ = inner_row_switch(Yt, _unit(rng, 4), np.arange(6), np.zeros(6), 1)
     expected = np.sum(Yt**2) - sigma1**2
     assert np.isclose(locals_[-1], expected, rtol=1e-10)
-    assert np.isclose(
-        _local_objective(Yt, out.atom, out.support, out.values), expected, rtol=1e-10
-    )
+    assert np.isclose(_local_objective(Yt, atom, supp, vals), expected, rtol=1e-10)
 
 
 def test_support_selection_attains_exhaustive_minimum():
@@ -64,9 +60,8 @@ def test_support_selection_attains_exhaustive_minimum():
         cols = np.sort(rng.choice(p, size=k, replace=False))
         z = rng.standard_normal(k) + np.sign(rng.standard_normal(k))
         Yt[:, cols] = np.outer(a, z)
-        ws = RowWorkspace(a.copy(), cols, z)
-        out, locals_ = inner_row_switch(Yt, ws, 1)
-        achieved = _local_objective(Yt, out.atom, out.support, out.values)
+        atom, supp, vals, locals_ = inner_row_switch(Yt, a.copy(), cols, z, 1)
+        achieved = _local_objective(Yt, atom, supp, vals)
         assert np.isclose(achieved, best_fixed_atom_support(Yt, a, k), atol=1e-10)
 
 
@@ -78,48 +73,69 @@ def test_halfstep_sequence_non_increasing():
         k = int(rng.integers(1, p + 1))
         Yt = rng.standard_normal((m, p))
         cols = np.sort(rng.choice(p, size=k, replace=False))
-        ws = RowWorkspace(_unit(rng, m), cols, rng.standard_normal(k))
-        out, locals_ = inner_row_switch(Yt, ws, int(rng.integers(1, 4)))
+        atom, supp, vals, locals_ = inner_row_switch(
+            Yt, _unit(rng, m), cols, rng.standard_normal(k), int(rng.integers(1, 4))
+        )
         for a, b in zip(locals_, locals_[1:]):
             assert b - a <= 1e-9 * max(abs(a), abs(b))
-        assert out.support.size == k
+        assert supp.size == k
         # the trace end matches the recomputed local objective
-        direct = _local_objective(Yt, out.atom, out.support, out.values)
+        direct = _local_objective(Yt, atom, supp, vals)
         assert np.isclose(direct, locals_[-1], rtol=1e-9, atol=1e-12)
 
 
 def test_support_size_preserved():
     rng = np.random.default_rng(4)
     Yt = rng.standard_normal((3, 10))
-    ws = RowWorkspace(_unit(rng, 3), np.array([0, 4]), np.array([1.0, 2.0]))
-    out, _ = inner_row_switch(Yt, ws, 5)
-    assert out.support.size == 2
-    assert abs(np.linalg.norm(out.atom) - 1.0) < 1e-12
+    atom, supp, _, _ = inner_row_switch(Yt, _unit(rng, 3), np.array([0, 4]), np.array([1.0, 2.0]),
+                                        5)
+    assert supp.size == 2
+    assert abs(np.linalg.norm(atom) - 1.0) < 1e-12
 
 
 def test_degenerate_zero_block():
     Yt = np.zeros((3, 4))
     Yt[:, 2] = [1.0, 2.0, 3.0]  # support excludes the only nonzero column
     atom = np.array([1.0, 0.0, 0.0])
-    ws = RowWorkspace(atom, np.array([0, 1]), np.array([1.0, 1.0]))
-    out, locals_ = inner_row_switch(Yt, ws, 3)
-    assert out.degenerate
-    assert np.array_equal(out.support, [0, 1])
-    assert np.all(out.values == 0.0)
-    assert np.array_equal(out.atom, atom)
+    out_atom, supp, vals, locals_ = inner_row_switch(Yt, atom, np.array([0, 1]),
+                                                     np.array([1.0, 1.0]), 3)
+    assert len(locals_) < 2 * 3 + 1  # the zero block ended the rounds early
+    assert np.array_equal(supp, [0, 1])
+    assert np.all(vals == 0.0)
+    assert np.array_equal(out_atom, atom)
     assert locals_[-1] <= locals_[0] + 1e-12
 
 
 def test_empty_support_rejected():
     with pytest.raises(ValueError, match="support"):
-        ws = RowWorkspace(np.array([1.0, 0, 0]), np.array([], dtype=int), np.array([]))
-        inner_row_switch(np.eye(3), ws, 1)
+        inner_row_switch(np.eye(3), np.array([1.0, 0, 0]), np.array([], dtype=int), np.array([]), 1)
 
 
 def test_missing_residual_rejected():
-    ws = RowWorkspace(np.ones(2), np.array([0]), np.array([1.0]))
     with pytest.raises(ValueError, match="residual"):
-        inner_row_switch(None, ws, 1)
+        inner_row_switch(None, np.ones(2), np.array([0]), np.array([1.0]), 1)
+
+
+def test_non_finite_residual_rejected():
+    # a NaN used to give _top_k a NaN threshold: an empty support and NaN objectives
+    rng = np.random.default_rng(6)
+    R = rng.standard_normal((3, 6))
+    R[0, 5] = np.nan
+    with pytest.raises(ValueError, match="residual"):
+        inner_row_switch(R, _unit(rng, 3), np.array([0, 1]), np.array([1.0, 2.0]), 1)
+
+
+def test_non_integer_rounds_rejected():
+    with pytest.raises(ValueError, match="n_iters must be an integer, got 1.5"):
+        inner_row_switch(np.eye(3), np.array([1.0, 0, 0]), np.array([0]), np.array([1.0]), 1.5)
+
+
+def test_atom_length_mismatch_rejected():
+    # used to surface as numpy's matmul error
+    rng = np.random.default_rng(7)
+    with pytest.raises(ValueError, match="atom length"):
+        inner_row_switch(rng.standard_normal((3, 6)), _unit(rng, 4), np.array([0, 1]),
+                         np.array([1.0, 2.0]), 1)
 
 
 @pytest.mark.parametrize("support", [[2, 2], [-1, 2], [1, 9]])
@@ -127,15 +143,15 @@ def test_malformed_support_rejected(support):
     # a repeated column used to drop an entry and raise the local trace, a
     # negative one wrapped to the last column, and one past p gave IndexError
     rng = np.random.default_rng(5)
-    ws = RowWorkspace(_unit(rng, 3), np.array(support), np.array([1.0, 2.0]))
+    atom = _unit(rng, 3)
     with pytest.raises(ValueError, match="support column"):
-        inner_row_switch(rng.standard_normal((3, 6)), ws, 1)
+        inner_row_switch(rng.standard_normal((3, 6)), atom, np.array(support),
+                         np.array([1.0, 2.0]), 1)
 
 
 def test_values_length_mismatch_rejected():
-    ws = RowWorkspace(np.array([1.0, 0, 0]), np.array([0, 1]), np.array([1.0]))
     with pytest.raises(ValueError, match="length mismatch"):
-        inner_row_switch(np.eye(3), ws, 1)
+        inner_row_switch(np.eye(3), np.array([1.0, 0, 0]), np.array([0, 1]), np.array([1.0]), 1)
 
 
 @given(st.lists(st.integers(0, 3) | st.floats(0, 4), min_size=1, max_size=40), st.data())
@@ -160,16 +176,16 @@ def tied_rows(draw):
         atom = np.eye(m)[draw(st.integers(0, m - 1))]
     k = draw(st.integers(1, p) | st.sampled_from([1, p]))
     supp = np.sort(rng.choice(p, size=k, replace=False))
-    return residual, RowWorkspace(atom, supp, rng.integers(-2, 3, size=k).astype(np.float64))
+    return residual, atom, supp, rng.integers(-2, 3, size=k).astype(np.float64)
 
 
 @given(tied_rows(), st.integers(1, 3))
 def test_selection_is_stable_top_k_of_final_projection(problem, n_iters):
-    residual, ws = problem
-    out, _ = inner_row_switch(residual, ws, n_iters)
-    if out.degenerate:
-        assert np.array_equal(out.support, ws.support)
+    residual, atom, support, values = problem
+    out_atom, supp, vals, locals_ = inner_row_switch(residual, atom, support, values, n_iters)
+    if len(locals_) < 2 * n_iters + 1:  # a zero block ended the rounds early
+        assert np.array_equal(supp, support)
         return
-    proj = residual.T @ out.atom
-    assert np.array_equal(out.support, stable_top_k(np.abs(proj), ws.support.size))
-    assert np.array_equal(out.values, proj[out.support])
+    proj = residual.T @ out_atom
+    assert np.array_equal(supp, stable_top_k(np.abs(proj), support.size))
+    assert np.array_equal(vals, proj[supp])

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from batchsvd import RowWorkspace, inter_row_switch
+from batchsvd import inter_row_switch
+from batchsvd.solver import _inter_row
 
 from oracles import best_pair_assignment, reference_inter_row_switch
 
@@ -19,29 +20,31 @@ def _random_pair(rng, m, p, max_row_nnz=4):
     cap = min(max_row_nnz, p)
     si = np.sort(rng.choice(p, size=int(rng.integers(1, cap + 1)), replace=False))
     sj = np.sort(rng.choice(p, size=int(rng.integers(1, cap + 1)), replace=False))
-    wi = RowWorkspace(a_i, si, rng.standard_normal(si.size))
-    wj = RowWorkspace(a_j, sj, rng.standard_normal(sj.size))
+    wi = (a_i, si, rng.standard_normal(si.size))
+    wj = (a_j, sj, rng.standard_normal(sj.size))
     return Yt, wi, wj
 
 
 def _joint_objective(Yt, wi, wj):
+    """||Yt - a_i x_i^T - a_j x_j^T||^2 for rows given as (atom, support, values)."""
     p = Yt.shape[1]
+    (a_i, s_i, v_i), (a_j, s_j, v_j) = wi, wj
     xi = np.zeros(p)
-    xi[wi.support] = wi.values
+    xi[s_i] = v_i
     xj = np.zeros(p)
-    xj[wj.support] = wj.values
-    return float(np.sum((Yt - np.outer(wi.atom, xi) - np.outer(wj.atom, xj)) ** 2))
+    xj[s_j] = v_j
+    return float(np.sum((Yt - np.outer(a_i, xi) - np.outer(a_j, xj)) ** 2))
 
 
 def test_identical_supports_noop():
     rng = np.random.default_rng(0)
     Yt = rng.standard_normal((3, 5))
     supp = np.array([1, 3])
-    wi = RowWorkspace(_unit(rng, 3), supp, np.array([1.0, 2.0]))
-    wj = RowWorkspace(_unit(rng, 3), supp.copy(), np.array([-1.0, 0.5]))
-    oi, oj = inter_row_switch(Yt, wi, wj)
-    assert np.array_equal(oi.support, supp) and np.array_equal(oj.support, supp)
-    assert np.array_equal(oi.values, wi.values) and np.array_equal(oj.values, wj.values)
+    wi = (_unit(rng, 3), supp, np.array([1.0, 2.0]))
+    wj = (_unit(rng, 3), supp.copy(), np.array([-1.0, 0.5]))
+    (si, vi), (sj, vj) = inter_row_switch(Yt, *wi, *wj)
+    assert np.array_equal(si, supp) and np.array_equal(sj, supp)
+    assert np.array_equal(vi, wi[2]) and np.array_equal(vj, wj[2])
 
 
 def test_forced_migration_to_better_row():
@@ -50,12 +53,11 @@ def test_forced_migration_to_better_row():
     a_j = np.array([0.0, 1.0])
     Yt = np.zeros((2, 2))
     Yt[:, 0] = 5.0 * a_i
-    wi = RowWorkspace(a_i, np.array([1]), np.array([0.3]))
-    wj = RowWorkspace(a_j, np.array([0]), np.array([0.2]))
-    oi, oj = inter_row_switch(Yt, wi, wj)
-    assert 0 in oi.support
-    assert np.isclose(oi.values[list(oi.support).index(0)], 5.0)
-    assert oi.support.size + oj.support.size == 2
+    (si, vi), (sj, vj) = inter_row_switch(Yt, a_i, np.array([1]), np.array([0.3]),
+                                          a_j, np.array([0]), np.array([0.2]))
+    assert 0 in si
+    assert np.isclose(vi[list(si).index(0)], 5.0)
+    assert si.size + sj.size == 2
 
 
 def test_attains_exhaustive_assignment_optimum():
@@ -64,17 +66,16 @@ def test_attains_exhaustive_assignment_optimum():
         m = int(rng.integers(2, 5))
         p = int(rng.integers(3, 7))
         Yt, wi, wj = _random_pair(rng, m, p, max_row_nnz=3)
-        shared = set(map(int, wi.support)) & set(map(int, wj.support))
-        size = len(set(map(int, wi.support)) ^ set(map(int, wj.support)))
+        shared = set(map(int, wi[1])) & set(map(int, wj[1]))
+        size = len(set(map(int, wi[1])) ^ set(map(int, wj[1])))
         if size == 0:
             continue
-        oi, oj = inter_row_switch(Yt, wi, wj)
         achieved = 0.0
-        for ws in (oi, oj):
-            for c, v in zip(ws.support, ws.values):
+        for supp, vals in inter_row_switch(Yt, *wi, *wj):
+            for c, v in zip(supp, vals):
                 if int(c) not in shared:
                     achieved += v**2
-        best = best_pair_assignment(Yt, wi.atom, wj.atom, shared, size)
+        best = best_pair_assignment(Yt, wi[0], wj[0], shared, size)
         assert np.isclose(achieved, best, atol=1e-10)
 
 
@@ -84,14 +85,14 @@ def test_conservation_and_descent():
         m = int(rng.integers(2, 6))
         p = int(rng.integers(2, 9))
         Yt, wi, wj = _random_pair(rng, m, p)
-        before_count = wi.support.size + wj.support.size
+        before_count = wi[1].size + wj[1].size
         before_obj = _joint_objective(Yt, wi, wj)
-        oi, oj = inter_row_switch(Yt, wi, wj)
-        assert oi.support.size + oj.support.size == before_count
-        assert len(set(map(int, oi.support)) & set(map(int, oj.support))) == len(
-            set(map(int, wi.support)) & set(map(int, wj.support))
+        oi, oj = inter_row_switch(Yt, *wi, *wj)
+        assert oi[0].size + oj[0].size == before_count
+        assert len(set(map(int, oi[0])) & set(map(int, oj[0]))) == len(
+            set(map(int, wi[1])) & set(map(int, wj[1]))
         )
-        after_obj = _joint_objective(Yt, oi, oj)
+        after_obj = _joint_objective(Yt, (wi[0], *oi), (wj[0], *oj))
         assert after_obj - before_obj <= 1e-9 * max(abs(before_obj), abs(after_obj))
 
 
@@ -99,27 +100,24 @@ def test_shared_columns_keep_old_values():
     rng = np.random.default_rng(3)
     Yt = rng.standard_normal((3, 6))
     a_i, a_j = _unit(rng, 3), _unit(rng, 3)
-    wi = RowWorkspace(a_i, np.array([0, 2, 4]), np.array([1.0, 2.0, 3.0]))
-    wj = RowWorkspace(a_j, np.array([2, 5]), np.array([-1.0, 4.0]))
-    oi, oj = inter_row_switch(Yt, wi, wj)
-    assert oi.values[list(oi.support).index(2)] == 2.0
-    assert oj.values[list(oj.support).index(2)] == -1.0
+    (si, vi), (sj, vj) = inter_row_switch(Yt, a_i, np.array([0, 2, 4]), np.array([1.0, 2.0, 3.0]),
+                                          a_j, np.array([2, 5]), np.array([-1.0, 4.0]))
+    assert vi[list(si).index(2)] == 2.0
+    assert vj[list(sj).index(2)] == -1.0
 
 
 def test_non_unit_atom_rejected():
     Yt = np.eye(3)
-    wi = RowWorkspace(np.array([2.0, 0, 0]), np.array([0]), np.array([1.0]))
-    wj = RowWorkspace(np.array([0.0, 1, 0]), np.array([1]), np.array([1.0]))
     with pytest.raises(ValueError, match="unit"):
-        inter_row_switch(Yt, wi, wj)
+        inter_row_switch(Yt, np.array([2.0, 0, 0]), np.array([0]), np.array([1.0]),
+                         np.array([0.0, 1, 0]), np.array([1]), np.array([1.0]))
 
 
 def test_out_of_range_support_rejected():
     Yt = np.eye(3)
-    wi = RowWorkspace(np.array([1.0, 0, 0]), np.array([5]), np.array([1.0]))
-    wj = RowWorkspace(np.array([0.0, 1, 0]), np.array([1]), np.array([1.0]))
     with pytest.raises(ValueError, match="column"):
-        inter_row_switch(Yt, wi, wj)
+        inter_row_switch(Yt, np.array([1.0, 0, 0]), np.array([5]), np.array([1.0]),
+                         np.array([0.0, 1, 0]), np.array([1]), np.array([1.0]))
 
 
 @pytest.mark.parametrize("support, values, match", [
@@ -128,10 +126,9 @@ def test_out_of_range_support_rejected():
 ])
 def test_malformed_row_rejected(support, values, match):
     Yt = np.arange(12.0).reshape(3, 4)
-    wi = RowWorkspace(np.array([1.0, 0, 0]), np.array(support), np.array(values))
-    wj = RowWorkspace(np.array([0.0, 1, 0]), np.array([1]), np.array([1.0]))
     with pytest.raises(ValueError, match=match):
-        inter_row_switch(Yt, wi, wj)
+        inter_row_switch(Yt, np.array([1.0, 0, 0]), np.array(support), np.array(values),
+                         np.array([0.0, 1, 0]), np.array([1]), np.array([1.0]))
 
 
 @st.composite
@@ -170,26 +167,30 @@ def row_pairs(draw):
         sj = np.sort(rng.choice(p, size=draw(st.integers(0, p)), replace=False))
     if draw(st.booleans()):
         si, sj = sj, si
-    wi = RowWorkspace(a_i, si, rng.integers(-3, 4, size=si.size) * 0.75)
-    wj = RowWorkspace(a_j, sj, rng.standard_normal(sj.size))
+    wi = (a_i, si, rng.integers(-3, 4, size=si.size) * 0.75)
+    wj = (a_j, sj, rng.standard_normal(sj.size))
     return exact, Yt, wi, wj
 
 
 @given(row_pairs())
 def test_matches_set_based_oracle(problem):
     exact, Yt, wi, wj = problem
-    out = inter_row_switch(Yt, wi, wj)
-    ref = reference_inter_row_switch(Yt, wi.atom, wi.support, wi.values,
-                                     wj.atom, wj.support, wj.values)
-    shared = np.intersect1d(wi.support, wj.support)
-    for ws, got, (cols, vals) in zip((wi, wj), out, ref):
-        assert np.array_equal(got.support, cols)
+    out = inter_row_switch(Yt, *wi, *wj)
+    ref = reference_inter_row_switch(Yt, *wi, *wj)
+    shared = np.intersect1d(wi[1], wj[1])
+    for (_, supp, values), (got_s, got_v), (cols, vals) in zip((wi, wj), out, ref):
+        assert np.array_equal(got_s, cols)
         if exact:
-            assert np.array_equal(got.values, vals)
+            assert np.array_equal(got_v, vals)
         else:
             # the oracle correlates only the candidate columns, which may
             # round the same products differently in the last bits
-            assert np.allclose(got.values, vals, rtol=1e-12, atol=1e-12 * np.abs(Yt).max())
+            assert np.allclose(got_v, vals, rtol=1e-12, atol=1e-12 * np.abs(Yt).max())
         # shared columns keep their old values bit for bit
-        kept = np.isin(got.support, shared)
-        assert np.array_equal(got.values[kept], ws.values[np.isin(ws.support, shared)])
+        kept = np.isin(got_s, shared)
+        assert np.array_equal(got_v[kept], values[np.isin(supp, shared)])
+    # the kernel's objective change is the joint objective's direct difference
+    change = _inter_row(Yt, wi[0], wj[0], *wi[1:], *wj[1:])[2]
+    direct = _joint_objective(Yt, (wi[0], *out[0]), (wj[0], *out[1])) - _joint_objective(Yt, wi, wj)
+    scale = np.sum(Yt**2) + sum(float(v @ v) for v in (wi[2], wj[2], out[0][1], out[1][1]))
+    assert abs(change - direct) <= 1e-12 * scale

@@ -1,4 +1,4 @@
-"""Package hygiene: typed errors that survive ``python -O``, and no dead imports.
+"""Package hygiene: typed errors that survive ``python -O``, no dead imports or helpers.
 
 A bare ``assert`` is stripped under ``-O``, so no module of the package may
 contain one.
@@ -41,3 +41,21 @@ def test_package_has_no_unused_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert not unused, f"unused imports in the package: {unused}"
+
+
+def test_package_has_no_dead_private_helpers():
+    # a deletion can also leave a private helper behind that only its tests
+    # still call; every private function or class must have a reader in the
+    # package, by name or as an attribute
+    defined, used = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.append(f"{path.name}:{node.lineno} {node.name}")
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    dead = [where for where in defined if where.split()[-1] not in used]
+    assert not dead, f"private helpers nothing in the package uses: {dead}"

@@ -153,6 +153,15 @@ class TestBatchSvd:
         with pytest.raises(ValueError, match="shape"):
             batch_svd(np.eye(4), np.eye(4, 3), X, LearnConfig(budget=3))
 
+    @pytest.mark.parametrize("field", [
+        "budget", "init_iters", "inner_sweeps", "amplitude_iters", "max_outer",
+    ])
+    def test_config_non_integer_counts_rejected(self, field):
+        # 2.5 used to pass the >= 1 check and reach range() or np.partition
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got 2.5"):
+            LearnConfig(**{"budget": 10, field: 2.5})
+        assert getattr(LearnConfig(**{"budget": 10, field: np.int64(2)}), field) == 2
+
     def test_config_constants_accepted(self):
         # the evaluation protocol's constants round-trip through the config
         cfg = LearnConfig(budget=50, max_outer=20, inner_sweeps=3,
@@ -185,21 +194,26 @@ def test_sample_pairs_matches_enumeration(fraction):
             assert rng.random() == ref_rng.random()  # later rounds draw the same
 
 
+def _in_visiting_order(seed, m=8, n=12, p=60, budget=150):
+    """A block_omp start whose rows are in batch_svd's visiting order: its row i is row i here."""
+    rng = np.random.default_rng(seed)
+    Y = rng.standard_normal((m, p))
+    A0 = initial_dictionary(Y, n, rng)
+    rows, cols, vals = block_omp(Y, A0, budget).entries()
+    order = np.argsort(-np.bincount(rows, minlength=n), kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    return Y, A0[:, order], SparseCoeff.from_triplets(n, p, rank[rows], cols, vals)
+
+
 @pytest.mark.parametrize("seed", [5, 6, 7])
 def test_inner_objective_tracks_the_factorization_row_by_row(seed, monkeypatch):
     # batch_svd hands each row's kernel the residual norm kept up to date from
     # the running objective; after every row of the first round, the recorded
     # inner objective must still be ||Y - A X||^2 of the factors at that point
-    rng = np.random.default_rng(seed)
-    m, n, p, budget = 8, 12, 60, 150
-    Y = rng.standard_normal((m, p))
-    A0 = initial_dictionary(Y, n, rng)
-    rows, cols, vals = block_omp(Y, A0, budget).entries()
-    # rows in the solver's visiting order, by descending size: its row i is row i here
-    order = np.argsort(-np.bincount(rows, minlength=n), kind="stable")
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    A0, X0 = A0[:, order], SparseCoeff.from_triplets(n, p, rank[rows], cols, vals)
+    budget = 150
+    Y, A0, X0 = _in_visiting_order(seed, budget=budget)
+    n = X0.n
     fits = []
     real = solver._inner_row
 
@@ -218,6 +232,58 @@ def test_inner_objective_tracks_the_factorization_row_by_row(seed, monkeypatch):
         Xd[i, supp] = row_vals
         assert recorded == obj
         assert abs(obj - np.sum((Y - A @ Xd) ** 2)) <= 1e-12 * np.sum(Y**2)
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_inter_objective_tracks_the_factorization_pair_by_pair(seed, monkeypatch):
+    # batch_svd adds each pair's returned objective change to its running
+    # objective; after every inter pair of the first round, the recorded value
+    # must still be ||Y - A X||^2 of the factors at that point
+    budget = 150
+    Y, A0, X0 = _in_visiting_order(seed, budget=budget)
+    n = X0.n
+    inner, pairs, switched = [], [], []
+    real_inner, real_pairs, real_inter = solver._inner_row, solver._sample_pairs, solver._inter_row
+
+    def recording_inner(*args):
+        atom, supp, vals, obj = real_inner(*args)
+        inner.append((atom.copy(), supp, vals))
+        return atom, supp, vals, obj
+
+    def recording_pairs(*args):
+        got = real_pairs(*args)
+        pairs.extend(got)
+        return got
+
+    def recording_inter(R, a_i, a_j, *rows):
+        row_i, row_j, change = real_inter(R, a_i, a_j, *rows)
+        switched.append((a_i.copy(), a_j.copy(), row_i, row_j))
+        return row_i, row_j, change
+
+    monkeypatch.setattr(solver, "_inner_row", recording_inner)
+    monkeypatch.setattr(solver, "_sample_pairs", recording_pairs)
+    monkeypatch.setattr(solver, "_inter_row", recording_inter)
+    cfg = LearnConfig(budget=budget, max_outer=1, trigger=np.inf, seed=seed)
+    trace = batch_svd(Y, A0, X0, cfg)[2]
+    # the factors after the inner phase; the atom rescaling before the inter phase keeps A X
+    A, Xd = A0.copy(), X0.to_dense()
+    supports = [np.empty(0, dtype=np.intp)] * n
+    visited = np.flatnonzero(np.bincount(X0.entries()[0], minlength=n))
+    for i, (atom, supp, vals) in zip(visited, inner):
+        A[:, i], Xd[i], supports[i] = atom, 0.0, supp
+        Xd[i, supp] = vals
+    calls = iter(switched)
+    recorded = trace.values("inter")
+    assert pairs and len(switched) == len(recorded) > 0
+    for i, j in pairs:
+        if np.array_equal(supports[i], supports[j]):
+            continue  # skipped by the solver, without a trace entry
+        a_i, a_j, (s_i, v_i), (s_j, v_j) = next(calls)
+        A[:, i], A[:, j], Xd[i], Xd[j] = a_i, a_j, 0.0, 0.0
+        Xd[i, s_i], Xd[j, s_j] = v_i, v_j
+        supports[i], supports[j] = s_i, s_j
+        assert abs(recorded.pop(0) - np.sum((Y - A @ Xd) ** 2)) <= 1e-12 * np.sum(Y**2)
+    assert not recorded
 
 
 class TestBudgetCheck:
@@ -286,6 +352,15 @@ class TestKsvd:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             ksvd(np.eye(4), np.eye(4), k=5, iters=1)
+
+    @pytest.mark.parametrize("k, iters, match", [
+        (2, 1.5, "iters must be an integer, got 1.5"),
+        (1.5, 1, "k must be an integer, got 1.5"),
+    ])
+    def test_non_integer_counts_rejected(self, k, iters, match):
+        # both used to raise TypeError from inside numpy or range()
+        with pytest.raises(ValueError, match=match):
+            ksvd(np.eye(4), np.eye(4), k, iters)
 
     def test_objective_tracks_improvement(self):
         rng = np.random.default_rng(4)
