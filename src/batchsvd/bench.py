@@ -16,6 +16,7 @@ from .coding import (
     LearnConfig,
     SparseCoeff,
     _code_per_sample,
+    _count,
     dict_approx_init,
     initial_dictionary,
 )
@@ -33,10 +34,8 @@ def extract_patches(image, size: int, count: int, seed: int = 0,
     valid placements; each patch is flattened column-major and scaled to
     [0, 1] by ``maxval``. Deterministic given (image, size, count, seed).
     """
-    if size < 1:
-        raise ValueError("patch_size must be at least 1")
-    if count < 1:
-        raise ValueError("patch_count must be at least 1")
+    _count(size, "patch_size")
+    _count(count, "patch_count")
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise ValueError("image must be a 2-D grayscale raster")
@@ -136,8 +135,7 @@ def run_benchmark(
     """
     Y = as_matrix(Y, "Y")
     m, p = Y.shape
-    if n_atoms < 1:
-        raise ValueError("n_atoms must be at least 1")
+    _count(n_atoms, "n_atoms")
     algos = list(algos)
     if not algos:
         raise ValueError("algos must name at least one algorithm")

@@ -130,12 +130,12 @@ def _indices(a, kind: str) -> np.ndarray:
     return a
 
 
-def _count(value, name: str):
-    """``value`` if it is an integer of at least 1, numpy's too but not a bool; else ValueError."""
+def _count(value, name: str, least: int = 1):
+    """``value`` if an integer of at least ``least`` (numpy's too, not a bool); else ValueError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
     return value
 
 
@@ -172,6 +172,7 @@ class LearnConfig:
     def __post_init__(self):
         for name in ("budget", "init_iters", "inner_sweeps", "amplitude_iters", "max_outer"):
             _count(getattr(self, name), name)
+        _count(self.seed, "seed", 0)
         # written so that NaN fails too; inf stays valid
         if not self.epsilon >= 0:
             raise ValueError("epsilon must be a nonnegative number")
@@ -456,8 +457,7 @@ def initial_dictionary(Y, n_atoms: int, rng: np.random.Generator) -> np.ndarray:
     p < n_atoms) is filled with normalized Gaussian atoms.
     """
     Y = as_matrix(Y, "Y")
-    if n_atoms < 1:
-        raise ValueError("n_atoms must be at least 1")
+    _count(n_atoms, "n_atoms")
     m, p = Y.shape
     A = np.empty((m, n_atoms))
     count = 0

@@ -124,15 +124,10 @@ def solve_gram(G: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def rank1_svd(M, tol: float = 1e-10, max_iter: int = 500, start=None) -> SingularTriple:
-    """Leading singular triple of M by power iteration on ``M M^T``.
+    """Leading singular triple of M by power iteration: :func:`_rank1` after every check.
 
-    The iteration starts from ``start / ||start||``, a length-m vector, or
-    by default from the normalized all-ones vector. A start orthogonal to
-    the column space of M (a zero start too) falls back to the default one,
-    and a default start that lands in the null space of ``M^T`` restarts
-    from successive basis vectors. Stops once ``||M v - sigma u|| <= tol *
-    ||M||_F``; after ``max_iter`` sweeps the best iterate is returned with
-    ``converged=False``.
+    A non-finite, non-2-D or all-zero M, ``tol <= 0``, ``max_iter < 1``, or a
+    non-finite start or one whose length is not M's row count, raises ValueError.
     """
     M = as_matrix(M, "M")
     if tol <= 0:
@@ -141,14 +136,27 @@ def rank1_svd(M, tol: float = 1e-10, max_iter: int = 500, start=None) -> Singula
         raise ValueError("max_iter must be at least 1")
     if not M.any():
         raise ValueError("all-zero matrix has no leading singular triple")
+    if start is not None:
+        start = as_vector(start, "start")
+        if start.shape[0] != M.shape[0]:
+            raise ValueError(f"start has length {start.shape[0]}, M has {M.shape[0]} rows")
+    return _rank1(M, start, tol, max_iter)
+
+
+def _rank1(M, start=None, tol: float = 1e-10, max_iter: int = 500) -> SingularTriple:
+    """:func:`rank1_svd`'s power iteration on ``M M^T``, for a float64 M not all zero, unchecked.
+
+    Starts from ``start / ||start||``, a float64 vector of length m, or by default from the
+    normalized all-ones vector. A start orthogonal to the column space of M (a zero start too)
+    falls back to the default one, and a default start in the null space of ``M^T`` restarts
+    from successive basis vectors. Stops once ``||M v - sigma u|| <= tol * ||M||_F``; after
+    ``max_iter`` sweeps the best iterate is returned with ``converged=False``.
+    """
     m = M.shape[0]
-    fnorm = np.linalg.norm(M)
+    fnorm = math.sqrt(_sq_norm(M))  # as np.linalg.norm computes it
     u = default = np.full(m, 1.0 / np.sqrt(m))
     basis_next = 0  # the next restart: -1 is the default start, 0.. the basis vectors
     if start is not None:
-        start = as_vector(start, "start")
-        if start.shape[0] != m:
-            raise ValueError(f"start has length {start.shape[0]}, M has {m} rows")
         nrm = math.sqrt(start @ start)
         u, basis_next = (start / nrm if nrm > 0.0 else start), -1
     converged = False
@@ -165,19 +173,16 @@ def rank1_svd(M, tol: float = 1e-10, max_iter: int = 500, start=None) -> Singula
         z = M @ v
         sigma = math.sqrt(z @ z)
         gap = z - sigma * u
+        u = z / sigma
         if math.sqrt(gap @ gap) <= tol * fnorm:
             converged = True
-            u = z / sigma
             break
-        u = z / sigma
     # make the returned triple self-consistent: sigma and v derived from u
     w = M.T @ u
     sigma = math.sqrt(w @ w)
     v = w / sigma
-    idx = int(np.argmax(np.abs(u)))
-    if u[idx] < 0:
-        u = -u
-        v = -v
+    if u[np.argmax(np.abs(u))] < 0:  # the sign convention: u's largest-magnitude entry is positive
+        u, v = -u, -v
     return SingularTriple(sigma, u, v, converged)
 
 

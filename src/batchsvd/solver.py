@@ -6,8 +6,10 @@ fixed: inner-row switching (relocate one row's nonzeros among columns),
 inter-row switching (exchange nonzeros between row pairs on their unique
 columns), and amplitude adjustment (alternating least squares with the
 support frozen). ``batch_svd`` runs the switches' array kernels directly;
-the public switches validate, then run them. A K-SVD baseline with a
-per-sample budget lives here too for equal-budget comparisons.
+the public switches validate, then run them. A row's inner rounds end early
+at a fixed point: once a converged rank-1 fit re-selects the support the
+round began with. A K-SVD baseline with a per-sample budget lives here too
+for equal-budget comparisons.
 """
 from __future__ import annotations
 
@@ -30,8 +32,8 @@ from .coding import (
     _top_k,
     reseed_dead_atoms,
 )
-from .linalg import (NumericalError, _factors, _group_sq, _sq_norm, _support_groups, as_matrix,
-                     rank1_svd, solve_gram)
+from .linalg import (NumericalError, _factors, _group_sq, _rank1, _sq_norm, _support_groups,
+                     as_matrix, solve_gram)
 
 log = logging.getLogger(__name__)
 
@@ -111,9 +113,11 @@ def inner_row_switch(residual, atom, support, values, n_iters: int):
     size never changes. A non-finite residual, an atom of another length, a
     repeated, negative or out-of-range support column, or values of another
     length, raise ValueError. Returns the new atom, support and values and
-    the local objective at entry and after every half-step, non-increasing
-    and shorter than ``2 * n_iters + 1`` only when an all-zero support block
-    zeroed the values and ended the rounds. The rounds run on
+    the local objective at entry and after every half-step, non-increasing.
+    ``n_iters`` bounds the rounds; the trace is shorter than ``2 * n_iters +
+    1`` when a round reached a fixed point (a converged fit whose re-selection
+    returned the round's own support: an odd length) or when an all-zero
+    support block zeroed the values (an even length). The rounds run on
     :func:`_inner_row`, the kernel ``batch_svd`` calls directly.
     """
     R = as_matrix(residual, "residual")
@@ -137,11 +141,16 @@ def _inner_row(R, a, supp, vals, n_iters: int, fnorm_sq: float, halfsteps=None):
 
     ``R`` is the residual with the row added back, ``fnorm_sq`` its squared
     norm, ``a`` the row's atom and ``supp`` a valid nonempty support. Each
-    rank-1 fit starts from the current atom, so a converged row costs one
-    power iteration. Returns the new atom, support and values and the row's
-    final objective ``||R - a x^T||^2``; a round whose support block of R
-    is all zero zeroes the values, keeps the atom and ends the rounds. Each
-    half-step's objective is appended to ``halfsteps`` when a list is given.
+    rank-1 fit runs on :func:`linalg._rank1` from the current atom, so a
+    converged row costs one power iteration. The rounds end after at most
+    ``n_iters``, or after the first round whose fit converged and whose
+    re-selection returned the support the round began with: a further round
+    would refit that block from its own output, moving the atom by at most
+    the fit's tolerance. A round whose support block of R is all zero
+    zeroes the values, keeps the atom and ends the rounds. Returns the new
+    atom, support and values and the row's final objective ``||R - a
+    x^T||^2``. Each half-step's objective is appended to ``halfsteps`` when
+    a list is given.
     """
     for _ in range(n_iters):
         block = R[:, supp]
@@ -155,19 +164,23 @@ def _inner_row(R, a, supp, vals, n_iters: int, fnorm_sq: float, halfsteps=None):
             # monotonicity guard: keep the incoming atom if the (possibly
             # unconverged) power iteration returned a weaker direction
             a_unit = a / a_norm
-            triple = rank1_svd(block, start=a_unit)
+            triple = _rank1(block, a_unit)
             old = block.T @ a_unit
             a = triple.u if triple.sigma**2 >= old @ old else a_unit
         else:
-            a = rank1_svd(block).u
+            triple = _rank1(block)
+            a = triple.u
         proj = R.T @ a
         if halfsteps is not None:
             halfsteps.append(fnorm_sq - float(proj[supp] @ proj[supp]))
-        supp = _top_k(np.abs(proj), supp.size)
-        vals = proj[supp]
+        new = _top_k(np.abs(proj), supp.size)
+        fixed = triple.converged and np.array_equal(new, supp)
+        supp, vals = new, proj[new]
         obj = fnorm_sq - float(vals @ vals)
         if halfsteps is not None:
             halfsteps.append(obj)
+        if fixed:  # a further round would refit this block from its own converged fit
+            break
     return a, supp, vals, obj
 
 
@@ -301,7 +314,8 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
 
     Rows are ordered once by descending support size, then each outer round
     sweeps every nonempty row with the inner-row kernel (:func:`_inner_row`,
-    handed the residual norm kept up to date row by row), rescales atoms
+    handed the residual norm kept up to date row by row; ``cfg.inner_sweeps``
+    bounds its rounds, and a row stops at its first fixed point), rescales atoms
     to unit norm, runs the inter-row kernel (:func:`_inter_row`, which
     returns the objective change) over a seeded sample of row pairs whenever
     the inner phase improved by less than ``cfg.trigger``, and finishes with
@@ -430,7 +444,7 @@ def ksvd(Y, A0, k: int, iters: int):
                 continue
             E = R[:, cols] + np.outer(A[:, i], values[i])
             if E.any():
-                triple = rank1_svd(E)
+                triple = _rank1(E)
                 A[:, i] = triple.u
                 values[i] = triple.sigma * triple.v
             else:

@@ -8,7 +8,8 @@ greedy OMP with lstsq refits,
 an explicitly materialized block-diagonal pursuit, the heap merge that
 ``block_omp`` ran on the package's path kernel, exhaustive support
 enumerations, the full-sort, set-based row selections the switching
-phases used before they moved to partial selection and masks, and the dense
+phases used before they moved to partial selection and masks, the inner-row
+rounds as they ran before they stopped at a fixed point, and the dense
 K-SVD loop, which takes the package's kernels as arguments.
 """
 from __future__ import annotations
@@ -252,6 +253,38 @@ def stable_top_k(mag, k):
     go to the smaller index because the sort is stable.
     """
     return np.sort(np.argsort(-np.asarray(mag), kind="stable")[:k])
+
+
+def all_rounds_inner_row(R, a, supp, n_iters, rank1):
+    """Inner-row switching that runs every one of its rounds, frozen from the package.
+
+    The rounds as the package ran them before it stopped at the first fixed
+    point: refit the atom on the support's block, warm-started from the
+    current unit atom and kept only if it captures at least the atom's own
+    energy, then re-select the support by :func:`stable_top_k` of the
+    |projections|. A zero block zeroes the values and ends the rounds.
+    ``rank1(M, start=None)`` is the package's leading singular triple, passed
+    in. Returns the atom, support, values and final objective ``||R - a x^T||^2``.
+    """
+    R = np.asarray(R, dtype=np.float64)
+    fnorm_sq = float(np.sum(R**2))
+    for _ in range(n_iters):
+        block = R[:, supp]
+        if not block.any():
+            return a, supp, np.zeros(len(supp)), fnorm_sq
+        a_norm = np.linalg.norm(a)
+        if a_norm > 0.0:
+            a_unit = a / a_norm
+            triple = rank1(block, start=a_unit)
+            old = block.T @ a_unit
+            a = triple.u if triple.sigma**2 >= old @ old else a_unit
+        else:
+            a = rank1(block).u
+        proj = R.T @ a
+        supp = stable_top_k(np.abs(proj), len(supp))
+        vals = proj[supp]
+        obj = fnorm_sq - float(vals @ vals)
+    return a, supp, vals, obj
 
 
 def reference_inter_row_switch(Yt, a_i, s_i, v_i, a_j, s_j, v_j):

@@ -60,6 +60,10 @@ class TestPatchExtraction:
     @pytest.mark.parametrize("size, count, message", [
         (0, 1, "patch_size must be at least 1"),
         (2, 0, "patch_count must be at least 1"),
+        # floats used to reach numpy and fail there with a TypeError
+        (2.5, 3, "patch_size must be an integer, got 2.5"),
+        (2, 3.5, "patch_count must be an integer, got 3.5"),
+        (True, 3, "patch_size must be an integer, got True"),
     ])
     def test_size_and_count_checked(self, size, count, message):
         with pytest.raises(ValueError, match=message):
@@ -144,6 +148,15 @@ class TestRunBenchmark:
         cfg = LearnConfig(budget=20, seed=0)  # 20 // 50 == 0
         with pytest.raises(ValueError, match="per-sample"):
             run_benchmark(Y, cfg, ["ksvd"], n_atoms=6)
+
+    @pytest.mark.parametrize("n_atoms, message", [
+        (2.5, "n_atoms must be an integer, got 2.5"),
+        (0, "n_atoms must be at least 1, got 0"),
+    ])
+    def test_atom_count_checked(self, n_atoms, message):
+        # 2.5 used to fail inside numpy with a TypeError
+        with pytest.raises(ValueError, match=message):
+            run_benchmark(np.eye(3), LearnConfig(budget=2), ["batch"], n_atoms=n_atoms)
 
     def test_empty_algo_list_rejected(self):
         with pytest.raises(ValueError, match="at least one algorithm"):

@@ -201,6 +201,18 @@ class TestInitialDictionary:
         assert np.allclose(np.linalg.norm(A, axis=0), 1.0)
 
 
+    @pytest.mark.parametrize("n_atoms, message", [
+        (2.5, "n_atoms must be an integer, got 2.5"),
+        (np.float64(3.0), "n_atoms must be an integer, got np.float64"),
+        (0, "n_atoms must be at least 1, got 0"),
+    ])
+    def test_atom_count_checked(self, n_atoms, message):
+        # a float used to fail inside numpy with a TypeError
+        with pytest.raises(ValueError, match=message):
+            initial_dictionary(np.eye(3), n_atoms, np.random.default_rng(0))
+        assert initial_dictionary(np.eye(3), np.int64(2), np.random.default_rng(0)).shape == (3, 2)
+
+
 class TestFitAtoms:
     @staticmethod
     def _problem(rng, m=5, n=7, p=30, nnz=60):

@@ -1,12 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from batchsvd import inner_row_switch
+from batchsvd import inner_row_switch, rank1_svd, solver
 from batchsvd.solver import _top_k
 
-from oracles import best_fixed_atom_support, stable_top_k
+from oracles import all_rounds_inner_row, best_fixed_atom_support, stable_top_k
 
 
 def _unit(rng, m):
@@ -82,6 +84,45 @@ def test_halfstep_sequence_non_increasing():
         # the trace end matches the recomputed local objective
         direct = _local_objective(Yt, atom, supp, vals)
         assert np.isclose(direct, locals_[-1], rtol=1e-9, atol=1e-12)
+
+
+def test_fixed_point_exit_matches_all_rounds_oracle():
+    # stopping once a converged round re-selects its own support skips only
+    # rounds that refit the same block from their own output: the support,
+    # values and objective of running every round must come out the same
+    rng = np.random.default_rng(8)
+    early = 0
+    for _ in range(300):
+        m, p = int(rng.integers(2, 9)), int(rng.integers(2, 41))
+        k = int(rng.integers(1, p + 1))
+        R = rng.standard_normal((m, p))
+        cols = np.sort(rng.choice(p, size=k, replace=False))
+        atom, n_iters = _unit(rng, m), int(rng.integers(1, 5))
+        _, supp, vals, locals_ = inner_row_switch(R, atom, cols, rng.standard_normal(k), n_iters)
+        _, ref_supp, ref_vals, ref_obj = all_rounds_inner_row(R, atom, cols, n_iters, rank1_svd)
+        assert np.array_equal(supp, ref_supp)
+        assert np.linalg.norm(vals - ref_vals) <= 1e-9 * np.linalg.norm(ref_vals)
+        assert abs(locals_[-1] - ref_obj) <= 1e-12 * np.sum(R**2)
+        early += len(locals_) < 2 * n_iters + 1
+    assert early >= 100  # the exit fires on a third of the rows or more
+
+
+def test_unconverged_fit_never_ends_the_rounds(monkeypatch):
+    # a planted rank-1 row is a fixed point from the first round on; only a
+    # converged fit may end the rounds there
+    rng = np.random.default_rng(9)
+    a = _unit(rng, 5)
+    x = np.zeros(12)
+    cols = np.array([2, 5, 7])
+    x[cols] = rng.standard_normal(3) + np.sign(rng.standard_normal(3))
+    residual = np.outer(a, x) + 1e-3 * rng.standard_normal((5, 12))
+    assert len(inner_row_switch(residual, a, cols, x[cols], 4)[3]) == 3
+    real = solver._rank1
+    monkeypatch.setattr(solver, "_rank1",
+                        lambda *args: dataclasses.replace(real(*args), converged=False))
+    _, supp, _, locals_ = inner_row_switch(residual, a, cols, x[cols], 4)
+    assert len(locals_) == 2 * 4 + 1
+    assert np.array_equal(supp, cols)
 
 
 def test_support_size_preserved():
@@ -183,8 +224,12 @@ def tied_rows(draw):
 def test_selection_is_stable_top_k_of_final_projection(problem, n_iters):
     residual, atom, support, values = problem
     out_atom, supp, vals, locals_ = inner_row_switch(residual, atom, support, values, n_iters)
-    if len(locals_) < 2 * n_iters + 1:  # a zero block ended the rounds early
+    # every round ends on a re-selection (an odd trace), whether all ran or a
+    # fixed point ended them; a zero block ends them after an even count
+    if len(locals_) % 2 == 0:
+        assert len(locals_) < 2 * n_iters + 1
         assert np.array_equal(supp, support)
+        assert np.all(vals == 0.0)
         return
     proj = residual.T @ out_atom
     assert np.array_equal(supp, stable_top_k(np.abs(proj), support.size))

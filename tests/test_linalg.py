@@ -14,7 +14,7 @@ from batchsvd import (
     objective,
     rank1_svd,
 )
-from batchsvd.linalg import COND_LIMIT, RIDGE_SCALE, solve_gram
+from batchsvd.linalg import COND_LIMIT, RIDGE_SCALE, _rank1, solve_gram
 
 from oracles import align_sign, eigvalsh_ridges, jacobi_svd, qr_solve, reference_ridge
 
@@ -416,6 +416,47 @@ class TestRank1Svd:
     def test_start_of_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="start"):
             rank1_svd(np.eye(3), start=np.ones(2))
+
+    def test_kernel_is_bit_identical_to_the_checked_entry(self):
+        # the solvers call _rank1 directly; rank1_svd only checks, then calls it
+        rng = np.random.default_rng(23)
+        cases = []
+        for _ in range(30):
+            m, q = (int(x) for x in rng.integers(2, 9, size=2))
+            M = self._gapped(rng, m, q)
+            cases += [(M, None, 500), (M, rng.standard_normal(m), 500), (M, None, 1)]
+            cases += [(rng.standard_normal((m, q)), rng.standard_normal(m), 500)]
+        M = np.array([[2.0, 1.0, 0.5, 0.0], [0.0, 1.0, -1.0, 3.0], [0.0, 0.0, 0.0, 0.0]])
+        cases += [(M, np.array(start), 500) for start in ([0.0, 0.0, 1.0], [0.0, 0.0, 0.0])]
+        basis = np.outer(np.array([1.0, -1.0]) / np.sqrt(2), [1.0, 0.0, 0.0])
+        cases += [(basis, None, 500), (basis, np.array([3.0, 3.0]), 500)]
+        converged = set()
+        for M, start, max_iter in cases:
+            checked, kernel = rank1_svd(M, max_iter=max_iter, start=start), _rank1(
+                M, start, max_iter=max_iter)
+            assert checked.sigma == kernel.sigma and checked.converged == kernel.converged
+            assert np.array_equal(checked.u, kernel.u) and np.array_equal(checked.v, kernel.v)
+            converged.add(kernel.converged)
+        assert converged == {True, False}
+
+    @pytest.mark.parametrize("M, kwargs, match", [
+        (np.zeros((3, 3)), {}, "zero"),
+        (np.ones(3), {}, "2-D"),
+        (np.ones((2, 2, 2)), {}, "2-D"),
+        (np.ones((0, 3)), {}, "at least one row"),
+        (np.array([[1.0, np.nan]]), {}, "non-finite"),
+        (np.array([[1.0, np.inf]]), {}, "non-finite"),
+        (None, {}, "2-D"),
+        (np.eye(2), {"tol": 0.0}, "tol"),
+        (np.eye(2), {"tol": -1e-3}, "tol"),
+        (np.eye(2), {"max_iter": 0}, "max_iter"),
+        (np.eye(2), {"start": np.ones(3)}, "start has length 3"),
+        (np.eye(2), {"start": np.ones((2, 1))}, "start must be 1-D"),
+        (np.eye(2), {"start": np.array([1.0, np.nan])}, "start contains non-finite"),
+    ])
+    def test_every_bad_input_still_rejected(self, M, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            rank1_svd(M, **kwargs)
 
 
 class TestObjective:

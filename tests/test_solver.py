@@ -162,6 +162,19 @@ class TestBatchSvd:
             LearnConfig(**{"budget": 10, field: 2.5})
         assert getattr(LearnConfig(**{"budget": 10, field: np.int64(2)}), field) == 2
 
+    @pytest.mark.parametrize("seed, message", [
+        (2.5, "seed must be an integer, got 2.5"),
+        (True, "seed must be an integer, got True"),
+        (None, "seed must be an integer, got None"),
+        (-1, "seed must be at least 0, got -1"),
+    ])
+    def test_config_bad_seed_rejected(self, seed, message):
+        # 2.5 and -1 used to be accepted and fail inside numpy's generator
+        with pytest.raises(ValueError, match=message):
+            LearnConfig(budget=10, seed=seed)
+        assert LearnConfig(budget=10, seed=np.uint32(7)).seed == 7
+        assert LearnConfig(budget=10, seed=0).seed == 0
+
     def test_config_constants_accepted(self):
         # the evaluation protocol's constants round-trip through the config
         cfg = LearnConfig(budget=50, max_outer=20, inner_sweeps=3,
@@ -232,6 +245,22 @@ def test_inner_objective_tracks_the_factorization_row_by_row(seed, monkeypatch):
         Xd[i, supp] = row_vals
         assert recorded == obj
         assert abs(obj - np.sum((Y - A @ Xd) ** 2)) <= 1e-12 * np.sum(Y**2)
+
+
+def test_inner_rounds_stop_at_their_fixed_point(monkeypatch):
+    # a row whose converged fit re-selects its own support takes no further
+    # round, so the phase runs fewer fits than rows times inner_sweeps
+    Y, A0, X0 = _in_visiting_order(5)
+    real, fits = solver._rank1, []
+
+    def counting(*args):
+        fits.append(args[0].shape)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_rank1", counting)
+    batch_svd(Y, A0, X0, LearnConfig(budget=150, max_outer=1, inner_sweeps=3, seed=0))
+    rows = np.unique(X0.entries()[0]).size
+    assert rows <= len(fits) <= 2 * rows
 
 
 @pytest.mark.parametrize("seed", [5, 6, 7])
