@@ -157,12 +157,11 @@ def run_benchmark(
     rng_init = np.random.default_rng(seeds[0])
     rng_rnd = np.random.default_rng(seeds[1])
 
-    per_sample_k = cfg.budget // p
+    per_sample_k = min(cfg.budget // p, m, n_atoms)
     if per_sample_k < 1 and any(a in ("ksvd", "rnd-omp") for a in algos):
         raise ValueError(
             f"budget {cfg.budget} gives a zero per-sample budget for the baselines"
         )
-    per_sample_k = min(per_sample_k, m, n_atoms) if per_sample_k >= 1 else per_sample_k
 
     A0 = initial_dictionary(Y, n_atoms, rng_init)
     results: list[RunResult] = []

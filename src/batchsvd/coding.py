@@ -59,12 +59,14 @@ class SparseCoeff:
     def from_triplets(cls, n: int, p: int, rows, cols, vals) -> "SparseCoeff":
         """Build from aligned row-index, column-index and value arrays.
 
-        Every index must lie in range and every ``(row, col)`` pair may
-        appear once; structural zeros are kept. The store is a sorted copy.
+        Every index must lie in range, every value be finite and every ``(row,
+        col)`` pair appear once; structural zeros are kept. The store is sorted.
         """
         X = cls(n, p)
         rows, cols = _indices(rows, "row"), _indices(cols, "column")
         vals = np.asarray(vals, dtype=np.float64).reshape(-1)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("coefficient values must be finite")
         if not rows.size == cols.size == vals.size:
             raise ValueError("rows, cols and vals differ in length")
         for index, size, kind in ((rows, X.n, "row"), (cols, X.p, "column")):
@@ -215,18 +217,17 @@ def _normalize_atoms(A: np.ndarray, which) -> np.ndarray:
     return factors
 
 
-def _atom_fitter(rows, cols):
-    """The dictionary least squares on a frozen support, as ``fit(Y, A, vals)``.
+def _atom_fitter(X: SparseCoeff):
+    """The dictionary least squares on X's frozen support, as ``(used, slot, fit)``.
 
-    ``fit`` solves ``min ||Y - A_u X_u||_F`` in place over the used atoms
-    ``u = unique(rows)``, whose coefficient rows ``X_u`` are the triplets
-    ``(rows, cols, vals)``; other atoms are left untouched. ``X_u X_u^T`` is
-    one weighted ``bincount`` over every pair of entries sharing a column,
-    and ``X_u Y^T`` one per row of Y; their index plan is built once, here.
+    ``fit(Y, A, vals)`` solves ``min ||Y - A_u X_u||_F`` in place over the
+    ``used`` atoms (ascending), whose rows ``X_u`` are X's entries with values
+    ``vals``; ``slot`` is each entry's row within ``used``. Other atoms are
+    left untouched. ``X_u X_u^T`` is one weighted ``bincount`` over every
+    pair of entries sharing a column, and ``X_u Y^T`` one per row of Y; their
+    index plan is built once, here, on X's column-contiguous order.
     """
-    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-    order = np.argsort(cols, kind="stable")  # each column's entries contiguous
-    rows, cols = rows[order], cols[order]
+    rows, cols, _ = X.entries()
     used, slot = np.unique(rows, return_inverse=True)
     u = used.size
     counts = np.bincount(cols)
@@ -237,14 +238,13 @@ def _atom_fitter(rows, cols):
     pair = slot[first] * u + slot[second]
 
     def fit(Y, A, vals):
-        vals = np.asarray(vals, dtype=np.float64)[order]
         gram = np.bincount(pair, weights=vals[first] * vals[second], minlength=u * u)
         rhs = np.empty((u, Y.shape[0]))
         for d, y in enumerate(Y):
             rhs[:, d] = np.bincount(slot, weights=vals * y[cols], minlength=u)
         A[:, used] = solve_gram(gram.reshape(u, u), rhs).T
 
-    return fit
+    return used, slot, fit
 
 
 def omp(y, A, k: int):
@@ -257,9 +257,6 @@ def omp(y, A, k: int):
     come back when the residual reaches zero early.
     """
     A, y = as_matrix(A, "A"), as_vector(y, "y")
-    m, n = A.shape
-    if y.shape[0] != m:
-        raise ValueError(f"dimension mismatch: A is {m}x{n}, y has length {y.shape[0]}")
     return _pursue(y[:, None], A, k)[::2]  # (rows, vals)
 
 
@@ -449,63 +446,65 @@ class _Paths:
         return self.atom[keep], np.repeat(np.arange(depth.size), depth), coef[keep]
 
 
+def _unit_samples(Y, order, count: int) -> list:
+    """The first ``count`` nonzero columns of Y in ``order``, each scaled to unit norm."""
+    picked = []
+    for j in order:
+        if len(picked) == count:
+            break
+        nrm = np.linalg.norm(Y[:, j])  # per column: an axis=0 norm rounds differently
+        if nrm > 0.0:
+            picked.append(Y[:, j] / nrm)
+    return picked
+
+
 def initial_dictionary(Y, n_atoms: int, rng: np.random.Generator) -> np.ndarray:
     """Seed dictionary: distinct sample columns, Gaussian fill-ins, unit norms.
 
     Picks ``n_atoms`` distinct columns of Y uniformly at random and
-    normalizes them; zero columns are skipped and any shortfall (including
-    p < n_atoms) is filled with normalized Gaussian atoms.
+    normalizes them (:func:`_unit_samples` on a random permutation); zero
+    columns are skipped and any shortfall (including p < n_atoms) is filled
+    with normalized Gaussian atoms.
     """
     Y = as_matrix(Y, "Y")
     _count(n_atoms, "n_atoms")
     m, p = Y.shape
-    A = np.empty((m, n_atoms))
-    count = 0
-    for j in rng.permutation(p):
-        nrm = np.linalg.norm(Y[:, j])
-        if nrm > 0.0:
-            A[:, count] = Y[:, j] / nrm
-            count += 1
-            if count == n_atoms:
-                break
-    while count < n_atoms:
+    atoms = _unit_samples(Y, rng.permutation(p), n_atoms)
+    while len(atoms) < n_atoms:
         g = rng.standard_normal(m)
         nrm = np.linalg.norm(g)
         if nrm > 0.0:
-            A[:, count] = g / nrm
-            count += 1
-    return A
+            atoms.append(g / nrm)
+    return np.column_stack(atoms)
 
 
 def reseed_dead_atoms(A: np.ndarray, dead_rows, Y, residual) -> int:
     """Replace unused atoms in-place with the worst-represented samples.
 
-    Dead atoms point at the sample columns with the largest residual norms
-    (normalized, skipping zero samples). The samples are distinct within a
-    call, so every solver passes all of a round's dead atoms in one call;
-    separate calls with the same residual would give them the same sample.
-    Falls back to a basis vector in the pathological case where no usable
-    sample remains. Returns the number of atoms replaced.
+    Dead atoms, ascending, take the nonzero sample columns with the largest
+    residual norms, normalized (:func:`_unit_samples`). The samples are
+    distinct within a call, so every solver passes all of a round's dead
+    atoms in one call. Falls back to a basis vector when no usable sample
+    remains. Repeated, non-integer or out-of-range indices, or shapes other
+    than A m x n and Y and residual m x p, raise ValueError (shapes only:
+    no array is scanned). Returns the number of atoms replaced.
     """
-    dead_rows = sorted(int(i) for i in dead_rows)
-    if not dead_rows:
+    m, n = A.shape
+    if np.ndim(Y) != 2 or np.shape(Y)[0] != m or np.shape(residual) != np.shape(Y):
+        raise ValueError(f"shape mismatch: A is {A.shape}, Y is {np.shape(Y)}, "
+                         f"residual is {np.shape(residual)}")
+    given = _indices(dead_rows, "dead atom")
+    dead = np.unique(given[(given >= 0) & (given < n)])  # ascending
+    if dead.size != given.size:
+        raise ValueError(f"dead atom indices must be distinct and in range for {n} atoms")
+    if not dead.size:
         return 0
-    m = A.shape[0]
     order = np.argsort(-np.linalg.norm(residual, axis=0), kind="stable")
-    candidates = iter(order)
-    for i in dead_rows:
-        atom = None
-        for j in candidates:
-            nrm = np.linalg.norm(Y[:, j])
-            if nrm > 0.0:
-                atom = Y[:, j] / nrm
-                break
-        if atom is None:
-            atom = np.zeros(m)
-            atom[i % m] = 1.0
-        A[:, i] = atom
+    samples = _unit_samples(Y, order, dead.size)
+    for t, i in enumerate(dead):
+        A[:, i] = samples[t] if t < len(samples) else np.eye(m)[i % m]
         log.debug("re-seeded dead atom %d", i)
-    return len(dead_rows)
+    return dead.size
 
 
 def dict_approx_init(Y, A0, budget: int, iters: int):
@@ -527,16 +526,15 @@ def dict_approx_init(Y, A0, budget: int, iters: int):
 
     for _ in range(iters):
         X = block_omp(Y, A, budget)
-        rows, cols, vals = X.entries()
-        used = np.zeros(n, dtype=bool)
-        used[rows] = True
-        _atom_fitter(rows, cols)(Y, A, vals)
-        used_ever |= used
+        used, _, fit = _atom_fitter(X)
+        fit(Y, A, X.entries()[2])
+        used_ever[used] = True
         # re-normalize so the next coding round sees unit atoms; only used
         # atoms, since rescaling an untouched atom by a norm a rounding error
         # away from 1 would change its bits
-        factors = _normalize_atoms(A, np.flatnonzero(used))
-        X = SparseCoeff.from_triplets(n, X.p, rows, cols, vals * factors[rows])
+        factors = _normalize_atoms(A, used)
+    rows, cols, vals = X.entries()  # each round recodes from A: only the last X is rescaled
+    X = SparseCoeff.from_triplets(n, X.p, rows, cols, vals * factors[rows])
 
     dead = np.flatnonzero(~used_ever)
     if dead.size:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 
@@ -136,22 +137,13 @@ def save_sparse(path, X: SparseCoeff):
 
 
 def _pgm_tokens(data: bytes):
-    """Yield header tokens, honoring '#' comments; report the byte offset."""
-    pos = 0
-    while pos < len(data):
-        ch = data[pos : pos + 1]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        yield data[start:pos].decode("ascii", errors="replace"), pos
-        pos += 1  # single whitespace after the token
+    """Yield header tokens, each with the byte offset just past it; '#' starts a comment.
+
+    A '#' inside a token is part of it; a comment runs to the end of its line.
+    """
+    for match in re.finditer(rb"#[^\n]*|\S+", data):
+        if match[0][:1] != b"#":
+            yield match[0].decode("ascii", errors="replace"), match.end()
 
 
 def load_pgm(path):

@@ -146,9 +146,9 @@ def rank1_svd(M, tol: float = 1e-10, max_iter: int = 500, start=None) -> Singula
 def _rank1(M, start=None, tol: float = 1e-10, max_iter: int = 500) -> SingularTriple:
     """:func:`rank1_svd`'s power iteration on ``M M^T``, for a float64 M not all zero, unchecked.
 
-    Starts from ``start / ||start||``, a float64 vector of length m, or by default from the
-    normalized all-ones vector. A start orthogonal to the column space of M (a zero start too)
-    falls back to the default one, and a default start in the null space of ``M^T`` restarts
+    Starts from ``start / ||start||``, a float64 vector of length m, or by default (a zero
+    start too) from the normalized all-ones vector. A start orthogonal to the column space of
+    M falls back to the default one, and a default start in the null space of ``M^T`` restarts
     from successive basis vectors. Stops once ``||M v - sigma u|| <= tol * ||M||_F``; after
     ``max_iter`` sweeps the best iterate is returned with ``converged=False``.
     """
@@ -156,9 +156,9 @@ def _rank1(M, start=None, tol: float = 1e-10, max_iter: int = 500) -> SingularTr
     fnorm = math.sqrt(_sq_norm(M))  # as np.linalg.norm computes it
     u = default = np.full(m, 1.0 / np.sqrt(m))
     basis_next = 0  # the next restart: -1 is the default start, 0.. the basis vectors
-    if start is not None:
-        nrm = math.sqrt(start @ start)
-        u, basis_next = (start / nrm if nrm > 0.0 else start), -1
+    nrm = 0.0 if start is None else math.sqrt(start @ start)
+    if nrm > 0.0:
+        u, basis_next = start / nrm, -1
     converged = False
     for _ in range(max_iter):
         w = M.T @ u

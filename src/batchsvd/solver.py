@@ -117,8 +117,9 @@ def inner_row_switch(residual, atom, support, values, n_iters: int):
     ``n_iters`` bounds the rounds; the trace is shorter than ``2 * n_iters +
     1`` when a round reached a fixed point (a converged fit whose re-selection
     returned the round's own support: an odd length) or when an all-zero
-    support block zeroed the values (an even length). The rounds run on
-    :func:`_inner_row`, the kernel ``batch_svd`` calls directly.
+    support block zeroed the values (an even length). The rounds and their
+    half-step objectives come from :func:`_inner_row`, the kernel
+    ``batch_svd`` calls directly; this function prepends the entry one.
     """
     R = as_matrix(residual, "residual")
     _count(n_iters, "n_iters")
@@ -131,57 +132,50 @@ def inner_row_switch(residual, atom, support, values, n_iters: int):
 
     fnorm_sq = _sq_norm(R)
     c_supp = R[:, supp].T @ a
-    locals_ = [fnorm_sq - 2.0 * float(vals @ c_supp) + float(a @ a) * float(vals @ vals)]
-    a, supp, vals, _ = _inner_row(R, a, supp, vals, n_iters, fnorm_sq, locals_)
-    return a, supp, vals, locals_
+    entry = fnorm_sq - 2.0 * float(vals @ c_supp) + float(a @ a) * float(vals @ vals)
+    a, supp, vals, halfsteps = _inner_row(R, a, supp, vals, n_iters, fnorm_sq)
+    return a, supp, vals, [entry] + halfsteps
 
 
-def _inner_row(R, a, supp, vals, n_iters: int, fnorm_sq: float, halfsteps=None):
+def _inner_row(R, a, supp, vals, n_iters: int, fnorm_sq: float):
     """The rounds of :func:`inner_row_switch` on arrays, unchecked.
 
     ``R`` is the residual with the row added back, ``fnorm_sq`` its squared
     norm, ``a`` the row's atom and ``supp`` a valid nonempty support. Each
-    rank-1 fit runs on :func:`linalg._rank1` from the current atom, so a
-    converged row costs one power iteration. The rounds end after at most
-    ``n_iters``, or after the first round whose fit converged and whose
-    re-selection returned the support the round began with: a further round
-    would refit that block from its own output, moving the atom by at most
-    the fit's tolerance. A round whose support block of R is all zero
-    zeroes the values, keeps the atom and ends the rounds. Returns the new
-    atom, support and values and the row's final objective ``||R - a
-    x^T||^2``. Each half-step's objective is appended to ``halfsteps`` when
-    a list is given.
+    rank-1 fit runs on :func:`linalg._rank1` from the current atom (a zero
+    atom gives the default start), so a converged row costs one power
+    iteration. The rounds end after at most ``n_iters``, or after the first
+    round whose fit converged and whose re-selection returned the support
+    the round began with: a further round would refit that block from its
+    own output, moving the atom by at most the fit's tolerance. A round
+    whose support block of R is all zero zeroes the values, keeps the atom
+    and ends the rounds. Returns the new atom, support and values and the
+    objective ``||R - a x^T||^2`` after every half-step; the last one is the
+    row's final objective.
     """
+    halfsteps = []
     for _ in range(n_iters):
         block = R[:, supp]
         if not block.any():
-            vals, obj = np.zeros(supp.size), fnorm_sq
-            if halfsteps is not None:
-                halfsteps.append(obj)
+            vals = np.zeros(supp.size)
+            halfsteps.append(fnorm_sq)
             break
         a_norm = math.sqrt(a @ a)
-        if a_norm > 0.0:
-            # monotonicity guard: keep the incoming atom if the (possibly
-            # unconverged) power iteration returned a weaker direction
-            a_unit = a / a_norm
-            triple = _rank1(block, a_unit)
-            old = block.T @ a_unit
-            a = triple.u if triple.sigma**2 >= old @ old else a_unit
-        else:
-            triple = _rank1(block)
-            a = triple.u
+        a_unit = a / a_norm if a_norm > 0.0 else a
+        triple = _rank1(block, a_unit)
+        # monotonicity guard: keep the incoming atom if the (possibly
+        # unconverged) power iteration returned a weaker direction
+        old = block.T @ a_unit
+        a = triple.u if triple.sigma**2 >= old @ old else a_unit
         proj = R.T @ a
-        if halfsteps is not None:
-            halfsteps.append(fnorm_sq - float(proj[supp] @ proj[supp]))
+        halfsteps.append(fnorm_sq - float(proj[supp] @ proj[supp]))
         new = _top_k(np.abs(proj), supp.size)
         fixed = triple.converged and np.array_equal(new, supp)
         supp, vals = new, proj[new]
-        obj = fnorm_sq - float(vals @ vals)
-        if halfsteps is not None:
-            halfsteps.append(obj)
+        halfsteps.append(fnorm_sq - float(vals @ vals))
         if fixed:  # a further round would refit this block from its own converged fit
             break
-    return a, supp, vals, obj
+    return a, supp, vals, halfsteps
 
 
 def inter_row_switch(residual, a_i, s_i, v_i, a_j, s_j, v_j):
@@ -271,8 +265,7 @@ def amplitude_adjust(Y, A, X: SparseCoeff, n_iters: int):
     A = A.copy()
     rows, cols, vals = X.entries()  # the support is frozen: take it once, in column order
     vals = vals.copy()  # the stored arrays are read-only
-    used, slot = np.unique(rows, return_inverse=True)  # slot: entry's row within used
-    fit = _atom_fitter(rows, cols)
+    used, slot, fit = _atom_fitter(X)  # slot: entry's row within used
     groups = [(slot[pos], pos, Y[:, js]) for js, pos in _support_groups(cols, X.p)]
 
     objectives = []
@@ -361,8 +354,8 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
             obj -= _sq_norm(block)
             block += np.outer(A[:, i], values[i])
             R[:, supp] = block
-            a, supp, vals, obj = _inner_row(R, A[:, i], supp, values[i], cfg.inner_sweeps,
-                                            obj + _sq_norm(block))
+            a, supp, vals, (*_, obj) = _inner_row(R, A[:, i], supp, values[i], cfg.inner_sweeps,
+                                                  obj + _sq_norm(block))
             A[:, i] = a
             supports[i], values[i] = supp, vals
             R[:, supp] -= np.outer(a, vals)
@@ -388,9 +381,7 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
                 trace.append("inter", obj)
 
         # --- re-seed unused atoms (objective-neutral: their rows are zero) ---
-        dead = [i for i in range(n) if supports[i].size == 0]
-        if dead:
-            reseed_dead_atoms(A, dead, Y, R)
+        reseed_dead_atoms(A, [i for i in range(n) if supports[i].size == 0], Y, R)
 
         # --- amplitude phase, on the edited rows joined back and checked ---
         X = _join_rows(n, p, supports, values)
@@ -451,9 +442,7 @@ def ksvd(Y, A0, k: int, iters: int):
                 values[i] = np.zeros(cols.size)
             R[:, cols] = E - np.outer(A[:, i], values[i])
 
-        dead = [i for i in range(n) if supports[i].size == 0]
-        if dead:
-            reseed_dead_atoms(A, dead, Y, R)
+        reseed_dead_atoms(A, [i for i in range(n) if supports[i].size == 0], Y, R)
         trace.append("outer", _sq_norm(R))
 
     return A, _join_rows(n, p, supports, values), trace

@@ -9,8 +9,9 @@ an explicitly materialized block-diagonal pursuit, the heap merge that
 ``block_omp`` ran on the package's path kernel, exhaustive support
 enumerations, the full-sort, set-based row selections the switching
 phases used before they moved to partial selection and masks, the inner-row
-rounds as they ran before they stopped at a fixed point, and the dense
-K-SVD loop, which takes the package's kernels as arguments.
+rounds as they ran before they stopped at a fixed point, the dense
+K-SVD loop, which takes the package's kernels as arguments, and the
+byte-by-byte PGM header tokenizer.
 """
 from __future__ import annotations
 
@@ -380,3 +381,27 @@ def make_planted(m, n, p, sparsities, rng, snr_db=None):
     noise = rng.standard_normal((m, p))
     scale = np.linalg.norm(signal) / (np.linalg.norm(noise) * 10 ** (snr_db / 20.0))
     return signal + noise * scale, A, X
+
+
+def pgm_tokens_bytewise(data: bytes):
+    """The PGM header tokenizer as first written, one byte at a time, frozen.
+
+    Skips whitespace (``bytes.isspace``), drops a '#' comment up to its
+    newline, and yields each other run of non-space bytes, decoded as ASCII
+    with replacement, together with the offset just past it.
+    """
+    pos = 0
+    while pos < len(data):
+        ch = data[pos : pos + 1]
+        if ch.isspace():
+            pos += 1
+            continue
+        if ch == b"#":
+            while pos < len(data) and data[pos : pos + 1] != b"\n":
+                pos += 1
+            continue
+        start = pos
+        while pos < len(data) and not data[pos : pos + 1].isspace():
+            pos += 1
+        yield data[start:pos].decode("ascii", errors="replace"), pos
+        pos += 1  # single whitespace after the token

@@ -3,8 +3,9 @@ import logging
 import numpy as np
 import pytest
 
-from batchsvd import block_omp, dict_approx_init, initial_dictionary, objective, omp
-from batchsvd.coding import _atom_fitter
+from batchsvd import (block_omp, dict_approx_init, initial_dictionary, objective, omp,
+                      reseed_dead_atoms)
+from batchsvd.coding import SparseCoeff, _atom_fitter
 from batchsvd.linalg import solve_gram
 
 from oracles import kron_omp, reference_omp
@@ -212,6 +213,72 @@ class TestInitialDictionary:
             initial_dictionary(np.eye(3), n_atoms, np.random.default_rng(0))
         assert initial_dictionary(np.eye(3), np.int64(2), np.random.default_rng(0)).shape == (3, 2)
 
+    def test_samples_in_permutation_order_then_gaussian_fill(self):
+        # p < n_atoms: the nonzero samples come first, in the seeded
+        # permutation's order, then unit Gaussian atoms drawn from the same rng
+        Y = np.zeros((3, 5))
+        Y[:, [0, 2, 4]] = [[3.0, 0.0, 1.0], [4.0, 2.0, 1.0], [0.0, 0.0, 1.0]]
+        A = initial_dictionary(Y, 6, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        nonzero = [j for j in rng.permutation(5) if Y[:, j].any()]
+        expected = [Y[:, j] / np.linalg.norm(Y[:, j]) for j in nonzero]
+        assert np.array_equal(A[:, :3], np.column_stack(expected))
+        g = rng.standard_normal(3)
+        assert np.array_equal(A[:, 3], g / np.linalg.norm(g))
+        assert np.allclose(np.linalg.norm(A, axis=0), 1.0)
+
+
+class TestReseedDeadAtoms:
+    @staticmethod
+    def _problem():
+        # sample j is 10 j e_(j mod 3); the residual ranks the samples 3, 0, 4, 1, 2
+        Y = np.zeros((3, 5))
+        Y[np.arange(5) % 3, np.arange(5)] = 10.0 * np.arange(5)
+        residual = np.zeros((3, 5))
+        residual[0] = [5.0, 2.0, 1.0, 9.0, 3.0]
+        return np.eye(3), Y, residual
+
+    def test_residual_order_zero_samples_skipped_and_distinct(self):
+        # sample 0 is zero although its residual ranks second: atoms 0 and 2,
+        # ascending, take samples 3 and 4, one each
+        A, Y, residual = self._problem()
+        assert reseed_dead_atoms(A, [2, 0], Y, residual) == 2
+        assert np.array_equal(A, [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+
+    def test_basis_fallback_when_samples_run_out(self):
+        # one usable sample for three atoms: the others get e_(i mod m)
+        A, Y, residual = self._problem()
+        Y[:, 1:] = 0.0
+        Y[2, 0] = 2.0
+        assert reseed_dead_atoms(A, np.array([0, 1, 2]), Y, residual) == 3
+        assert np.array_equal(A, [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+
+    @pytest.mark.parametrize("dead", [[], np.array([], dtype=np.intp)])
+    def test_no_dead_atom_is_a_no_op(self, dead):
+        A, Y, residual = self._problem()
+        assert reseed_dead_atoms(A, dead, Y, residual) == 0
+        assert np.array_equal(A, np.eye(3))
+
+    @pytest.mark.parametrize("dead, match", [
+        ([-1], "distinct and in range for 3 atoms"),  # used to re-seed atom 2
+        ([3], "distinct and in range for 3 atoms"),  # used to raise a bare IndexError
+        ([0, 0], "distinct and in range for 3 atoms"),  # used to re-seed atom 0 twice
+        ([0.5], "dead atom indices must be integers"),  # used to be truncated to atom 0
+    ])
+    def test_bad_indices_refused(self, dead, match):
+        A, Y, residual = self._problem()
+        with pytest.raises(ValueError, match=match):
+            reseed_dead_atoms(A, dead, Y, residual)
+        assert np.array_equal(A, np.eye(3))
+
+    @pytest.mark.parametrize("y_shape, r_shape", [
+        ((3, 5), (3, 4)), ((3, 5), (3, 6)), ((3, 5), (2, 5)), ((2, 5), (2, 5)), ((15,), (15,)),
+    ])
+    def test_mismatched_shapes_refused(self, y_shape, r_shape):
+        # a residual with fewer or more columns than Y used to be accepted
+        with pytest.raises(ValueError, match="shape mismatch"):
+            reseed_dead_atoms(np.eye(3), [0], np.ones(y_shape), np.ones(r_shape))
+
 
 class TestFitAtoms:
     @staticmethod
@@ -231,7 +298,8 @@ class TestFitAtoms:
             used = np.unique(rows)
             expected = solve_gram(Xd[used] @ Xd[used].T, Xd[used] @ Y.T).T
             got = A.copy()
-            _atom_fitter(rows, cols)(Y, got, vals)
+            X = SparseCoeff.from_triplets(*Xd.shape, rows, cols, vals)
+            _atom_fitter(X)[2](Y, got, X.entries()[2])
             assert np.allclose(got[:, used], expected, rtol=0, atol=1e-12 * np.abs(expected).max())
             unused = np.setdiff1d(np.arange(A.shape[1]), used)
             assert np.array_equal(got[:, unused], A[:, unused])
@@ -240,16 +308,19 @@ class TestFitAtoms:
         rng = np.random.default_rng(12)
         Y, A, rows, cols, vals = self._problem(rng)
         first, second = A.copy(), A.copy()
-        _atom_fitter(rows, cols)(Y, first, vals)
+        n, p = A.shape[1], Y.shape[1]
+        X = SparseCoeff.from_triplets(n, p, rows, cols, vals)
+        _atom_fitter(X)[2](Y, first, X.entries()[2])
         perm = rng.permutation(rows.size)
-        _atom_fitter(rows[perm], cols[perm])(Y, second, vals[perm])
+        X = SparseCoeff.from_triplets(n, p, rows[perm], cols[perm], vals[perm])
+        _atom_fitter(X)[2](Y, second, X.entries()[2])
         assert np.allclose(first, second, rtol=0, atol=1e-12)
 
     def test_empty_triplets_noop(self):
         rng = np.random.default_rng(13)
         Y, A, *_ = self._problem(rng)
         out = A.copy()
-        _atom_fitter(np.array([], dtype=np.intp), np.array([], dtype=np.intp))(Y, out, np.array([]))
+        _atom_fitter(SparseCoeff(A.shape[1], Y.shape[1]))[2](Y, out, np.array([]))
         assert np.array_equal(out, A)
 
     def test_duplicate_rows_ridged_and_logged(self, caplog):
@@ -264,7 +335,8 @@ class TestFitAtoms:
             dense_lines = [r.getMessage() for r in caplog.records]
             caplog.clear()
             A = _unit_cols(rng, 4, 3)
-            _atom_fitter(rows, cols)(Y, A, vals)
+            X = SparseCoeff.from_triplets(3, 6, rows, cols, vals)
+            _atom_fitter(X)[2](Y, A, X.entries()[2])
             lines = [r.getMessage() for r in caplog.records]
         assert len(dense_lines) == 1 and dense_lines[0].startswith("gram solve: cond=")
         assert lines == dense_lines

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from batchsvd import (
     ParseError,
@@ -15,6 +17,9 @@ from batchsvd import (
     save_sparse,
     write_report_json,
 )
+from batchsvd.io import _pgm_tokens
+
+from oracles import pgm_tokens_bytewise
 
 
 class TestMatrixFormat:
@@ -265,6 +270,16 @@ class TestPgm:
         path.write_bytes(b"P6 1 1 255\n\x00\x00\x00")
         with pytest.raises(ParseError, match="magic"):
             load_pgm(path)
+
+    # every byte that bytes.isspace or a regex class could disagree on, and
+    # the comment marker, digits and high bytes
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(st.sampled_from([
+        b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1f", b"\x85", b"\xa0",
+        b"#", b"0", b"7", b"P5", b"\x00", b"\x80", b"\xff",
+    ]) | st.binary(max_size=3), max_size=30).map(b"".join))
+    def test_header_tokens_match_the_bytewise_tokenizer(self, data):
+        assert list(_pgm_tokens(data)) == list(pgm_tokens_bytewise(data))
 
 
 def test_report_json_stable_bytes(tmp_path):

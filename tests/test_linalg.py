@@ -510,3 +510,15 @@ def test_import_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_import_adds_only_numpy_and_the_standard_library():
+    # README: "Dependencies: numpy only". Every CLI call pays for what the
+    # import loads; modules the interpreter loaded at start-up do not count
+    code = ("import sys; before = set(sys.modules); import batchsvd; "
+            "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert {"numpy", "batchsvd"} <= added
+    assert added - {"numpy", "batchsvd"} - sys.stdlib_module_names == set()

@@ -231,9 +231,9 @@ def test_inner_objective_tracks_the_factorization_row_by_row(seed, monkeypatch):
     real = solver._inner_row
 
     def recording(*args):
-        atom, supp, vals, obj = real(*args)
-        fits.append((atom.copy(), supp, vals, obj))  # the atom may be a view of the solver's A
-        return atom, supp, vals, obj
+        atom, supp, vals, halfsteps = real(*args)
+        fits.append((atom.copy(), supp, vals, halfsteps[-1]))  # the atom may be a view of A
+        return atom, supp, vals, halfsteps
 
     monkeypatch.setattr(solver, "_inner_row", recording)
     trace = batch_svd(Y, A0, X0, LearnConfig(budget=budget, max_outer=1, seed=0))[2]
@@ -275,9 +275,9 @@ def test_inter_objective_tracks_the_factorization_pair_by_pair(seed, monkeypatch
     real_inner, real_pairs, real_inter = solver._inner_row, solver._sample_pairs, solver._inter_row
 
     def recording_inner(*args):
-        atom, supp, vals, obj = real_inner(*args)
+        atom, supp, vals, halfsteps = real_inner(*args)
         inner.append((atom.copy(), supp, vals))
-        return atom, supp, vals, obj
+        return atom, supp, vals, halfsteps
 
     def recording_pairs(*args):
         got = real_pairs(*args)
@@ -323,12 +323,12 @@ class TestBudgetCheck:
         real = solver._inner_row
         dropped = []
 
-        def leaky(R, atom, supp, vals, n_iters, fnorm_sq, halfsteps=None):
-            atom, supp, vals, obj = real(R, atom, supp, vals, n_iters, fnorm_sq, halfsteps)
+        def leaky(R, atom, supp, vals, n_iters, fnorm_sq):
+            atom, supp, vals, halfsteps = real(R, atom, supp, vals, n_iters, fnorm_sq)
             if not dropped and supp.size > 1:  # lose exactly one entry
                 dropped.append(supp)
                 supp, vals = supp[:-1], vals[:-1]
-            return atom, supp, vals, obj
+            return atom, supp, vals, halfsteps
 
         monkeypatch.setattr(solver, "_inner_row", leaky)
 

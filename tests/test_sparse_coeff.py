@@ -46,6 +46,14 @@ def test_from_triplets_rejects_non_integer_columns(bad):
         SparseCoeff.from_triplets(3, 3, [0], [bad], [1.0])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_from_triplets_rejects_non_finite_values(bad):
+    # a NaN value used to be stored, and objective() then returned nan;
+    # from_dense and load_sparse refuse such values too
+    with pytest.raises(ValueError, match="coefficient values must be finite"):
+        SparseCoeff.from_triplets(2, 2, [0, 1], [0, 1], [1.0, bad])
+
+
 def test_from_triplets_builds_empty_store_from_empty_lists():
     X = SparseCoeff.from_triplets(3, 3, [], [], [])
     assert X == SparseCoeff(3, 3) and X.nnz == 0
