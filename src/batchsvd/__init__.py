@@ -27,7 +27,6 @@ from .io import (
 )
 from .linalg import (
     NumericalError,
-    SingularTriple,
     objective,
     rank1_svd,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "ObjectiveTrace",
     "ParseError",
     "RunResult",
-    "SingularTriple",
     "SparseCoeff",
     "amplitude_adjust",
     "batch_svd",

@@ -32,13 +32,15 @@ def extract_patches(image, size: int, count: int, seed: int = 0,
 
     Top-left corners are drawn uniformly (seeded, with replacement) over all
     valid placements; each patch is flattened column-major and scaled to
-    [0, 1] by ``maxval``. Deterministic given (image, size, count, seed).
+    [0, 1] by ``maxval``, which must be finite and positive. Deterministic
+    given (image, size, count, seed).
     """
     _count(size, "patch_size")
     _count(count, "patch_count")
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise ValueError("image must be a 2-D grayscale raster")
+    _count(seed, "seed", 0)
+    image = as_matrix(image, "image")
+    if not 0 < maxval < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"maxval must be a finite positive number, got {maxval!r}")
     height, width = image.shape
     if height < size or width < size:
         raise ValueError(f"image {height}x{width} smaller than patch size {size}")

@@ -8,8 +8,9 @@ columns), and amplitude adjustment (alternating least squares with the
 support frozen). ``batch_svd`` runs the switches' array kernels directly;
 the public switches validate, then run them. A row's inner rounds end early
 at a fixed point: once a converged rank-1 fit re-selects the support the
-round began with. A K-SVD baseline with a per-sample budget lives here too
-for equal-budget comparisons.
+round began with. Every residual edit, a row's add-back or take-out (K-SVD's
+too), is one :func:`_add_row`, which keeps ``||R||^2`` current for the trace.
+A K-SVD baseline with a per-sample budget serves equal-budget comparisons.
 """
 from __future__ import annotations
 
@@ -100,6 +101,19 @@ def _row_arrays(support, values, p: int):
     return supp, vals
 
 
+def _add_row(R, a, supp, vals, sq: float):
+    """Add ``a vals^T`` into R's columns ``supp`` in place; negated ``vals`` take it out.
+
+    Returns the new block, the fresh row-major sum ``R[:, supp] + a[:, None] * vals``
+    (bit for bit ``+ np.outer(a, vals)``, or ``- np.outer`` with ``-vals``; a rank-1
+    fit's bits depend on layout), and ``sq - ||old block||^2 + ||new block||^2``.
+    """
+    old = R[:, supp]
+    new = old + a[:, None] * vals
+    R[:, supp] = new
+    return new, sq - _sq_norm(old) + _sq_norm(new)
+
+
 def inner_row_switch(residual, atom, support, values, n_iters: int):
     """Alternate rank-1 refits with support re-selection for one row.
 
@@ -119,7 +133,8 @@ def inner_row_switch(residual, atom, support, values, n_iters: int):
     returned the round's own support: an odd length) or when an all-zero
     support block zeroed the values (an even length). The rounds and their
     half-step objectives come from :func:`_inner_row`, the kernel
-    ``batch_svd`` calls directly; this function prepends the entry one.
+    ``batch_svd`` calls directly; this function prepends the entry one, by
+    :func:`_add_row` on a copy of the residual.
     """
     R = as_matrix(residual, "residual")
     _count(n_iters, "n_iters")
@@ -131,8 +146,7 @@ def inner_row_switch(residual, atom, support, values, n_iters: int):
         raise ValueError("inner-row switching needs a nonempty support")
 
     fnorm_sq = _sq_norm(R)
-    c_supp = R[:, supp].T @ a
-    entry = fnorm_sq - 2.0 * float(vals @ c_supp) + float(a @ a) * float(vals @ vals)
+    entry = _add_row(R.copy(), a, supp, -vals, fnorm_sq)[1]
     a, supp, vals, halfsteps = _inner_row(R, a, supp, vals, n_iters, fnorm_sq)
     return a, supp, vals, [entry] + halfsteps
 
@@ -201,25 +215,17 @@ def inter_row_switch(residual, a_i, s_i, v_i, a_j, s_j, v_j):
         raise ValueError("atom length does not match the residual row count")
     _require_unit_atoms(np.column_stack((a_i, a_j)), "row-pair atom")
     (s_i, v_i), (s_j, v_j) = (_row_arrays(s, v, R.shape[1]) for s, v in ((s_i, v_i), (s_j, v_j)))
-    return _inter_row(R, a_i, a_j, s_i, v_i, s_j, v_j)[:2]
+    return _inter_row(R, a_i, a_j, s_i, v_i, s_j, v_j)
 
 
 def _inter_row(R, a_i, a_j, s_i, v_i, s_j, v_j):
-    """The selection of :func:`inter_row_switch` on arrays, unchecked.
-
-    Returns both new ``(support, values)`` rows and the change of the joint
-    objective ``||R - a_i x_i^T - a_j x_j^T||^2`` from ``M = [a_i; a_j] R``:
-    ``-sum M^2`` over the new unique entries plus ``sum (2 v M - v^2)`` over
-    the old ones; every ``||R_c||^2`` and every shared column cancels. Exact
-    for the unit atoms ``_normalize_atoms`` leaves before the phase; after the
-    inner phase a zero atom carries only zero values and adds nothing.
-    """
+    """The selection of :func:`inter_row_switch` on arrays, unchecked: only the two new rows."""
     in_i, in_j = np.zeros((2, R.shape[1]), dtype=bool)
     in_i[s_i] = in_j[s_j] = True
     shared = in_i & in_j
     unique_count = np.count_nonzero(in_i ^ in_j)
     if unique_count == 0:
-        return (s_i, v_i), (s_j, v_j), 0.0
+        return (s_i, v_i), (s_j, v_j)
 
     M = np.vstack((a_i, a_j)) @ R
     absM = np.abs(M)
@@ -229,16 +235,14 @@ def _inter_row(R, a_i, a_j, s_i, v_i, s_j, v_j):
     picked = _top_k(best, unique_count)
 
     # shared columns keep their entries; each picked column joins its row
-    out, change = [], 0.0
+    out = []
     for r, (supp, vals) in enumerate(((s_i, v_i), (s_j, v_j))):
         keep = shared[supp]
         new = picked[pick_first[picked] == (r == 0)]
-        gone, m_new = vals[~keep], M[r, new]
-        change += float(gone @ (2.0 * M[r, supp[~keep]] - gone)) - float(m_new @ m_new)
         cols = np.concatenate((supp[keep], new))
         order = np.argsort(cols)
-        out.append((cols[order], np.concatenate((vals[keep], m_new))[order]))
-    return out[0], out[1], change
+        out.append((cols[order], np.concatenate((vals[keep], M[r, new]))[order]))
+    return out[0], out[1]
 
 
 def amplitude_adjust(Y, A, X: SparseCoeff, n_iters: int):
@@ -306,14 +310,15 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
     """Monotone batchwise solver: switching plus amplitude refinement.
 
     Rows are ordered once by descending support size, then each outer round
-    sweeps every nonempty row with the inner-row kernel (:func:`_inner_row`,
-    handed the residual norm kept up to date row by row; ``cfg.inner_sweeps``
-    bounds its rounds, and a row stops at its first fixed point), rescales atoms
-    to unit norm, runs the inter-row kernel (:func:`_inter_row`, which
-    returns the objective change) over a seeded sample of row pairs whenever
-    the inner phase improved by less than ``cfg.trigger``, and finishes with
+    sweeps every nonempty row with the inner-row kernel (:func:`_inner_row`;
+    ``cfg.inner_sweeps`` bounds its rounds, and a row stops at its first
+    fixed point), rescales atoms to unit norm, runs the inter-row kernel
+    (:func:`_inter_row`) over a seeded sample of row pairs whenever the inner
+    phase improved by less than ``cfg.trigger``, and finishes with
     ``cfg.amplitude_iters`` amplitude alternations. Stops when an outer round
     improves by at most ``cfg.epsilon`` or after ``cfg.max_outer`` rounds.
+    Both switching phases edit the residual by :func:`_add_row`, whose
+    running ``||R||^2`` their trace entries record.
 
     Returns the updated dictionary and coefficients (atoms unit-normalized)
     together with the recorded objective trace. The structural nonzero count
@@ -348,17 +353,11 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
             supp = supports[i]
             if supp.size == 0:
                 continue
-            # ||R||^2 with the row added back, from the running objective:
-            # only the support's columns of R change
-            block = R[:, supp]
-            obj -= _sq_norm(block)
-            block += np.outer(A[:, i], values[i])
-            R[:, supp] = block
-            a, supp, vals, (*_, obj) = _inner_row(R, A[:, i], supp, values[i], cfg.inner_sweeps,
-                                                  obj + _sq_norm(block))
+            obj = _add_row(R, A[:, i], supp, values[i], obj)[1]
+            a, supp, vals, _ = _inner_row(R, A[:, i], supp, values[i], cfg.inner_sweeps, obj)
             A[:, i] = a
             supports[i], values[i] = supp, vals
-            R[:, supp] -= np.outer(a, vals)
+            obj = _add_row(R, a, supp, -vals, obj)[1]
             trace.append("inner", obj)
         inner_decrement = outer_start - obj
 
@@ -372,12 +371,11 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
                 if np.array_equal(supports[i], supports[j]):
                     continue  # equal (sorted) supports: empty symmetric difference, no-op
                 for r in (i, j):
-                    R[:, supports[r]] += np.outer(A[:, r], values[r])
-                (supports[i], values[i]), (supports[j], values[j]), change = _inter_row(
+                    obj = _add_row(R, A[:, r], supports[r], values[r], obj)[1]
+                (supports[i], values[i]), (supports[j], values[j]) = _inter_row(
                     R, A[:, i], A[:, j], supports[i], values[i], supports[j], values[j])
                 for r in (i, j):
-                    R[:, supports[r]] -= np.outer(A[:, r], values[r])
-                obj += change
+                    obj = _add_row(R, A[:, r], supports[r], -values[r], obj)[1]
                 trace.append("inter", obj)
 
         # --- re-seed unused atoms (objective-neutral: their rows are zero) ---
@@ -408,11 +406,11 @@ def ksvd(Y, A0, k: int, iters: int):
     one at a time, as the inner phase of :func:`batch_svd` does: atom i's
     contribution is added back to R on the samples using it, a rank-1 fit of
     that block replaces the atom and its coefficients, and the refit
-    contribution is taken out of R again. Atoms no sample used in the pass
-    are re-seeded from the worst-represented samples once, after the atom
-    loop, all in one call. Records the objective after coding and after the
-    updates; the trace is not guaranteed monotone, since the greedy coding
-    step can increase it.
+    contribution is taken out of R again, both by :func:`_add_row`. Atoms no
+    sample used in the pass are re-seeded from the worst-represented samples
+    once, after the atom loop, all in one call. Records ``||R||^2`` after
+    coding and, as :func:`_add_row` kept it, after the updates; the trace is
+    not guaranteed monotone, since the greedy coding step can increase it.
     """
     Y, A = _factors(Y, A0)
     _require_unit_atoms(A, "A0")
@@ -426,23 +424,24 @@ def ksvd(Y, A0, k: int, iters: int):
         coded = _code_per_sample(Y, A, k)
         supports, values = _split_rows(coded)
         R = Y - A @ coded.to_dense()
-        trace.append("outer", _sq_norm(R))
+        obj = _sq_norm(R)
+        trace.append("outer", obj)
 
         # atom-by-atom rank-1 updates on the running residual
         for i in range(n):
             cols = supports[i]
             if not cols.size:
                 continue
-            E = R[:, cols] + np.outer(A[:, i], values[i])
+            E, obj = _add_row(R, A[:, i], cols, values[i], obj)
             if E.any():
                 triple = _rank1(E)
                 A[:, i] = triple.u
                 values[i] = triple.sigma * triple.v
             else:
                 values[i] = np.zeros(cols.size)
-            R[:, cols] = E - np.outer(A[:, i], values[i])
+            obj = _add_row(R, A[:, i], cols, -values[i], obj)[1]
 
         reseed_dead_atoms(A, [i for i in range(n) if supports[i].size == 0], Y, R)
-        trace.append("outer", _sq_norm(R))
+        trace.append("outer", obj)
 
     return A, _join_rows(n, p, supports, values), trace

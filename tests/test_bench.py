@@ -73,6 +73,29 @@ class TestPatchExtraction:
         with pytest.raises(ValueError, match="smaller"):
             extract_patches(np.zeros((4, 4)), 8, 1)
 
+    @pytest.mark.parametrize("maxval", [0, -1, np.nan, np.inf])
+    def test_maxval_must_be_finite_and_positive(self, maxval):
+        # 0 divided by zero into inf patches, -1 returned negative patches and
+        # NaN returned NaN patches
+        with pytest.raises(ValueError, match="maxval must be a finite positive number"):
+            extract_patches(np.ones((10, 10)), 4, 3, maxval=maxval)
+
+    @pytest.mark.parametrize("image, message", [
+        (np.where(np.eye(10) > 0, np.nan, 1.0), "image contains non-finite entries"),
+        (np.ones((2, 10, 10)), "image must be 2-D"),
+    ])
+    def test_image_checked(self, image, message):
+        with pytest.raises(ValueError, match=message):
+            extract_patches(image, 4, 3)
+
+    @pytest.mark.parametrize("seed, message", [
+        (1.5, "seed must be an integer, got 1.5"),  # used to raise numpy's TypeError
+        (-1, "seed must be at least 0, got -1"),
+    ])
+    def test_seed_checked(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            extract_patches(np.ones((10, 10)), 4, 3, seed=seed)
+
     def test_column_major_within_patch(self):
         image = np.array([[1, 2], [3, 4]], dtype=np.uint8)
         P = extract_patches(image, 2, 1, seed=0, maxval=255)
@@ -173,6 +196,11 @@ class TestRunBenchmark:
         labels = [r.label for r in results]
         assert labels == ["ksvd", "ksvd-open"]
         assert results[1].coefficients.p == 15
+
+    def test_holdout_rows_must_match(self):
+        with pytest.raises(ValueError, match="holdout sample dimension does not match Y"):
+            run_benchmark(np.eye(3), LearnConfig(budget=2), ["batch"], n_atoms=3,
+                          holdout=np.ones((4, 2)))
 
     def test_protocol_defaults_echoed_in_report(self):
         rng = np.random.default_rng(4)

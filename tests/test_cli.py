@@ -64,6 +64,28 @@ def test_learn_writes_artifacts(sample_matrix, tmp_path):
     assert len(lines) - 1 == report["total_nnz"]
 
 
+def test_learn_normalize_matches_a_prenormalized_file(sample_matrix, tmp_path):
+    # --normalize divides each nonzero column by its norm and leaves a zero
+    # column zero: the outputs are those of a file normalized the same way
+    Y = load_matrix(sample_matrix)
+    Y[:, 4] = 0.0
+    raw = tmp_path / "raw.mat"
+    save_matrix(raw, Y)
+    norms = np.linalg.norm(Y, axis=0)
+    Yn = Y.copy()
+    Yn[:, norms > 0] /= norms[norms > 0]
+    assert not Yn[:, 4].any() and np.all(np.isfinite(Yn))
+    pre = tmp_path / "pre.mat"
+    save_matrix(pre, Yn)
+    outputs = []
+    for path, flags in ((raw, ["--normalize"]), (pre, [])):
+        out = tmp_path / f"run{len(outputs)}"
+        out.mkdir()
+        assert main(_learn_args(path, out, extra=flags)) == 0
+        outputs.append([(out / name).read_bytes() for name in ("D.mat", "X.txt", "r.json")])
+    assert outputs[0] == outputs[1]
+
+
 def test_learn_ksvd_truthful_nnz(sample_matrix, tmp_path):
     rc = main(_learn_args(sample_matrix, tmp_path, algo="ksvd"))
     assert rc == 0

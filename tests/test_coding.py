@@ -22,6 +22,10 @@ class TestOmp:
         assert list(supp) == [1]
         assert np.allclose(coef, [5.0])
 
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="dimension mismatch: A is 3x3, Y is 4x1"):
+            omp(np.ones(4), np.eye(3), 1)
+
     def test_non_integer_k_rejected(self):
         with pytest.raises(ValueError, match="k must be an integer, got 1.5"):
             omp(np.array([0.0, 5.0, 0.0]), np.eye(3), 1.5)
@@ -121,6 +125,10 @@ class TestBlockOmp:
     def test_budget_out_of_range(self):
         with pytest.raises(ValueError, match="budget"):
             block_omp(np.eye(2), np.eye(2), 5)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="dimension mismatch: A is 3x3, Y is 2x5"):
+            block_omp(np.ones((2, 5)), np.eye(3), 2)
 
     def test_requires_unit_columns(self):
         with pytest.raises(ValueError, match="unit"):

@@ -4,7 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from batchsvd import inter_row_switch
-from batchsvd.solver import _inter_row
+from batchsvd.linalg import _sq_norm
+from batchsvd.solver import _add_row
 
 from oracles import best_pair_assignment, reference_inter_row_switch
 
@@ -189,8 +190,17 @@ def test_matches_set_based_oracle(problem):
         # shared columns keep their old values bit for bit
         kept = np.isin(got_s, shared)
         assert np.array_equal(got_v[kept], values[np.isin(supp, shared)])
-    # the kernel's objective change is the joint objective's direct difference
-    change = _inter_row(Yt, wi[0], wj[0], *wi[1:], *wj[1:])[2]
+    # as batch_svd edits its residual: the old rows added back into R and the
+    # switched rows taken out, each by _add_row; the objective change it keeps
+    # is the joint objective's direct difference
+    R = Yt.copy()
+    for a, supp, values in (wi, wj):
+        R[:, supp] -= np.outer(a, values)
+    start = sq = _sq_norm(R)
+    for a, supp, values in (wi, wj):
+        sq = _add_row(R, a, supp, values, sq)[1]
+    for a, (supp, values) in zip((wi[0], wj[0]), out):
+        sq = _add_row(R, a, supp, -values, sq)[1]
     direct = _joint_objective(Yt, (wi[0], *out[0]), (wj[0], *out[1])) - _joint_objective(Yt, wi, wj)
     scale = np.sum(Yt**2) + sum(float(v @ v) for v in (wi[2], wj[2], out[0][1], out[1][1]))
-    assert abs(change - direct) <= 1e-12 * scale
+    assert abs((sq - start) - direct) <= 1e-12 * scale

@@ -44,6 +44,12 @@ class TestMatrixFormat:
         save_matrix(path, [[0.1, -0.0, 5e-324], [1e16, 1.0, -2.5]])
         assert path.read_bytes() == b"2 3\n0.1 -0.0 5e-324\n1e+16 1.0 -2.5\n"
 
+    @pytest.mark.parametrize("M", [np.ones(3), np.ones((2, 2, 2))])
+    def test_save_refuses_non_matrix(self, tmp_path, M):
+        with pytest.raises(ValueError, match="matrix must be 2-D"):
+            save_matrix(tmp_path / "m.mat", M)
+        assert not (tmp_path / "m.mat").exists()
+
     def test_missing_rows_names_line(self, tmp_path):
         path = tmp_path / "short.mat"
         path.write_text("3 2\n1 2\n3 4\n")
@@ -212,6 +218,20 @@ class TestSparseFormat:
         with pytest.raises(ParseError, match="range"):
             load_sparse(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("1 1", "line 2: expected 'row col value'"),
+        ("1 1 5.0 7", "line 2: expected 'row col value'"),
+        ("1.5 1 5.0", "line 2: bad entry tokens"),
+        ("1 x 5.0", "line 2: bad entry tokens"),
+        ("1 1 nan", "line 2: non-finite value"),
+        ("1 1 -inf", "line 2: non-finite value"),
+    ])
+    def test_bad_entry_line_named(self, tmp_path, line, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"2 2 1\n{line}\n")
+        with pytest.raises(ParseError, match=message):
+            load_sparse(path)
+
 
 class TestPgm:
     def test_p2_round_trip(self, tmp_path):
@@ -264,6 +284,18 @@ class TestPgm:
         path.write_bytes(b"P5 2 2 255\n\x00\x01")
         with pytest.raises(ParseError, match="truncated"):
             load_pgm(path)
+
+    @pytest.mark.parametrize("pixels, maxval, message", [
+        (np.zeros(4), 255, "PGM pixels must be a 2-D array"),
+        (np.array([[0, 300]]), 255, r"pixel values must lie in \[0, 255\]"),
+        (np.array([[0, -1]]), 255, r"pixel values must lie in \[0, 255\]"),
+        (np.zeros((1, 2)), 0, "only 8-bit PGM supported"),
+        (np.array([[0, 1]]), 256, "only 8-bit PGM supported"),
+    ])
+    def test_save_refusals(self, tmp_path, pixels, maxval, message):
+        with pytest.raises(ValueError, match=message):
+            save_pgm(tmp_path / "s.pgm", pixels, maxval)
+        assert not (tmp_path / "s.pgm").exists()
 
     def test_not_pgm(self, tmp_path):
         path = tmp_path / "f.pgm"

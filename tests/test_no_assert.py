@@ -1,12 +1,16 @@
-"""Package hygiene: typed errors that survive ``python -O``, no dead imports or helpers.
+"""Package hygiene: typed errors that survive ``python -O``, no dead imports, helpers or exports.
 
 A bare ``assert`` is stripped under ``-O``, so no module of the package may
 contain one.
 """
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "batchsvd"
+import batchsvd
+
+HERE = Path(__file__).resolve()
+SRC = HERE.parent.parent / "src" / "batchsvd"
 
 
 def test_package_has_no_assert_statements():
@@ -59,3 +63,22 @@ def test_package_has_no_dead_private_helpers():
                 used.add(node.attr)
     dead = [where for where in defined if where.split()[-1] not in used]
     assert not dead, f"private helpers nothing in the package uses: {dead}"
+
+
+def test_every_export_has_a_reader():
+    # API that neither the CLI, the README nor the tests need is deleted: each
+    # exported name must be read by cli.py or a test module (other than this
+    # one), or be named in README.md
+    read = set()
+    for path in [SRC / "cli.py"] + sorted(p for p in HERE.parent.glob("*.py") if p != HERE):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.asname or node.name)
+    readme = (SRC.parent.parent / "README.md").read_text()
+    unread = [name for name in batchsvd.__all__
+              if name not in read and not re.search(rf"\b{name}\b", readme)]
+    assert not unread, f"exports nothing outside the package reads: {unread}"

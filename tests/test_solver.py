@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from batchsvd import (
     BudgetError,
@@ -19,7 +21,7 @@ from batchsvd import (
 from batchsvd import solver
 from batchsvd.cli import main
 from batchsvd.coding import _code_per_sample
-from batchsvd.linalg import NumericalError, rank1_svd
+from batchsvd.linalg import NumericalError, _sq_norm, rank1_svd
 
 from oracles import make_planted, reference_ksvd
 
@@ -221,26 +223,36 @@ def _in_visiting_order(seed, m=8, n=12, p=60, budget=150):
 
 @pytest.mark.parametrize("seed", [5, 6, 7])
 def test_inner_objective_tracks_the_factorization_row_by_row(seed, monkeypatch):
-    # batch_svd hands each row's kernel the residual norm kept up to date from
-    # the running objective; after every row of the first round, the recorded
-    # inner objective must still be ||Y - A X||^2 of the factors at that point
+    # batch_svd adds each row back and takes it out again by _add_row, which
+    # keeps the running objective; after every row of the first round, the
+    # recorded inner objective is the take-out's value and must still be
+    # ||Y - A X||^2 of the factors at that point
     budget = 150
     Y, A0, X0 = _in_visiting_order(seed, budget=budget)
     n = X0.n
-    fits = []
-    real = solver._inner_row
+    fits, edits = [], []
+    real, real_add = solver._inner_row, solver._add_row
 
     def recording(*args):
         atom, supp, vals, halfsteps = real(*args)
-        fits.append((atom.copy(), supp, vals, halfsteps[-1]))  # the atom may be a view of A
+        fits.append((atom.copy(), supp, vals))  # the atom may be a view of A
         return atom, supp, vals, halfsteps
 
+    def recording_add(*args):
+        block, sq = real_add(*args)
+        edits.append(sq)
+        return block, sq
+
     monkeypatch.setattr(solver, "_inner_row", recording)
+    monkeypatch.setattr(solver, "_add_row", recording_add)
     trace = batch_svd(Y, A0, X0, LearnConfig(budget=budget, max_outer=1, seed=0))[2]
     A, Xd = A0.copy(), X0.to_dense()
     visited = np.flatnonzero(np.bincount(X0.entries()[0], minlength=n))
     assert len(fits) == visited.size == len(trace.values("inner"))
-    for i, (atom, supp, row_vals, obj), recorded in zip(visited, fits, trace.values("inner")):
+    assert len(edits) >= 2 * visited.size  # an add-back and a take-out per row
+    taken_out = edits[1 : 2 * visited.size : 2]
+    for i, (atom, supp, row_vals), obj, recorded in zip(visited, fits, taken_out,
+                                                       trace.values("inner")):
         A[:, i], Xd[i] = atom, 0.0
         Xd[i, supp] = row_vals
         assert recorded == obj
@@ -265,8 +277,8 @@ def test_inner_rounds_stop_at_their_fixed_point(monkeypatch):
 
 @pytest.mark.parametrize("seed", [5, 6, 7])
 def test_inter_objective_tracks_the_factorization_pair_by_pair(seed, monkeypatch):
-    # batch_svd adds each pair's returned objective change to its running
-    # objective; after every inter pair of the first round, the recorded value
+    # batch_svd keeps its running objective through each pair's add-back and
+    # take-out; after every inter pair of the first round, the recorded value
     # must still be ||Y - A X||^2 of the factors at that point
     budget = 150
     Y, A0, X0 = _in_visiting_order(seed, budget=budget)
@@ -285,9 +297,9 @@ def test_inter_objective_tracks_the_factorization_pair_by_pair(seed, monkeypatch
         return got
 
     def recording_inter(R, a_i, a_j, *rows):
-        row_i, row_j, change = real_inter(R, a_i, a_j, *rows)
+        row_i, row_j = real_inter(R, a_i, a_j, *rows)
         switched.append((a_i.copy(), a_j.copy(), row_i, row_j))
-        return row_i, row_j, change
+        return row_i, row_j
 
     monkeypatch.setattr(solver, "_inner_row", recording_inner)
     monkeypatch.setattr(solver, "_sample_pairs", recording_pairs)
@@ -313,6 +325,71 @@ def test_inter_objective_tracks_the_factorization_pair_by_pair(seed, monkeypatch
         supports[i], supports[j] = s_i, s_j
         assert abs(recorded.pop(0) - np.sum((Y - A @ Xd) ** 2)) <= 1e-12 * np.sum(Y**2)
     assert not recorded
+
+
+def test_inter_phase_skips_a_pair_with_equal_supports(monkeypatch):
+    # with K = n p both rows hold every column, so they leave the inner phase
+    # with equal supports: their pair runs no kernel and no residual edit,
+    # appends no inter entry and leaves the factors as a run without the
+    # inter phase leaves them
+    rng = np.random.default_rng(3)
+    n, p = 2, 7
+    Y = rng.standard_normal((4, p))
+    A0 = initial_dictionary(Y, n, rng)
+    X0 = SparseCoeff.from_triplets(n, p, np.repeat(np.arange(n), p), np.tile(np.arange(p), n),
+                                   rng.standard_normal(n * p))
+    pairs, edits = [], []
+    real_pairs, real_add = solver._sample_pairs, solver._add_row
+
+    def recording_pairs(*args):
+        got = real_pairs(*args)
+        pairs.extend(got)
+        return got
+
+    def counting_add(*args):
+        edits.append(args[2])
+        return real_add(*args)
+
+    def no_inter(*args):
+        raise AssertionError("a pair with equal supports reached the inter kernel")
+
+    monkeypatch.setattr(solver, "_sample_pairs", recording_pairs)
+    monkeypatch.setattr(solver, "_add_row", counting_add)
+    monkeypatch.setattr(solver, "_inter_row", no_inter)
+    runs = [batch_svd(Y, A0, X0, LearnConfig(budget=n * p, max_outer=1, trigger=trigger, seed=0))
+            for trigger in (0.0, np.inf)]
+    assert pairs == [(0, 1)]  # only the second run sampled the pair
+    assert len(edits) == 2 * 2 * n  # each run's inner add-backs and take-outs only
+    assert not runs[1][2].values("inter")
+    assert np.array_equal(runs[1][0], runs[0][0]) and runs[1][1] == runs[0][1]
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 8), st.integers(1, 12))
+def test_add_row_keeps_the_squared_norm_current(seed, m, p, steps):
+    # random add-backs and take-outs: R matches a dense reference edited by
+    # np.outer bit for bit, the returned block is the fresh row-major sum, and
+    # the running value tracks ||R||^2 to within rounding of the touched norms
+    rng = np.random.default_rng(seed)
+    R = rng.standard_normal((m, p)) * 10.0 ** rng.integers(-3, 4)
+    ref = R.copy()
+    sq = touched = _sq_norm(R)
+    for _ in range(steps):
+        supp = np.sort(rng.choice(p, size=int(rng.integers(0, p + 1)), replace=False))
+        a = rng.standard_normal(m) * 10.0 ** rng.integers(-3, 4)
+        vals = rng.standard_normal(supp.size)
+        before = _sq_norm(R[:, supp])
+        if rng.random() < 0.5:
+            block, sq_new = solver._add_row(R, a, supp, vals, sq)
+            ref[:, supp] += np.outer(a, vals)
+        else:
+            block, sq_new = solver._add_row(R, a, supp, -vals, sq)
+            ref[:, supp] -= np.outer(a, vals)
+        assert np.array_equal(R, ref)
+        assert np.array_equal(block, ref[:, supp]) and block.flags.c_contiguous
+        touched += abs(sq) + before + _sq_norm(block)
+        sq = sq_new
+        assert abs(sq - _sq_norm(R)) <= (m * p + 2) * np.finfo(float).eps * touched
 
 
 class TestBudgetCheck:
