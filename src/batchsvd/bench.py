@@ -20,7 +20,7 @@ from .coding import (
     dict_approx_init,
     initial_dictionary,
 )
-from .linalg import _factors, _sq_norm, as_matrix
+from .linalg import _factors, _residual, _sq_norm, as_matrix
 from .solver import ObjectiveTrace, batch_svd, ksvd
 
 ALGO_LABELS = ("batch", "ksvd", "rnd-omp")
@@ -83,10 +83,11 @@ class RunResult:
                      trace: ObjectiveTrace | None = None) -> "RunResult":
         """Check shapes and score the factors from one residual ``Y - A X``.
 
+        The residual comes from :func:`linalg._residual`, which forms no n x p array.
         Without a solver trace, the final objective is recorded as the one entry.
         """
         Y, A = _factors(Y, A, (X.n, X.p))
-        R = Y - A @ X.to_dense()
+        R = _residual(Y, A, X)
         if trace is None:
             trace = ObjectiveTrace()
             trace.append("outer", _sq_norm(R))

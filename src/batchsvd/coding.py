@@ -19,14 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _factors, as_matrix, as_vector, solve_gram
+from .linalg import _BLOCK, _factors, _residual, as_matrix, as_vector, solve_gram
 
 log = logging.getLogger(__name__)
 
 UNIT_NORM_TOL = 1e-8
 # residuals below this (relative to the input norm, floored at 1) count as zero
 ZERO_RESIDUAL_RTOL = 1e-12
-_BLOCK = 256  # columns per batched OMP level: bounds the c x n correlation matrix
 
 
 class SparseCoeff:
@@ -96,6 +95,7 @@ class SparseCoeff:
         return self._rows, self._cols, self._vals
 
     def to_dense(self) -> np.ndarray:
+        """The dense n x p array, for tests and small inputs; the package never calls it."""
         out = np.zeros((self.n, self.p))
         out[self._rows, self._cols] = self._vals
         return out
@@ -431,7 +431,8 @@ class _Paths:
                 # numpy multiplies one row by gemv, whose rounding differs from
                 # gemm's: a lone column goes in twice, so that its bits never
                 # depend on the columns that share its block
-                scores = np.abs((R if js.size > 1 else np.repeat(R, 2, axis=0)) @ self.A)[:js.size]
+                prod = (R if js.size > 1 else np.repeat(R, 2, axis=0)) @ self.A
+                scores = np.abs(prod, out=prod)[:js.size]  # in place: one c x n block, not two
                 scores[np.arange(js.size)[:, None], self.atom[js, :d]] = -1.0
                 self.atom[js, d] = scores.argmax(axis=1)
                 self.gain[js, d] = scores[np.arange(js.size), self.atom[js, d]]
@@ -538,6 +539,6 @@ def dict_approx_init(Y, A0, budget: int, iters: int):
 
     dead = np.flatnonzero(~used_ever)
     if dead.size:
-        reseed_dead_atoms(A, dead, Y, Y - A @ X.to_dense())
+        reseed_dead_atoms(A, dead, Y, _residual(Y, A, X))
         log.info("dictionary init: re-seeded %d never-used atoms", dead.size)
     return A, X

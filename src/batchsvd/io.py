@@ -22,46 +22,50 @@ class ParseError(ValueError):
 
 
 def _read_table(path, fields: str):
-    """Return a text file's lines and its integer header, named by ``fields``."""
+    """A text file's layout and integer header, named by ``fields``, from one pass keeping no text.
+
+    The layout is the first line after line 1 that is blank or missing and the first non-blank
+    line after that one. A non-ASCII byte on any line is reported before a bad header."""
+    header, blank, resume = [], math.inf, math.inf
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        text = fh.read()
-    lines = text.split("\n")
-    if not text.isascii():  # each non-ASCII byte was decoded to a lone surrogate
-        lineno = next(k for k, line in enumerate(lines, 1) if not line.isascii())
-        raise ParseError(f"{path}: line {lineno}: non-ASCII byte")
-    header = lines[0].split()
+        for lineno, line in enumerate(fh, 1):
+            if not line.isascii():  # each non-ASCII byte was decoded to a lone surrogate
+                raise ParseError(f"{path}: line {lineno}: non-ASCII byte")
+            if lineno == 1:
+                header = line.split()
+            elif not line.strip():
+                blank = min(blank, lineno)
+            elif blank < lineno:
+                resume = min(resume, lineno)
     if len(header) != len(fields.split()):
         raise ParseError(f"{path}: line 1: expected header '{fields}'")
     try:
-        return lines, [int(t) for t in header]
+        return (min(blank, lineno + 1), resume), [int(t) for t in header]
     except ValueError:
         raise ParseError(f"{path}: line 1: non-integer header") from None
 
 
-def _data_lines(path, lines, count: int, what: str):
-    """Check the layout, then iterate (line number, tokens) over the ``count`` data lines.
-
-    A missing or blank data line and any non-blank line after the last one
-    raise ParseError before any line is parsed; trailing blank lines are allowed.
-    """
-    for lineno in range(2, count + 2):
-        if lineno > len(lines) or not lines[lineno - 1].strip():
-            raise ParseError(
-                f"{path}: expected {count} {what}, file ends after line {lineno - 1}"
-            )
-    for idx in range(count + 1, len(lines)):
-        if lines[idx].strip():
-            raise ParseError(f"{path}: line {idx + 1}: unexpected data after {count} {what}")
-    return ((lineno, lines[lineno - 1].split()) for lineno in range(2, count + 2))
+def _data_lines(path, layout, count: int, what: str):
+    """Iterate (line number, tokens) over the ``count`` data lines, after raising ParseError for
+    a missing or blank one, then for a non-blank line after them; trailing blank lines are fine."""
+    short, resume = layout
+    if short <= count + 1:
+        raise ParseError(f"{path}: expected {count} {what}, file ends after line {short - 1}")
+    extra = count + 2 if count + 2 < short else resume  # the first non-blank line after them
+    if extra < math.inf:
+        raise ParseError(f"{path}: line {extra}: unexpected data after {count} {what}")
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        fh.readline()  # the header
+        yield from zip(range(2, count + 2), map(str.split, fh))
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a dense matrix from the plain-text format."""
-    lines, (m, p) = _read_table(path, "rows cols")
+    """Read a dense matrix from the plain-text format, one line at a time."""
+    layout, (m, p) = _read_table(path, "rows cols")
     if m < 1 or p < 1:
         raise ParseError(f"{path}: line 1: dimensions must be positive")
     out = None
-    for i, (lineno, tokens) in enumerate(_data_lines(path, lines, m, "data rows")):
+    for i, (lineno, tokens) in enumerate(_data_lines(path, layout, m, "data rows")):
         if len(tokens) != p:
             raise ParseError(
                 f"{path}: line {lineno}: expected {p} entries, found {len(tokens)}"
@@ -102,12 +106,12 @@ def save_matrix(path, M):
 
 
 def load_sparse(path) -> SparseCoeff:
-    """Read a sparse coefficient matrix from the triplet format."""
-    lines, (n, p, nnz) = _read_table(path, "rows cols nnz")
+    """Read a sparse coefficient matrix from the triplet format, one line at a time."""
+    layout, (n, p, nnz) = _read_table(path, "rows cols nnz")
     if n < 1 or p < 1 or nnz < 0 or max(n, p) > np.iinfo(np.intp).max:
         raise ParseError(f"{path}: line 1: bad dimensions")
     rows, cols, vals = [], [], []
-    for lineno, tokens in _data_lines(path, lines, nnz, "entries"):
+    for lineno, tokens in _data_lines(path, layout, nnz, "entries"):
         if len(tokens) != 3:
             raise ParseError(f"{path}: line {lineno}: expected 'row col value'")
         try:

@@ -21,6 +21,7 @@ log = logging.getLogger(__name__)
 # times its mean diagonal.
 COND_LIMIT = 1e12
 RIDGE_SCALE = 1e-10
+_BLOCK = 256  # columns per block of a batched kernel: bounds its c x n or (m, c, k) arrays
 
 
 class NumericalError(RuntimeError):
@@ -214,6 +215,18 @@ def _support_groups(cols, p: int):
 def _group_sq(Yg, AS, z) -> float:
     """Squared norm of a group's residual ``Yg - A_S z``; ``AS`` is (m, c, k), ``z`` is (c, k)."""
     return _sq_norm(Yg - np.einsum("mck,ck->mc", AS, z))
+
+
+def _residual(Y, A, X) -> np.ndarray:
+    """``Y - A X`` for a sparse X, unchecked and with no n x p array: each
+    :func:`_support_groups` group in runs of at most ``_BLOCK`` columns."""
+    rows, cols, vals = X.entries()
+    R = Y.copy()
+    for js, pos in _support_groups(cols, X.p):
+        for lo in range(0, js.size if pos.size else 0, _BLOCK):  # empty columns keep Y
+            j, q = js[lo:lo + _BLOCK], pos[lo:lo + _BLOCK]
+            R[:, j] -= np.einsum("mck,ck->mc", A[:, rows[q]], vals[q])
+    return R
 
 
 def _factors(Y, A, x_shape=None):

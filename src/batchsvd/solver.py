@@ -33,8 +33,8 @@ from .coding import (
     _top_k,
     reseed_dead_atoms,
 )
-from .linalg import (NumericalError, _factors, _group_sq, _rank1, _sq_norm, _support_groups,
-                     as_matrix, solve_gram)
+from .linalg import (NumericalError, _factors, _group_sq, _rank1, _residual, _sq_norm,
+                     _support_groups, as_matrix, solve_gram)
 
 log = logging.getLogger(__name__)
 
@@ -311,14 +311,15 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
 
     Rows are ordered once by descending support size, then each outer round
     sweeps every nonempty row with the inner-row kernel (:func:`_inner_row`;
-    ``cfg.inner_sweeps`` bounds its rounds, and a row stops at its first
-    fixed point), rescales atoms to unit norm, runs the inter-row kernel
+    ``cfg.inner_sweeps`` bounds its rounds, and a row stops at its first fixed
+    point), rescales atoms to unit norm, runs the inter-row kernel
     (:func:`_inter_row`) over a seeded sample of row pairs whenever the inner
     phase improved by less than ``cfg.trigger``, and finishes with
     ``cfg.amplitude_iters`` amplitude alternations. Stops when an outer round
-    improves by at most ``cfg.epsilon`` or after ``cfg.max_outer`` rounds.
-    Both switching phases edit the residual by :func:`_add_row`, whose
-    running ``||R||^2`` their trace entries record.
+    improves by at most ``cfg.epsilon`` or after ``cfg.max_outer`` rounds. Each
+    round's residual is a fresh :func:`linalg._residual`, with no n x p array;
+    both switching phases edit it by :func:`_add_row`, whose running ``||R||^2``
+    their trace entries record.
 
     Returns the updated dictionary and coefficients (atoms unit-normalized)
     together with the recorded objective trace. The structural nonzero count
@@ -338,13 +339,12 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
 
     rng = np.random.default_rng(cfg.seed)
     trace = ObjectiveTrace()
-    R = Y - A @ X.to_dense()
-    obj = _sq_norm(R)
-    trace.append("outer", obj)
 
     for outer in range(cfg.max_outer):
-        if outer:
-            R = Y - A @ X.to_dense()  # refresh the residual to cap incremental drift
+        R = _residual(Y, A, X)  # fresh each round, to cap incremental drift
+        if outer == 0:
+            obj = _sq_norm(R)
+            trace.append("outer", obj)
         outer_start = obj
         supports, values = _split_rows(X)  # row i's ascending columns and their values
 
@@ -402,15 +402,16 @@ def ksvd(Y, A0, k: int, iters: int):
     """Classic K-SVD with a fixed per-sample budget.
 
     Each pass codes every sample independently with OMP (at most ``k`` atoms
-    each) and forms the residual ``R = Y - A X`` once. It then updates atoms
-    one at a time, as the inner phase of :func:`batch_svd` does: atom i's
-    contribution is added back to R on the samples using it, a rank-1 fit of
-    that block replaces the atom and its coefficients, and the refit
-    contribution is taken out of R again, both by :func:`_add_row`. Atoms no
-    sample used in the pass are re-seeded from the worst-represented samples
-    once, after the atom loop, all in one call. Records ``||R||^2`` after
-    coding and, as :func:`_add_row` kept it, after the updates; the trace is
-    not guaranteed monotone, since the greedy coding step can increase it.
+    each) and forms the residual ``R = Y - A X`` once, by
+    :func:`linalg._residual` (no n x p array). It then updates atoms one at a
+    time, as the inner phase of :func:`batch_svd` does: atom i's contribution
+    is added back to R on the samples using it, a rank-1 fit of that block
+    replaces the atom and its coefficients, and the refit contribution is taken
+    out of R again, both by :func:`_add_row`. Atoms no sample used in the pass
+    are re-seeded from the worst-represented samples once, after the atom
+    loop, all in one call. Records ``||R||^2`` after coding and, as
+    :func:`_add_row` kept it, after the updates; the trace is not guaranteed
+    monotone, since the greedy coding step can increase it.
     """
     Y, A = _factors(Y, A0)
     _require_unit_atoms(A, "A0")
@@ -423,7 +424,7 @@ def ksvd(Y, A0, k: int, iters: int):
     for _ in range(iters):
         coded = _code_per_sample(Y, A, k)
         supports, values = _split_rows(coded)
-        R = Y - A @ coded.to_dense()
+        R = _residual(Y, A, coded)
         obj = _sq_norm(R)
         trace.append("outer", obj)
 

@@ -111,6 +111,21 @@ class TestMatrixFormat:
         with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: non-ASCII byte$"):
             load_matrix(path)
 
+    def test_memory_is_the_result_plus_one_line(self, tmp_path):
+        # the file is 3.5 MB of text; the whole text and its list of lines are never held
+        M = np.random.default_rng(3).standard_normal((64, 3000))
+        path = tmp_path / "patches.mat"
+        save_matrix(path, M)
+        load_matrix(path)  # the first call also sets up numpy's own state
+        tracemalloc.start()
+        try:
+            got = load_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, M)
+        assert peak < 2 * M.nbytes
+
     def test_trailing_rows_rejected(self, tmp_path):
         path = tmp_path / "long.mat"
         path.write_text("1 2\n1 2\n3 4\n")
@@ -118,6 +133,23 @@ class TestMatrixFormat:
             load_matrix(path)
         path.write_text("1 2\n1 2\n\n  \n")  # trailing blank lines are fine
         assert np.array_equal(load_matrix(path), [[1.0, 2.0]])
+
+
+@pytest.mark.parametrize("reader, data, message", [
+    # a non-ASCII byte anywhere comes before a bad header
+    (load_matrix, b"2 x\n1 2\n3 \xff\n", "line 3: non-ASCII byte"),
+    (load_sparse, b"2 2\n1 1 5.0\n\xe9\n", "line 3: non-ASCII byte"),
+    # the layout comes before any data line is parsed
+    (load_matrix, b"3 2\n1 x\n3 4\n", "expected 3 data rows, file ends after line 3"),
+    (load_sparse, b"2 2 2\n1 x 5.0\n", "expected 2 entries, file ends after line 2"),
+    (load_matrix, b"1 2\n1 x\n3 4\n", "line 3: unexpected data after 1 data rows"),
+    (load_sparse, b"2 2 1\n1 x 5.0\n2 2 6.0\n", "line 3: unexpected data after 1 entries"),
+])
+def test_error_precedence(tmp_path, reader, data, message):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+        reader(path)
 
 
 class TestSparseFormat:

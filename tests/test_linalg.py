@@ -1,6 +1,7 @@
 import logging
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from batchsvd import (
     objective,
     rank1_svd,
 )
-from batchsvd.linalg import COND_LIMIT, RIDGE_SCALE, _rank1, solve_gram
+from batchsvd.linalg import _BLOCK, COND_LIMIT, RIDGE_SCALE, _rank1, _residual, solve_gram
 
 from oracles import align_sign, eigvalsh_ridges, jacobi_svd, qr_solve, reference_ridge
 
@@ -502,6 +503,65 @@ class TestObjective:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             objective(np.eye(3), np.eye(2), np.eye(2))
+
+
+class TestResidual:
+    """``_residual`` against the dense ``Y - A @ X.to_dense()`` it replaces."""
+
+    @staticmethod
+    def _check(Y, A, X):
+        R = _residual(Y, A, X)
+        assert R.shape == Y.shape
+        assert np.abs(R - (Y - A @ X.to_dense())).max() <= 1e-12 * np.linalg.norm(Y)
+        return R
+
+    @pytest.mark.parametrize("seed, m, n, p, density", [
+        (0, 5, 7, 9, 0.3),
+        (1, 8, 12, 40, 0.2),
+        (2, 4, 6, 1, 0.5),  # one column
+        (3, 3, 3, 4, 1.0),  # K = n * p
+        (4, 6, 10, 3, 0.4),  # p < n
+    ])
+    def test_matches_dense_product(self, seed, m, n, p, density):
+        rng = np.random.default_rng(seed)
+        Y, A = rng.standard_normal((m, p)), rng.standard_normal((m, n))
+        Xd = rng.standard_normal((n, p)) * (rng.random((n, p)) < density)
+        X = SparseCoeff.from_dense(Xd)
+        assert X.nnz == np.count_nonzero(Xd) and (density < 1 or X.nnz == n * p)
+        self._check(Y, A, X)
+
+    def test_empty_coefficients_give_y(self):
+        rng = np.random.default_rng(5)
+        Y, A = rng.standard_normal((4, 6)), rng.standard_normal((4, 3))
+        R = self._check(Y, A, SparseCoeff(3, 6))
+        assert R.tobytes() == Y.tobytes() and R is not Y
+
+    def test_group_longer_than_one_run(self):
+        # every column has 2 entries: one support-size group of 2 * _BLOCK + 3 columns
+        rng = np.random.default_rng(6)
+        m, n, p = 5, 9, 2 * _BLOCK + 3
+        rows = np.column_stack((rng.integers(0, 4, p), rng.integers(4, n, p))).ravel()
+        X = SparseCoeff.from_triplets(n, p, rows, np.repeat(np.arange(p), 2),
+                                      rng.standard_normal(2 * p))
+        self._check(rng.standard_normal((m, p)), rng.standard_normal((m, n)), X)
+
+    def test_memory_follows_samples_not_atoms(self):
+        # the dense product would build a 2000 x 1000 coefficient array: 16 MB
+        rng = np.random.default_rng(7)
+        m, n, p = 8, 2000, 1000
+        sizes = 1 + np.arange(p) % 4  # four support-size groups
+        K = sizes.sum()
+        X = SparseCoeff.from_triplets(n, p, (np.arange(K) * 7) % n,
+                                      np.repeat(np.arange(p), sizes), rng.standard_normal(K))
+        Y, A = rng.standard_normal((m, p)), rng.standard_normal((m, n))
+        _residual(Y, A, X)  # the first call also sets up numpy's own state
+        tracemalloc.start()
+        try:
+            _residual(Y, A, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * Y.nbytes
 
 
 def test_import_does_not_load_scipy():
