@@ -8,6 +8,7 @@ save/load cycle is bit-identical.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -21,77 +22,82 @@ class ParseError(ValueError):
     """Malformed input file; the message names the offending line."""
 
 
-def _read_table(path, fields: str):
-    """A text file's layout and integer header, named by ``fields``, from one pass keeping no text.
+def _read_table(path, fields: str, what: str, start, parse) -> list:
+    """Read a text table in one pass, one line at a time; return its integer header.
 
-    The layout is the first line after line 1 that is blank or missing and the first non-blank
-    line after that one. A non-ASCII byte on any line is reported before a bad header."""
-    header, blank, resume = [], math.inf, math.inf
+    ``start(*header)`` checks the integers on line 1, named by ``fields``, and returns the
+    number of data lines; ``parse(*header, lineno, tokens)`` takes each of them. Errors are
+    raised at the end, the first by rank: a non-ASCII byte on any line, the header, a missing
+    or blank data line, a non-blank line after them (trailing blank lines are fine), then the
+    first from ``parse``.
+    """
+    bad = bad_line = None
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, 1):
+        # one empty line past the end, so that a missing data line reads as a blank one
+        for lineno, line in enumerate(itertools.chain(fh, [""]), 1):
             if not line.isascii():  # each non-ASCII byte was decoded to a lone surrogate
                 raise ParseError(f"{path}: line {lineno}: non-ASCII byte")
             if lineno == 1:
                 header = line.split()
+                try:
+                    if len(header) != len(fields.split()):
+                        raise ParseError(f"{path}: line 1: expected header '{fields}'")
+                    header = [int(t) for t in header]
+                    count = start(*header)
+                except ParseError as err:
+                    bad = err
+                except ValueError:
+                    bad = ParseError(f"{path}: line 1: non-integer header")
+            elif bad:  # only a non-ASCII byte can outrank it
+                continue
+            elif lineno > count + 1:
+                if line.strip():
+                    bad = ParseError(f"{path}: line {lineno}: unexpected data after {count} {what}")
             elif not line.strip():
-                blank = min(blank, lineno)
-            elif blank < lineno:
-                resume = min(resume, lineno)
-    if len(header) != len(fields.split()):
-        raise ParseError(f"{path}: line 1: expected header '{fields}'")
-    try:
-        return (min(blank, lineno + 1), resume), [int(t) for t in header]
-    except ValueError:
-        raise ParseError(f"{path}: line 1: non-integer header") from None
-
-
-def _data_lines(path, layout, count: int, what: str):
-    """Iterate (line number, tokens) over the ``count`` data lines, after raising ParseError for
-    a missing or blank one, then for a non-blank line after them; trailing blank lines are fine."""
-    short, resume = layout
-    if short <= count + 1:
-        raise ParseError(f"{path}: expected {count} {what}, file ends after line {short - 1}")
-    extra = count + 2 if count + 2 < short else resume  # the first non-blank line after them
-    if extra < math.inf:
-        raise ParseError(f"{path}: line {extra}: unexpected data after {count} {what}")
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        fh.readline()  # the header
-        yield from zip(range(2, count + 2), map(str.split, fh))
+                end = f"file ends after line {lineno - 1}"
+                bad = ParseError(f"{path}: expected {count} {what}, {end}")
+            elif bad_line is None:
+                try:
+                    parse(*header, lineno, line.split())
+                except ParseError as err:
+                    bad_line = err
+    if bad or bad_line:
+        raise bad or bad_line
+    return header
 
 
 def load_matrix(path) -> np.ndarray:
     """Read a dense matrix from the plain-text format, one line at a time."""
-    layout, (m, p) = _read_table(path, "rows cols")
-    if m < 1 or p < 1:
-        raise ParseError(f"{path}: line 1: dimensions must be positive")
-    out = None
-    for i, (lineno, tokens) in enumerate(_data_lines(path, layout, m, "data rows")):
+    out = np.empty((0, 0))
+
+    def start(m, p):
+        if m < 1 or p < 1:
+            raise ParseError(f"{path}: line 1: dimensions must be positive")
+        return m
+
+    def parse(m, p, lineno, tokens):
         if len(tokens) != p:
-            raise ParseError(
-                f"{path}: line {lineno}: expected {p} entries, found {len(tokens)}"
-            )
-        if out is None:  # allocate only once the file has shown m lines of p entries
-            out = np.empty((m, p))
+            raise ParseError(f"{path}: line {lineno}: expected {p} entries, found {len(tokens)}")
+        i = lineno - 2
+        if i == len(out):  # grown in place as rows arrive: memory follows the file, not m
+            out.resize((min(2 * i + 16, m), p), refcheck=False)
         try:
             out[i] = tokens  # numpy parses each string exactly as float() does
-            ok = np.isfinite(out[i]).all()
+            if np.isfinite(out[i]).all():
+                return
         except ValueError:
-            ok = False
-        if not ok:
-            raise _token_error(path, lineno, tokens)
+            pass
+        for tok in tokens:  # name the first token that is not a finite float
+            try:
+                val = float(tok)
+            except ValueError:
+                raise ParseError(f"{path}: line {lineno}: bad numeric token {tok!r}") from None
+            if not math.isfinite(val):
+                raise ParseError(f"{path}: line {lineno}: non-finite token {tok!r}")
+        raise ParseError(f"{path}: line {lineno}: bad numeric data")
+
+    _read_table(path, "rows cols", "data rows", start, parse)
     return out
-
-
-def _token_error(path, lineno: int, tokens) -> ParseError:
-    """The ParseError naming the first token of a data line that is not a finite float."""
-    for tok in tokens:
-        try:
-            val = float(tok)
-        except ValueError:
-            return ParseError(f"{path}: line {lineno}: bad numeric token {tok!r}")
-        if not math.isfinite(val):
-            return ParseError(f"{path}: line {lineno}: non-finite token {tok!r}")
-    return ParseError(f"{path}: line {lineno}: bad numeric data")
 
 
 def save_matrix(path, M):
@@ -107,11 +113,14 @@ def save_matrix(path, M):
 
 def load_sparse(path) -> SparseCoeff:
     """Read a sparse coefficient matrix from the triplet format, one line at a time."""
-    layout, (n, p, nnz) = _read_table(path, "rows cols nnz")
-    if n < 1 or p < 1 or nnz < 0 or max(n, p) > np.iinfo(np.intp).max:
-        raise ParseError(f"{path}: line 1: bad dimensions")
     rows, cols, vals = [], [], []
-    for lineno, tokens in _data_lines(path, layout, nnz, "entries"):
+
+    def start(n, p, nnz):
+        if n < 1 or p < 1 or nnz < 0 or max(n, p) > np.iinfo(np.intp).max:
+            raise ParseError(f"{path}: line 1: bad dimensions")
+        return nnz
+
+    def parse(n, p, _, lineno, tokens):
         if len(tokens) != 3:
             raise ParseError(f"{path}: line {lineno}: expected 'row col value'")
         try:
@@ -126,6 +135,8 @@ def load_sparse(path) -> SparseCoeff:
         rows.append(i)
         cols.append(j)
         vals.append(val)
+
+    n, p, _ = _read_table(path, "rows cols nnz", "entries", start, parse)
     t = _canonical_order(rows, cols)[1]
     if t is not None:
         raise ParseError(f"{path}: line {t + 2}: duplicate entry ({rows[t] + 1}, {cols[t] + 1})")

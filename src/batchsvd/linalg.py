@@ -21,7 +21,7 @@ log = logging.getLogger(__name__)
 # times its mean diagonal.
 COND_LIMIT = 1e12
 RIDGE_SCALE = 1e-10
-_BLOCK = 256  # columns per block of a batched kernel: bounds its c x n or (m, c, k) arrays
+_BLOCK = 256  # columns per block of a batched kernel: bounds its c x n or n x c arrays
 
 
 class NumericalError(RuntimeError):
@@ -218,14 +218,17 @@ def _group_sq(Yg, AS, z) -> float:
 
 
 def _residual(Y, A, X) -> np.ndarray:
-    """``Y - A X`` for a sparse X, unchecked and with no n x p array: each
-    :func:`_support_groups` group in runs of at most ``_BLOCK`` columns."""
+    """``Y - A X`` for a sparse X, unchecked and with no n x p array: each run of at most
+    ``_BLOCK`` columns of X is scattered into an n x c block no larger than Y, then one GEMM."""
     rows, cols, vals = X.entries()
-    R = Y.copy()
-    for js, pos in _support_groups(cols, X.p):
-        for lo in range(0, js.size if pos.size else 0, _BLOCK):  # empty columns keep Y
-            j, q = js[lo:lo + _BLOCK], pos[lo:lo + _BLOCK]
-            R[:, j] -= np.einsum("mck,ck->mc", A[:, rows[q]], vals[q])
+    R, c = Y.copy(), max(1, min(_BLOCK, Y.size // X.n))
+    blk = np.zeros((X.n, c))
+    starts = np.searchsorted(cols, np.arange(0, X.p + c, c))
+    for lo, a, z in zip(range(0, X.p, c), starts, starts[1:]):
+        i, j, w = rows[a:z], cols[a:z] - lo, min(c, X.p - lo)
+        blk[i, j] = vals[a:z]
+        R[:, lo:lo + w] -= A @ blk[:, :w]
+        blk[i, j] = 0
     return R
 
 

@@ -1,4 +1,7 @@
+import contextlib
+import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -64,6 +67,9 @@ class TestMatrixFormat:
             load_matrix(path)
         path.write_text("1 100000000000\n1 2\n")  # declared width beyond the row
         with pytest.raises(ParseError, match="line 2: expected 100000000000 entries"):
+            load_matrix(path)
+        path.write_text(f"{10**12} 2\n1 2\n3 4\n")  # rows are allocated as lines arrive
+        with pytest.raises(ParseError, match=f"{10**12} data rows, file ends after line 3"):
             load_matrix(path)
 
     def test_wrong_entry_count_names_line(self, tmp_path):
@@ -150,6 +156,47 @@ def test_error_precedence(tmp_path, reader, data, message):
     path.write_bytes(data)
     with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
         reader(path)
+
+
+def _through_pipe(tmp_path, reader, data: bytes):
+    """``reader`` on a FIFO fed ``data`` once: opened again, it reads as empty, not a hang."""
+    fifo, done = tmp_path / "pipe", threading.Event()
+    os.mkfifo(fifo)
+
+    def feed():
+        fifo.write_bytes(data)
+        while not done.wait(0.1):
+            with contextlib.suppress(OSError):  # ENXIO: no reader has it open
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return reader(fifo)
+    finally:
+        done.set()
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+class TestPipe:
+    """Each reader makes one pass, so a pipe works, and its layout is still checked."""
+
+    def test_matrix(self, tmp_path):
+        M = _through_pipe(tmp_path, load_matrix, b"2 2\n1 2\n3 4.5\n")
+        assert np.array_equal(M, [[1.0, 2.0], [3.0, 4.5]])
+
+    def test_sparse(self, tmp_path):
+        X = _through_pipe(tmp_path, load_sparse, b"2 3 2\n1 1 5.0\n2 3 -1.5\n")
+        assert X == SparseCoeff.from_triplets(2, 3, [0, 1], [0, 2], [5.0, -1.5])
+
+    @pytest.mark.parametrize("reader, data, message", [
+        (load_matrix, b"3 2\n1 2\n3 4\n", "expected 3 data rows, file ends after line 3"),
+        (load_sparse, b"2 2 3\n1 1 5.0\n", "expected 3 entries, file ends after line 2"),
+    ])
+    def test_short_pipe(self, tmp_path, reader, data, message):
+        with pytest.raises(ParseError, match=f"{re.escape(message)}$"):
+            _through_pipe(tmp_path, reader, data)
 
 
 class TestSparseFormat:

@@ -536,8 +536,8 @@ class TestResidual:
         R = self._check(Y, A, SparseCoeff(3, 6))
         assert R.tobytes() == Y.tobytes() and R is not Y
 
-    def test_group_longer_than_one_run(self):
-        # every column has 2 entries: one support-size group of 2 * _BLOCK + 3 columns
+    def test_more_than_one_run(self):
+        # two full runs of _BLOCK columns and a partial one
         rng = np.random.default_rng(6)
         m, n, p = 5, 9, 2 * _BLOCK + 3
         rows = np.column_stack((rng.integers(0, 4, p), rng.integers(4, n, p))).ravel()
@@ -545,11 +545,21 @@ class TestResidual:
                                       rng.standard_normal(2 * p))
         self._check(rng.standard_normal((m, p)), rng.standard_normal((m, n)), X)
 
-    def test_memory_follows_samples_not_atoms(self):
+    def test_large_supports(self):
+        # 50 entries in every column, and runs narrowed to 8 columns by n * c <= m * p
+        rng = np.random.default_rng(8)
+        m, n, p, k = 4, 100, 200, 50
+        rows = np.concatenate([rng.choice(n, k, replace=False) for _ in range(p)])
+        X = SparseCoeff.from_triplets(n, p, rows, np.repeat(np.arange(p), k),
+                                      rng.standard_normal(k * p))
+        self._check(rng.standard_normal((m, p)), rng.standard_normal((m, n)), X)
+
+    @pytest.mark.parametrize("largest", [4, 50])
+    def test_memory_follows_samples_not_atoms(self, largest):
         # the dense product would build a 2000 x 1000 coefficient array: 16 MB
         rng = np.random.default_rng(7)
         m, n, p = 8, 2000, 1000
-        sizes = 1 + np.arange(p) % 4  # four support-size groups
+        sizes = 1 + np.arange(p) % largest  # support sizes 1 to largest
         K = sizes.sum()
         X = SparseCoeff.from_triplets(n, p, (np.arange(K) * 7) % n,
                                       np.repeat(np.arange(p), sizes), rng.standard_normal(K))
