@@ -47,10 +47,10 @@ def extract_patches(image, size: int, count: int, seed: int = 0,
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, height - size + 1, size=count)
     cols = rng.integers(0, width - size + 1, size=count)
-    out = np.empty((size * size, count))
-    for t in range(count):
-        patch = image[rows[t] : rows[t] + size, cols[t] : cols[t] + size]
-        out[:, t] = patch.flatten(order="F") / maxval
+    windows = np.lib.stride_tricks.sliding_window_view(image, (size, size))
+    # (count, row, col) gathered, then column-major within a patch, one patch per column
+    out = windows[rows, cols].transpose(2, 1, 0).reshape(size * size, count)
+    out /= maxval
     return out
 
 

@@ -5,9 +5,17 @@ coefficients ("n p nnz" header then 1-based "row col value" lines sorted by
 column then row), 8-bit PGM images (P2 and P5), and deterministic JSON
 reports. Floats are written with shortest round-trip formatting so a
 save/load cycle is bit-identical.
+
+Image patches repeat a few values (at most 256), so ``load_matrix`` parses and
+``save_matrix`` formats each distinct value once, by a memo that lives for one
+call. It stops for the rest of the file once it holds more than half of the
+values seen so far or more than one line's worth: a matrix of mostly distinct
+values then runs the plain per-value path after its first line, and the memo
+never holds more than two lines' values.
 """
 from __future__ import annotations
 
+import array
 import itertools
 import json
 import math
@@ -66,9 +74,20 @@ def _read_table(path, fields: str, what: str, start, parse) -> list:
     return header
 
 
+def _memo_map(memo: dict, keys: list, convert, items: list) -> list:
+    """``convert(items[k])`` for each k, memoised by ``keys[k]``: only the misses convert."""
+    out = list(map(memo.get, keys))
+    k = -1
+    for _ in range(out.count(None)):
+        k = out.index(None, k + 1)
+        out[k] = memo[keys[k]] = convert(items[k])
+    return out
+
+
 def load_matrix(path) -> np.ndarray:
     """Read a dense matrix from the plain-text format, one line at a time."""
     out = np.empty((0, 0))
+    memo = {}  # token text -> float, for this call only, while it pays
 
     def start(m, p):
         if m < 1 or p < 1:
@@ -76,13 +95,19 @@ def load_matrix(path) -> np.ndarray:
         return m
 
     def parse(m, p, lineno, tokens):
+        nonlocal memo
         if len(tokens) != p:
             raise ParseError(f"{path}: line {lineno}: expected {p} entries, found {len(tokens)}")
         i = lineno - 2
         if i == len(out):  # grown in place as rows arrive: memory follows the file, not m
             out.resize((min(2 * i + 16, m), p), refcheck=False)
         try:
-            out[i] = tokens  # numpy parses each string exactly as float() does
+            if memo is None:
+                out[i] = tokens  # numpy parses each string exactly as float() does
+            else:
+                out[i] = _memo_map(memo, tokens, float, tokens)
+                if 2 * len(memo) > min(i + 1, 2) * p:  # over half of those seen, or a line's worth
+                    memo = None
             if np.isfinite(out[i]).all():
                 return
         except ValueError:
@@ -101,19 +126,30 @@ def load_matrix(path) -> np.ndarray:
 
 
 def save_matrix(path, M):
+    """Write a finite 2-D matrix in the plain-text format, each value as its shortest repr."""
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got shape {M.shape}")
+    if not np.isfinite(M).all():  # load_matrix refuses nan and inf
+        raise ValueError("matrix entries must be finite")
+    bits = M.view(np.int64)  # the key: -0.0 and 0.0 print differently
+    memo = {}  # float64 bits -> repr text, for this call only, while it pays
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{M.shape[0]} {M.shape[1]}\n")
-        for row in M.tolist():
-            fh.write(" ".join(map(repr, row)))
+        for i in range(M.shape[0]):
+            if memo is None:
+                fh.write(" ".join(map(repr, M[i].tolist())))
+            else:  # a miss formats its numpy scalar, a float subclass, as float's repr
+                fh.write(" ".join(_memo_map(memo, bits[i].tolist(), float.__repr__, M[i])))
+                if 2 * len(memo) > min(i + 1, 2) * M.shape[1]:  # as in load_matrix
+                    memo = None
             fh.write("\n")
 
 
 def load_sparse(path) -> SparseCoeff:
     """Read a sparse coefficient matrix from the triplet format, one line at a time."""
-    rows, cols, vals = [], [], []
+    # flat machine arrays, grown as lines arrive: no Python object per token is kept
+    rows, cols, vals = array.array("q"), array.array("q"), array.array("d")
 
     def start(n, p, nnz):
         if n < 1 or p < 1 or nnz < 0 or max(n, p) > np.iinfo(np.intp).max:
@@ -137,10 +173,11 @@ def load_sparse(path) -> SparseCoeff:
         vals.append(val)
 
     n, p, _ = _read_table(path, "rows cols nnz", "entries", start, parse)
+    rows, cols = np.frombuffer(rows, np.int64), np.frombuffer(cols, np.int64)
     t = _canonical_order(rows, cols)[1]
     if t is not None:
         raise ParseError(f"{path}: line {t + 2}: duplicate entry ({rows[t] + 1}, {cols[t] + 1})")
-    return SparseCoeff.from_triplets(n, p, rows, cols, vals)
+    return SparseCoeff.from_triplets(n, p, rows, cols, np.frombuffer(vals))
 
 
 def save_sparse(path, X: SparseCoeff):

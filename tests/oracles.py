@@ -10,8 +10,8 @@ an explicitly materialized block-diagonal pursuit, the heap merge that
 enumerations, the full-sort, set-based row selections the switching
 phases used before they moved to partial selection and masks, the inner-row
 rounds as they ran before they stopped at a fixed point, the dense
-K-SVD loop, which takes the package's kernels as arguments, and the
-byte-by-byte PGM header tokenizer.
+K-SVD loop, which takes the package's kernels as arguments, the
+byte-by-byte PGM header tokenizer and the one-patch-at-a-time extraction loop.
 """
 from __future__ import annotations
 
@@ -405,3 +405,21 @@ def pgm_tokens_bytewise(data: bytes):
             pos += 1
         yield data[start:pos].decode("ascii", errors="replace"), pos
         pos += 1  # single whitespace after the token
+
+
+def patches_loop(image, size, count, seed, maxval):
+    """Patch extraction as first written, one patch per loop step, frozen.
+
+    Draws the top-left rows, then the columns, from ``default_rng(seed)``;
+    each patch is flattened column-major and divided by ``maxval``.
+    """
+    image = np.asarray(image, dtype=np.float64)
+    height, width = image.shape
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, height - size + 1, size=count)
+    cols = rng.integers(0, width - size + 1, size=count)
+    out = np.empty((size * size, count))
+    for t in range(count):
+        patch = image[rows[t] : rows[t] + size, cols[t] : cols[t] + size]
+        out[:, t] = patch.flatten(order="F") / maxval
+    return out

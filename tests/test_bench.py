@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from batchsvd import (
     run_benchmark,
 )
 
-from oracles import make_planted, two_pass_stats
+from oracles import make_planted, patches_loop, two_pass_stats
 
 
 class TestReportStats:
@@ -95,6 +97,29 @@ class TestPatchExtraction:
     def test_seed_checked(self, seed, message):
         with pytest.raises(ValueError, match=message):
             extract_patches(np.ones((10, 10)), 4, 3, seed=seed)
+
+    @pytest.mark.parametrize("height, width, size", [
+        (13, 29, 5), (29, 13, 5), (7, 20, 7), (20, 7, 7), (6, 6, 6), (9, 4, 1), (16, 16, 8),
+    ])
+    def test_matches_the_per_patch_loop(self, height, width, size):
+        # bit-identical to the loop, a side equal to ``size`` included
+        rng = np.random.default_rng(height * width + size)
+        image = rng.integers(0, 256, size=(height, width)).astype(np.uint8)
+        for seed, maxval in ((0, 255), (7, 200), (11, 1.5)):
+            got = extract_patches(image, size, 40, seed=seed, maxval=maxval)
+            assert got.tobytes() == patches_loop(image, size, 40, seed, maxval).tobytes()
+
+    def test_memory_is_at_most_twice_the_output(self):
+        image = np.random.default_rng(2).integers(0, 256, size=(300, 200)).astype(np.float64)
+        extract_patches(image, 8, 3000, seed=1)  # the first call also sets up numpy's own state
+        tracemalloc.start()
+        try:
+            P = extract_patches(image, 8, 3000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the gather and its column-major copy; the drawn corners add 1/32 of the output
+        assert peak < 2.1 * P.nbytes
 
     def test_column_major_within_patch(self):
         image = np.array([[1, 2], [3, 4]], dtype=np.uint8)

@@ -1,6 +1,7 @@
 import contextlib
 import os
 import re
+import tempfile
 import threading
 import tracemalloc
 
@@ -20,9 +21,28 @@ from batchsvd import (
     save_sparse,
     write_report_json,
 )
+from batchsvd import io as bio
 from batchsvd.io import _pgm_tokens
 
 from oracles import pgm_tokens_bytewise
+
+
+def _traced_peaks(path, M):
+    """Traced peak memory of ``load_matrix`` and of ``save_matrix`` on ``M``, beyond their input."""
+    save_matrix(path, M)
+    load_matrix(path)  # the first call also sets up numpy's own state
+    tracemalloc.start()
+    try:
+        got = load_matrix(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        save_matrix(path, M)
+        save_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, M)
+    return load_peak, save_peak
 
 
 class TestMatrixFormat:
@@ -120,17 +140,25 @@ class TestMatrixFormat:
     def test_memory_is_the_result_plus_one_line(self, tmp_path):
         # the file is 3.5 MB of text; the whole text and its list of lines are never held
         M = np.random.default_rng(3).standard_normal((64, 3000))
-        path = tmp_path / "patches.mat"
-        save_matrix(path, M)
-        load_matrix(path)  # the first call also sets up numpy's own state
-        tracemalloc.start()
-        try:
-            got = load_matrix(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(got, M)
-        assert peak < 2 * M.nbytes
+        load_peak, save_peak = _traced_peaks(tmp_path / "patches.mat", M)
+        assert load_peak < 2 * M.nbytes
+        assert save_peak < M.nbytes  # one row of Python objects at a time
+
+    def test_memo_memory_is_bounded_by_a_line(self, tmp_path):
+        # each line repeats each of its values once, so the memo never holds more than half
+        # of the values seen; it stops once it holds more than one line's worth
+        M = np.random.default_rng(3).standard_normal((64, 1500))
+        M = np.hstack([M, M])
+        load_peak, save_peak = _traced_peaks(tmp_path / "halves.mat", M)
+        assert load_peak < 2 * M.nbytes
+        assert save_peak < M.nbytes
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_save_refuses_non_finite(self, tmp_path, bad):
+        # load_matrix refuses 'nan' and 'inf', so writing them would break the round trip
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            save_matrix(tmp_path / "m.mat", [[0.5, 0.5], [bad, 0.5]])
+        assert not (tmp_path / "m.mat").exists()
 
     def test_trailing_rows_rejected(self, tmp_path):
         path = tmp_path / "long.mat"
@@ -139,6 +167,83 @@ class TestMatrixFormat:
             load_matrix(path)
         path.write_text("1 2\n1 2\n\n  \n")  # trailing blank lines are fine
         assert np.array_equal(load_matrix(path), [[1.0, 2.0]])
+
+
+def _per_value_text(M) -> bytes:
+    """The matrix file as one ``repr`` per value: what ``save_matrix`` must write."""
+    rows = [" ".join(repr(float(v)) for v in row) for row in np.asarray(M, dtype=np.float64)]
+    return "\n".join([f"{len(rows)} {len(M[0])}", *rows, ""]).encode("ascii")
+
+
+class TestRepeatedValues:
+    """``load_matrix`` and ``save_matrix`` parse and format each distinct value once."""
+
+    def test_signed_zeros_kept_apart_when_written(self, tmp_path):
+        M = np.array([[0.0, -0.0, 0.5, 0.0], [-0.0, 0.0, -0.0, 0.5]] * 3)
+        path = tmp_path / "z.mat"
+        save_matrix(path, M)
+        assert path.read_bytes() == _per_value_text(M)
+        assert load_matrix(path).tobytes() == M.tobytes()
+
+    @pytest.mark.parametrize("row, message", [
+        ("0.5 nan x nan", "line 5: non-finite token 'nan'"),
+        ("0.5 x nan nan", "line 5: bad numeric token 'x'"),
+        ("nan 0.25 nan 0.5", "line 5: non-finite token 'nan'"),
+    ])
+    def test_bad_token_named_on_a_memo_line(self, tmp_path, row, message):
+        # three lines of two distinct values keep the memo on; line 5 mixes hits and misses
+        path = tmp_path / "bad.mat"
+        path.write_text("4 4\n" + "0.5 0.25 0.5 0.25\n" * 3 + row + "\n")
+        with pytest.raises(ParseError) as err:
+            load_matrix(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("head, memo_lines", [
+        # distinct values after each line of 4, and the line after which the memo stops:
+        ([], 1),  # 4/4 > 1/2 on line 1
+        ([[1.0, 2.0, 1.0, 2.0]], 2),  # 2/4, then 6/8 > 1/2 on line 2, the middle of the file
+        ([[1.0, 2.0, 1.0, 2.0]] * 3, 4),  # 2/4, 2/8, 2/12, then 6 > 4, one line's worth
+    ])
+    def test_memo_stops(self, tmp_path, monkeypatch, head, memo_lines):
+        # every line after ``head`` holds four new values
+        M = np.vstack(head + [np.random.default_rng(4).standard_normal((7, 4))])
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return memo_map(*args)
+
+        memo_map = bio._memo_map
+        monkeypatch.setattr(bio, "_memo_map", counted)
+        path = tmp_path / "m.mat"
+        save_matrix(path, M)
+        assert len(calls) == memo_lines
+        assert path.read_bytes() == _per_value_text(M)
+        calls.clear()
+        assert load_matrix(path).tobytes() == M.tobytes()
+        assert len(calls) == memo_lines
+
+    def test_one_value_in_several_spellings(self, tmp_path):
+        tokens = "0.5 .5 5e-1 0.50 +0.5 -0 0 0.0"
+        path = tmp_path / "m.mat"
+        path.write_text("3 8\n" + f"{tokens}\n" * 3)
+        want = np.array([[float(t) for t in tokens.split()]] * 3)
+        got = load_matrix(path)
+        assert got.tobytes() == want.tobytes()
+        assert np.signbit(got[:, 5]).all() and not np.signbit(got[:, 6:]).any()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda p: st.lists(
+        st.lists(st.sampled_from([0.0, -0.0, 0.1, -2.5, 5e-324, 1e16, 1 / 3, 255 / 255]),
+                 min_size=p, max_size=p), min_size=1, max_size=8)))
+    def test_round_trip_over_a_small_pool_is_bit_identical(self, rows):
+        M = np.array(rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.mat")
+            save_matrix(path, M)
+            with open(path, "rb") as fh:
+                assert fh.read() == _per_value_text(M)
+            assert load_matrix(path).tobytes() == M.tobytes()
 
 
 @pytest.mark.parametrize("reader, data, message", [
@@ -282,6 +387,25 @@ class TestSparseFormat:
             tracemalloc.stop()
         assert (X.n, X.p, X.nnz) == (3000000, 1, 0)
         assert peak < 1 << 20
+
+    def test_memory_is_a_small_multiple_of_the_result(self, tmp_path):
+        # 6000 entries, two a column: the entries are kept in flat arrays, not Python objects
+        rng = np.random.default_rng(3)
+        n, p = 256, 3000
+        rows = np.concatenate([rng.choice(n, 2, replace=False) for _ in range(p)])
+        X = SparseCoeff.from_triplets(n, p, rows, np.repeat(np.arange(p), 2),
+                                      rng.standard_normal(2 * p))
+        path = tmp_path / "x.txt"
+        save_sparse(path, X)
+        load_sparse(path)  # the first call also sets up numpy's own state
+        tracemalloc.start()
+        try:
+            got = load_sparse(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == X
+        assert peak < 3 * sum(a.nbytes for a in X.entries())
 
     def test_trailing_entries_rejected(self, tmp_path):
         path = tmp_path / "long.txt"
