@@ -67,7 +67,6 @@ def _load_samples(args) -> np.ndarray:
     if getattr(args, "normalize", False):
         norms = np.linalg.norm(Y, axis=0)
         nonzero = norms > 0
-        Y = Y.copy()
         Y[:, nonzero] /= norms[nonzero]
     return Y
 

@@ -6,9 +6,10 @@ it whole; the global budget is its entry count. The switching procedures
 edit it as per-row ``(support, values)`` lists split from the triplets and
 joined back, checked, once per outer round.
 Coding is greedy pursuit on one kernel, :class:`_Paths`, that advances
-blocks of samples one OMP level at a time: per-sample OMP, and a merge of
-those paths, by one selection over their running-minimum gains, that spends
-one nonzero budget across all samples at once.
+blocks of samples one OMP level at a time by :func:`linalg._refit`, as the
+amplitude phase refits: per-sample OMP, and a merge of those paths, by one
+selection over their running-minimum gains, that spends one nonzero budget
+across all samples at once.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _BLOCK, _factors, _residual, as_matrix, as_vector, solve_gram
+from .linalg import _blocks, _factors, _refit, _residual, as_matrix, as_vector, solve_gram
 
 log = logging.getLogger(__name__)
 
@@ -382,14 +383,6 @@ def _pursue(Y: np.ndarray, A: np.ndarray, k: int):
     return paths.triplets(depth)
 
 
-def _blocks(cols, depth):
-    """``(d, block)`` for runs of at most ``_BLOCK`` of ``cols`` with equal ``depth[col] = d``."""
-    at = depth[cols]  # read once, up front: the caller may advance depth while iterating
-    for d in np.unique(at):
-        same = cols[at == d]
-        yield from ((d, same[lo:lo + _BLOCK]) for lo in range(0, same.size, _BLOCK))
-
-
 class _Paths:
     """Per-sample OMP paths of the columns of Y over A, computed level by level.
 
@@ -397,8 +390,8 @@ class _Paths:
     residual ``y_j - A_S c`` and takes the unused atom of largest |correlation|
     (first max on ties) as ``atom[j, d]``, with ``gain[j, d]`` the
     |correlation| and ``sq[j, d]`` the squared residual norm. A block of
-    equal-depth columns costs one GEMM and one stacked :func:`solve_gram`
-    call on Grams gathered from ``A^T A``, which keeps its ridge rule.
+    equal-depth columns costs one GEMM and one :func:`linalg._refit` on
+    Grams gathered from ``A^T A``, whose :func:`solve_gram` keeps its ridge rule.
     """
 
     def __init__(self, Y, A):
@@ -410,13 +403,6 @@ class _Paths:
         self.atom = np.zeros((Y.shape[1], min(A.shape[1] + 1, 8)), dtype=np.intp)
         self.gain, self.sq = np.zeros(self.atom.shape), np.zeros(self.atom.shape)
 
-    def _refit(self, js, d):
-        """Coefficients of columns js on their first d picks, and their residuals."""
-        S = self.atom[js, :d]
-        AS, Yc = self.At[S], self.Yt[js]  # AS is (c, d, m)
-        C = solve_gram(self.G[S[:, :, None], S[:, None, :]], np.einsum("cdm,cm->cd", AS, Yc))
-        return C, Yc - np.einsum("cdm,cd->cm", AS, C)
-
     def extend(self, cols):
         """Compute the next level of every column in ``cols``: each advances exactly one level."""
         w, n = self.atom.shape[1], self.A.shape[1]
@@ -425,7 +411,7 @@ class _Paths:
             grown = [np.pad(a, pad) for a in (self.atom, self.gain, self.sq)]
             self.atom, self.gain, self.sq = grown
         for d, js in _blocks(cols, self.known):
-            R = self._refit(js, d)[1] if d else self.Yt[js]
+            R = _refit(self.Yt, self.At, self.G, self.atom[js, :d], js)[1]
             self.sq[js, d] = np.einsum("cm,cm->c", R, R)
             if d < n:
                 # numpy multiplies one row by gemv, whose rounding differs from
@@ -442,7 +428,7 @@ class _Paths:
         """Triplets of each column j's first ``depth[j]`` picks, refit once per depth."""
         coef = np.zeros(self.atom.shape)
         for d, js in _blocks(np.flatnonzero(depth), depth):
-            coef[js, :d] = self._refit(js, d)[0]
+            coef[js, :d] = _refit(self.Yt, self.At, self.G, self.atom[js, :d], js)[0]
         keep = np.arange(coef.shape[1]) < depth[:, None]
         return self.atom[keep], np.repeat(np.arange(depth.size), depth), coef[keep]
 

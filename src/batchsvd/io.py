@@ -126,10 +126,10 @@ def load_matrix(path) -> np.ndarray:
 
 
 def save_matrix(path, M):
-    """Write a finite 2-D matrix in the plain-text format, each value as its shortest repr."""
+    """Write a nonempty finite matrix in the plain-text format, each value as its shortest repr."""
     M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2:
-        raise ValueError(f"matrix must be 2-D, got shape {M.shape}")
+    if M.ndim != 2 or 0 in M.shape:  # load_matrix refuses a zero dimension
+        raise ValueError(f"matrix must be 2-D with at least one row and column, got {M.shape}")
     if not np.isfinite(M).all():  # load_matrix refuses nan and inf
         raise ValueError("matrix entries must be finite")
     bits = M.view(np.int64)  # the key: -0.0 and 0.0 print differently

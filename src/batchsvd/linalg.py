@@ -1,10 +1,11 @@
 """Dense numerical kernels shared by every solver module.
 
-Small Gram-system solves, the leading singular triple, and the squared
-Frobenius reconstruction objective. Everything operates on float64 numpy
-arrays and is deterministic: a power iteration from the caller's start
-vector or a fixed default one, a fixed sign convention, no
-environment-dependent branching.
+Small Gram-system solves, the one fixed-support least squares on them
+(:func:`_refit`, over the column runs of :func:`_blocks`), the leading
+singular triple, and the squared Frobenius reconstruction objective.
+Everything operates on float64 numpy arrays and is deterministic: a power
+iteration from the caller's start vector or a fixed default one, a fixed
+sign convention, no environment-dependent branching.
 """
 from __future__ import annotations
 
@@ -191,8 +192,8 @@ def objective(Y, A, X) -> float:
     """Squared Frobenius reconstruction error ``||Y - A X||_F^2``.
 
     ``X`` may be a dense array or the sparse coefficient matrix. A sparse X
-    is summed over its :func:`_support_groups` by :func:`_group_sq`, with no
-    dense product, as ``amplitude_adjust`` records its objectives.
+    is summed over its :func:`_entry_blocks`, with no dense product, as
+    ``amplitude_adjust`` sums the residual rows of its :func:`_refit` calls.
     """
     if not hasattr(X, "entries"):
         Xd = as_matrix(X, "X")
@@ -200,21 +201,36 @@ def objective(Y, A, X) -> float:
         return _sq_norm(Y - A @ Xd)
     Y, A = _factors(Y, A, (X.n, X.p))
     rows, cols, vals = X.entries()
-    return sum(_group_sq(Y[:, js], A[:, rows[pos]], vals[pos])
-               for js, pos in _support_groups(cols, X.p))
+    At = np.ascontiguousarray(A.T)
+    return sum(_sq_norm(Y.T[js] - np.einsum("cdm,cd->cm", At[rows[pos]], vals[pos]))
+               for js, pos in _entry_blocks(cols, X.p))
 
 
-def _support_groups(cols, p: int):
-    """``(js, pos)`` per support size k, ascending: columns js with k entries, (c, k) positions."""
+def _blocks(cols, depth):
+    """``(d, block)`` for runs of at most ``_BLOCK`` of ``cols`` with equal ``depth[col] = d``."""
+    at = depth[cols]  # read once, up front: the caller may advance depth while iterating
+    for d in np.unique(at):
+        same = cols[at == d]
+        yield from ((d, same[lo:lo + _BLOCK]) for lo in range(0, same.size, _BLOCK))
+
+
+def _entry_blocks(cols, p: int):
+    """``(js, pos)`` per :func:`_blocks` run of the p columns with d entries each: columns
+    js and the (c, d) positions of their entries in the column-sorted ``cols``."""
     sizes = np.bincount(cols, minlength=p)
     starts = np.cumsum(sizes) - sizes
-    by_size = ((k, np.flatnonzero(sizes == k)) for k in np.unique(sizes))
-    return [(js, starts[js, None] + np.arange(k)) for k, js in by_size]
+    return [(js, starts[js, None] + np.arange(d)) for d, js in _blocks(np.arange(p), sizes)]
 
 
-def _group_sq(Yg, AS, z) -> float:
-    """Squared norm of a group's residual ``Yg - A_S z``; ``AS`` is (m, c, k), ``z`` is (c, k)."""
-    return _sq_norm(Yg - np.einsum("mck,ck->mc", AS, z))
+def _refit(Yt, At, G, S, js):
+    """Least squares of rows ``Yt[js]`` on the rows ``S`` (c x d) of ``At``, whose Gram is G, by one
+    stacked :func:`solve_gram`: the (c, d) coefficients and the (c, m) residual rows, which for
+    d = 0 are ``Yt[js]`` bit for bit."""
+    if not S.shape[1]:  # numpy's einsum is slower on an empty sum than on a one-atom one
+        return np.zeros(S.shape), Yt[js]
+    AS, Yc = At[S], Yt[js]  # AS is (c, d, m)
+    C = solve_gram(G[S[:, :, None], S[:, None, :]], np.einsum("cdm,cm->cd", AS, Yc))
+    return C, Yc - np.einsum("cdm,cd->cm", AS, C)
 
 
 def _residual(Y, A, X) -> np.ndarray:

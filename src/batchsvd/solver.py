@@ -33,8 +33,8 @@ from .coding import (
     _top_k,
     reseed_dead_atoms,
 )
-from .linalg import (NumericalError, _factors, _group_sq, _rank1, _residual, _sq_norm,
-                     _support_groups, as_matrix, solve_gram)
+from .linalg import (NumericalError, _entry_blocks, _factors, _rank1, _refit, _residual,
+                     _sq_norm, as_matrix)
 
 log = logging.getLogger(__name__)
 
@@ -253,14 +253,14 @@ def amplitude_adjust(Y, A, X: SparseCoeff, n_iters: int):
     every column's coefficients on its fixed support. That coefficient
     half-step takes all its small systems ``A_S^T A_S z = A_S^T y_j`` from
     one Gram ``G = A_u^T A_u`` of the used atoms per round (the precomputed
-    Gram of Batch-OMP): the columns are grouped by support size once per
-    call, and each group is solved as one stack by :func:`solve_gram`. No
-    n x p array is formed: a round's objective sums the groups' residuals
-    ``Y[:, js] - A_S z`` exactly as ``linalg.objective`` sums a sparse X.
+    Gram of Batch-OMP) by the OMP kernel's :func:`linalg._refit`, one stack
+    per :func:`linalg._entry_blocks` run of columns with equal entry counts.
+    No n x p array is formed: a round's objective sums the residual rows
+    ``_refit`` returns, block by block, as ``linalg.objective`` sums a sparse X.
     Structural positions of X are bit-identical before and after, and atoms
     whose rows are empty are left untouched. The objective never increases
     at either half-step as long as every solve is exact; a system that
-    :func:`solve_gram` has to ridge is solved only approximately, so a
+    :func:`linalg.solve_gram` has to ridge is solved only approximately, so a
     ridged round can raise it slightly. Returns updated copies of A and X
     and the objective after each round.
     """
@@ -270,20 +270,17 @@ def amplitude_adjust(Y, A, X: SparseCoeff, n_iters: int):
     rows, cols, vals = X.entries()  # the support is frozen: take it once, in column order
     vals = vals.copy()  # the stored arrays are read-only
     used, slot, fit = _atom_fitter(X)  # slot: entry's row within used
-    groups = [(slot[pos], pos, Y[:, js]) for js, pos in _support_groups(cols, X.p)]
+    blocks = _entry_blocks(cols, X.p)
 
     objectives = []
     for _ in range(n_iters):
         fit(Y, A, vals)
         Au = A[:, used]
-        G = Au.T @ Au
-        parts = []  # the objective, group by group, as linalg.objective sums it
-        for S, pos, Yg in groups:
-            AS = Au[:, S]
-            if S.size:
-                rhs = np.einsum("mck,mc->ck", AS, Yg)
-                vals[pos] = solve_gram(G[S[:, :, None], S[:, None, :]], rhs)
-            parts.append(_group_sq(Yg, AS, vals[pos]))
+        G, At = Au.T @ Au, np.ascontiguousarray(Au.T)
+        parts = []  # the objective, block by block, as linalg.objective sums it
+        for js, pos in blocks:
+            vals[pos], R = _refit(Y.T, At, G, slot[pos], js)
+            parts.append(_sq_norm(R))
         objectives.append(sum(parts))
     return A, SparseCoeff.from_triplets(X.n, X.p, rows, cols, vals), objectives
 

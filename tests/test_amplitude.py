@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from batchsvd import NumericalError, SparseCoeff, amplitude_adjust, objective
-from batchsvd.linalg import solve_gram
+from batchsvd.linalg import _BLOCK, solve_gram
 
 from oracles import qr_solve
 
@@ -148,6 +149,26 @@ def test_bad_iteration_count():
         amplitude_adjust(np.eye(2), np.eye(2), SparseCoeff.from_dense(np.eye(2)), 1.5)
 
 
+def test_memory_is_bounded_by_the_samples():
+    # no copy of Y's columns is kept and no atom block is gathered beyond one column block
+    rng = np.random.default_rng(8)
+    m, n, p = 64, 256, 3000
+    Y = rng.standard_normal((m, p))
+    A = rng.standard_normal((m, n))
+    A /= np.linalg.norm(A, axis=0)
+    rows = np.concatenate([rng.choice(n, size=2, replace=False) for _ in range(p)])
+    cols = np.repeat(np.arange(p), 2)
+    X = SparseCoeff.from_triplets(n, p, rows, cols, rng.standard_normal(2 * p))
+    amplitude_adjust(Y, A, X, 1)  # numpy's first np.unique call imports about 1 MiB
+    tracemalloc.start()
+    try:
+        amplitude_adjust(Y, A, X, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * Y.nbytes
+
+
 def test_coefficient_halfstep_matches_per_column_least_squares(caplog):
     # support sizes 1..m, an empty last row, and rows 0 and 1 holding the
     # same atom and the same coefficient row, so column 0's system is ridged
@@ -194,8 +215,14 @@ def test_coefficient_halfstep_matches_per_column_least_squares(caplog):
 
 @st.composite
 def sparse_problems(draw):
-    """Small problems with empty columns, up to K = n*p entries, zero samples and duplicate atoms."""
-    m, n, p = draw(st.integers(1, 5)), draw(st.integers(1, 7)), draw(st.integers(1, 24))
+    """Small problems with empty columns, up to K = n*p entries, zero samples and duplicate atoms.
+
+    A wide problem has tiny m and n and p beyond two column blocks, so that runs of
+    columns with equal entry counts split at ``_BLOCK``.
+    """
+    wide = draw(st.booleans())
+    m, n = draw(st.integers(1, 2 if wide else 5)), draw(st.integers(1, 3 if wide else 7))
+    p = draw(st.integers(2 * _BLOCK + 1, 2 * _BLOCK + 8) if wide else st.integers(1, 24))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     A = rng.standard_normal((m, n))
     A[:, rng.integers(n, size=draw(st.integers(0, n - 1)))] = A[:, :1]  # copies of atom 0

@@ -160,6 +160,13 @@ class TestMatrixFormat:
             save_matrix(tmp_path / "m.mat", [[0.5, 0.5], [bad, 0.5]])
         assert not (tmp_path / "m.mat").exists()
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_save_refuses_empty_dimension(self, tmp_path, shape):
+        # load_matrix refuses a zero dimension, so the file would not read back
+        with pytest.raises(ValueError, match="at least one row and column"):
+            save_matrix(tmp_path / "m.mat", np.zeros(shape))
+        assert not (tmp_path / "m.mat").exists()
+
     def test_trailing_rows_rejected(self, tmp_path):
         path = tmp_path / "long.mat"
         path.write_text("1 2\n1 2\n3 4\n")

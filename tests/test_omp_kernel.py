@@ -24,7 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from batchsvd import SparseCoeff, block_omp, coding, omp
-from batchsvd.coding import _BLOCK, _Paths, _code_per_sample
+from batchsvd.coding import _Paths, _code_per_sample
+from batchsvd.linalg import _BLOCK
 
 from oracles import heap_merge_omp, kron_omp, reference_omp
 
