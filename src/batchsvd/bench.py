@@ -17,6 +17,7 @@ from .coding import (
     SparseCoeff,
     _code_per_sample,
     _count,
+    _normalize_atoms,
     dict_approx_init,
     initial_dictionary,
 )
@@ -178,7 +179,7 @@ def run_benchmark(
             A, X, trace = ksvd(Y, A0, per_sample_k, ksvd_iters)
         else:  # rnd-omp
             A = rng_rnd.standard_normal((m, n_atoms))
-            A /= np.linalg.norm(A, axis=0)
+            _normalize_atoms(A)
             X, trace = _code_per_sample(Y, A, per_sample_k), None
         budget = cfg.budget if algo == "batch" else per_sample_k * p
         result = RunResult.from_factors(Y, A, X, algo, cfg.seed, budget, trace)

@@ -32,53 +32,44 @@ ZERO_RESIDUAL_RTOL = 1e-12
 class SparseCoeff:
     """Immutable sparse n x p coefficient matrix held as triplet arrays.
 
-    Entries are structural: a stored value may be numerically zero and still
-    counts toward the nonzero budget. The store is three read-only arrays,
-    ``intp`` rows, ``intp`` columns and ``float64`` values, in the canonical
-    order: by column, then row. A matrix goes in through
-    :meth:`from_triplets` and comes out through :meth:`entries`; code that
-    edits rows splits the arrays with :func:`_split_rows` and joins its
-    edits back with :func:`_join_rows`.
+    The one constructor, ``SparseCoeff(n, p, rows, cols, vals)`` or its alias
+    :meth:`from_triplets`, takes aligned row-index, column-index and value
+    arrays; no triplets give the empty matrix. Every index must lie in range,
+    every value be finite and every ``(row, col)`` pair appear once. Entries
+    are structural: a stored value may be numerically zero and still counts
+    toward the nonzero budget. The store is three read-only arrays, ``intp``
+    rows, ``intp`` columns and ``float64`` values, in the canonical order: by
+    column, then row. :meth:`entries` returns them; code that edits rows
+    splits them with :func:`_split_rows` and joins its edits back with
+    :func:`_join_rows`.
     """
 
     __slots__ = ("n", "p", "_rows", "_cols", "_vals")
 
-    def __init__(self, n: int, p: int):
+    def __init__(self, n: int, p: int, rows=(), cols=(), vals=()):
         n, p = int(n), int(p)
         if n < 1 or p < 1:
             raise ValueError(f"SparseCoeff needs n >= 1 and p >= 1, got {n}x{p}")
         self.n, self.p = n, p
-        self._store(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
-
-    def _store(self, rows, cols, vals):
-        for a in (rows, cols, vals):
-            a.flags.writeable = False
-        self._rows, self._cols, self._vals = rows, cols, vals
-
-    @classmethod
-    def from_triplets(cls, n: int, p: int, rows, cols, vals) -> "SparseCoeff":
-        """Build from aligned row-index, column-index and value arrays.
-
-        Every index must lie in range, every value be finite and every ``(row,
-        col)`` pair appear once; structural zeros are kept. The store is sorted.
-        """
-        X = cls(n, p)
         rows, cols = _indices(rows, "row"), _indices(cols, "column")
         vals = np.asarray(vals, dtype=np.float64).reshape(-1)
         if not np.all(np.isfinite(vals)):
             raise ValueError("coefficient values must be finite")
         if not rows.size == cols.size == vals.size:
             raise ValueError("rows, cols and vals differ in length")
-        for index, size, kind in ((rows, X.n, "row"), (cols, X.p, "column")):
+        for index, size, kind in ((rows, n, "row"), (cols, p, "column")):
             bad = np.flatnonzero((index < 0) | (index >= size))
             if bad.size:
-                raise ValueError(f"{kind} index {index[bad[0]]} out of range for {X.n}x{X.p}")
+                raise ValueError(f"{kind} index {index[bad[0]]} out of range for {n}x{p}")
         rows, cols = rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
         order, t = _canonical_order(rows, cols)
         if t is not None:
             raise ValueError(f"duplicate entry ({rows[t]}, {cols[t]})")
-        X._store(rows[order], cols[order], vals[order])
-        return X
+        self._rows, self._cols, self._vals = rows[order], cols[order], vals[order]
+        for a in self.entries():
+            a.flags.writeable = False
+
+    from_triplets = classmethod(lambda cls, n, p, rows, cols, vals: cls(n, p, rows, cols, vals))
 
     @classmethod
     def from_dense(cls, arr) -> "SparseCoeff":
@@ -192,29 +183,23 @@ class LearnConfig:
         return 2.0 / (n_atoms - 1)
 
 
-def _residual_is_zero(res_norm, ref_norm):  # elementwise on arrays
-    return res_norm <= ZERO_RESIDUAL_RTOL * np.maximum(1.0, ref_norm)
-
-
 def _require_unit_atoms(A, name: str):
-    if np.any(np.abs(np.linalg.norm(A, axis=0) - 1.0) > UNIT_NORM_TOL):
+    if not np.all(np.abs(np.linalg.norm(A, axis=0) - 1.0) <= UNIT_NORM_TOL):  # NaN fails
         raise ValueError(f"{name} columns must be unit-normalized")
 
 
-def _normalize_atoms(A: np.ndarray, which) -> np.ndarray:
-    """Rescale atoms ``which`` of A to unit norm in place; return the per-atom factors.
+def _normalize_atoms(A: np.ndarray) -> np.ndarray:
+    """Rescale every atom of A to unit norm in place; return the per-atom factors.
 
-    Multiplying each coefficient row by its atom's factor (the old norm)
-    keeps A X unchanged. Atoms that are zero, already exactly unit or not in
-    ``which`` are left alone and get factor 1.0, which leaves values bit for
-    bit.
+    The one atom normalization of the package: the solver, the warm start
+    and the rnd-omp baseline all call it. Multiplying each coefficient row
+    by its atom's factor (the old ``axis=0`` norm) keeps A X unchanged. A
+    zero atom gets factor 1.0, as does an atom whose norm is exactly 1.0, so
+    dividing by it leaves the atom's bits and its row's values as they were.
     """
-    factors = np.ones(A.shape[1])
-    for i in which:
-        nrm = np.linalg.norm(A[:, i])
-        if nrm > 0.0 and nrm != 1.0:
-            A[:, i] /= nrm
-            factors[i] = nrm
+    nrm = np.linalg.norm(A, axis=0)
+    factors = np.where(nrm > 0.0, nrm, 1.0)
+    A /= factors
     return factors
 
 
@@ -274,10 +259,9 @@ def block_omp(Y, A, budget: int) -> SparseCoeff:
     step, so its picks are the first ``budget`` steps of that order. They
     are selected in rounds: each ranks the computed steps by one partition
     and extends, by one level, every path whose computed steps were all
-    picked, until no such path is left; paths whose residual is already
-    zero wait while any other path is extended. The pursuit stops before
-    the first pick at which the whole residual is zero relative to
-    ``||Y||``; a sample may take more than m atoms, up to n.
+    picked, until no such path is left. The pursuit stops before the first
+    pick at which the whole residual is zero relative to ``||Y||``; a
+    sample may take more than m atoms, up to n.
     """
     A, Y = as_matrix(A, "A"), as_matrix(Y, "Y")
     n, p = A.shape[1], Y.shape[1]
@@ -308,8 +292,6 @@ def block_omp(Y, A, budget: int) -> SparseCoeff:
             if stop is not None:
                 used = stop
                 break
-        live = grow[first_zero[grow] >= paths.known[grow]]
-        grow = live if live.size else grow  # zero residuals wait: the pursuit may stop first
     return SparseCoeff.from_triplets(n, p, *paths.triplets(used))
 
 
@@ -373,12 +355,12 @@ def _pursue(Y: np.ndarray, A: np.ndarray, k: int):
         raise ValueError(f"k must satisfy 1 <= k <= min(m, n) = {min(m, n)}, got {k}")
     if np.any(np.linalg.norm(A, axis=0) == 0.0):
         raise ValueError("dictionary has an all-zero column")
-    ynorm = np.linalg.norm(Y, axis=0)
+    zero_tol = ZERO_RESIDUAL_RTOL * np.maximum(1.0, np.linalg.norm(Y, axis=0))
     depth = np.zeros(Y.shape[1], dtype=np.intp)
     live = np.arange(Y.shape[1])
     for d in range(k):
         paths.extend(live)
-        live = live[~_residual_is_zero(np.sqrt(paths.sq[live, d]), ynorm[live])]
+        live = live[~(np.sqrt(paths.sq[live, d]) <= zero_tol[live])]
         depth[live] = d + 1
     return paths.triplets(depth)
 
@@ -498,9 +480,10 @@ def dict_approx_init(Y, A0, budget: int, iters: int):
     """Alternating warm start: batchwise OMP then a dictionary least squares.
 
     Runs ``iters`` rounds of {X <- block_omp(Y, A, budget); A <- argmin
-    ||Y - A X||_F^2 over the atoms with nonempty rows}, re-normalizing atoms
-    (with compensating row rescales) after every dictionary update. Returns
-    the final pair ``(A, X)``; the rounds carry no monotonicity guarantee.
+    ||Y - A X||_F^2 over the atoms with nonempty rows}, each ending with
+    :func:`_normalize_atoms` of all atoms; the last X's rows take its
+    factors. Returns the final pair ``(A, X)``; the rounds carry no
+    monotonicity guarantee.
     Atoms whose rows stayed empty through every round are re-seeded at the
     end, all in one :func:`reseed_dead_atoms` call.
     """
@@ -516,10 +499,7 @@ def dict_approx_init(Y, A0, budget: int, iters: int):
         used, _, fit = _atom_fitter(X)
         fit(Y, A, X.entries()[2])
         used_ever[used] = True
-        # re-normalize so the next coding round sees unit atoms; only used
-        # atoms, since rescaling an untouched atom by a norm a rounding error
-        # away from 1 would change its bits
-        factors = _normalize_atoms(A, used)
+        factors = _normalize_atoms(A)  # the next coding round sees unit atoms
     rows, cols, vals = X.entries()  # each round recodes from A: only the last X is rescaled
     X = SparseCoeff.from_triplets(n, X.p, rows, cols, vals * factors[rows])
 

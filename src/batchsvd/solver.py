@@ -34,7 +34,7 @@ from .coding import (
     reseed_dead_atoms,
 )
 from .linalg import (NumericalError, _entry_blocks, _factors, _rank1, _refit, _residual,
-                     _sq_norm, as_matrix)
+                     _sq_norm, as_matrix, as_vector)
 
 log = logging.getLogger(__name__)
 
@@ -93,6 +93,8 @@ def _row_arrays(support, values, p: int):
     vals = np.asarray(values, dtype=np.float64).reshape(-1)
     if vals.size != supp.size:
         raise ValueError("support and values length mismatch")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("row values must be finite")
     bad = np.flatnonzero((supp < 0) | (supp >= p))
     if bad.size:
         raise ValueError(f"support column {supp[bad[0]]} out of range for {p} columns")
@@ -124,10 +126,11 @@ def inner_row_switch(residual, atom, support, values, n_iters: int):
     |projection| onto that atom and sets the coefficients to those
     projections. Tie rule: at the selection boundary, equal |projections|
     go to the smaller column indices, as a stable sort would. The support
-    size never changes. A non-finite residual, an atom of another length, a
-    repeated, negative or out-of-range support column, or values of another
-    length, raise ValueError. Returns the new atom, support and values and
-    the local objective at entry and after every half-step, non-increasing.
+    size never changes. A non-finite residual, atom or value, an atom of
+    another length, a repeated, negative or out-of-range support column, or
+    values of another length, raise ValueError. Returns the new atom,
+    support and values and the local objective at entry and after every
+    half-step, non-increasing.
     ``n_iters`` bounds the rounds; the trace is shorter than ``2 * n_iters +
     1`` when a round reached a fixed point (a converged fit whose re-selection
     returned the round's own support: an odd length) or when an all-zero
@@ -138,7 +141,7 @@ def inner_row_switch(residual, atom, support, values, n_iters: int):
     """
     R = as_matrix(residual, "residual")
     _count(n_iters, "n_iters")
-    a = np.array(atom, dtype=np.float64)  # a copy
+    a = as_vector(atom, "atom").copy()
     if a.shape != R.shape[:1]:
         raise ValueError("atom length does not match the residual row count")
     supp, vals = _row_arrays(support, values, R.shape[1])
@@ -210,7 +213,7 @@ def inter_row_switch(residual, a_i, s_i, v_i, a_j, s_j, v_j):
     from :func:`_inter_row`, the kernel ``batch_svd`` calls directly.
     """
     R = as_matrix(residual, "residual")
-    a_i, a_j = np.asarray(a_i, dtype=np.float64), np.asarray(a_j, dtype=np.float64)
+    a_i, a_j = as_vector(a_i, "atom"), as_vector(a_j, "atom")
     if a_i.shape != R.shape[:1] or a_j.shape != R.shape[:1]:
         raise ValueError("atom length does not match the residual row count")
     _require_unit_atoms(np.column_stack((a_i, a_j)), "row-pair atom")
@@ -358,7 +361,7 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
             trace.append("inner", obj)
         inner_decrement = outer_start - obj
 
-        factors = _normalize_atoms(A, range(n))  # objective-neutral
+        factors = _normalize_atoms(A)  # objective-neutral
         values = [v * f for v, f in zip(values, factors)]
 
         # --- inter-row phase, only when the inner phase stalls ---
@@ -390,7 +393,7 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
         if outer_start - obj <= cfg.epsilon:
             break
 
-    factors = _normalize_atoms(A, range(n))  # unit-norm atoms on the way out
+    factors = _normalize_atoms(A)  # unit-norm atoms on the way out
     rows, cols, vals = X.entries()
     return A, SparseCoeff.from_triplets(n, p, rows, cols, vals * factors[rows]), trace
 

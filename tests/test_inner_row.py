@@ -190,6 +190,18 @@ def test_malformed_support_rejected(support):
                          np.array([1.0, 2.0]), 1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["atom", "values"])
+def test_non_finite_atom_or_values_rejected(bad, where):
+    # a NaN atom used to return an empty support and NaN objectives
+    R = np.random.default_rng(0).standard_normal((3, 6))
+    atom, values = np.array([1.0, 0, 0]), np.array([1.0, 2.0])
+    (atom if where == "atom" else values)[0] = bad
+    match = "atom" if where == "atom" else "values must be finite"
+    with pytest.raises(ValueError, match=match):
+        inner_row_switch(R, atom, np.array([0, 1]), values, 2)
+
+
 def test_values_length_mismatch_rejected():
     with pytest.raises(ValueError, match="length mismatch"):
         inner_row_switch(np.eye(3), np.array([1.0, 0, 0]), np.array([0, 1]), np.array([1.0]), 1)

@@ -114,6 +114,26 @@ def test_non_unit_atom_rejected():
                          np.array([0.0, 1, 0]), np.array([1]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["atom", "values"])
+def test_non_finite_atom_or_values_rejected(bad, where):
+    # NaN fails no `norm - 1 > tol` test, so a NaN atom used to pass the unit check
+    Yt = np.random.default_rng(0).standard_normal((3, 6))
+    a_j, v_j = np.array([0.0, 1, 0]), np.array([1.0, 2.0])
+    (a_j if where == "atom" else v_j)[0] = bad
+    match = "atom" if where == "atom" else "values must be finite"
+    with pytest.raises(ValueError, match=match):
+        inter_row_switch(Yt, np.array([1.0, 0, 0]), np.array([0]), np.array([1.0]),
+                         a_j, np.array([1, 3]), v_j)
+
+
+def test_atom_length_mismatch_rejected():
+    Yt = np.eye(3)
+    with pytest.raises(ValueError, match="atom length"):
+        inter_row_switch(Yt, np.array([1.0, 0, 0]), np.array([0]), np.array([1.0]),
+                         np.array([0.0, 1]), np.array([1]), np.array([1.0]))
+
+
 def test_out_of_range_support_rejected():
     Yt = np.eye(3)
     with pytest.raises(ValueError, match="column"):

@@ -489,6 +489,17 @@ class TestPgm:
         with pytest.raises(ParseError, match="bad P2 pixel token"):
             load_pgm(path)
 
+    @pytest.mark.parametrize("data", [
+        b"P5 x 2 255\n\x00\x01",  # non-integer width
+        b"P2\n2 2\n",  # no maxval
+        b"P2 1 1 2.5\n1\n",  # non-integer maxval
+    ])
+    def test_malformed_header_rejected(self, tmp_path, data):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="malformed PGM header"):
+            load_pgm(path)
+
     def test_truncated_raster(self, tmp_path):
         path = tmp_path / "e.pgm"
         path.write_bytes(b"P5 2 2 255\n\x00\x01")
