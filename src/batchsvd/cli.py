@@ -12,12 +12,13 @@ import argparse
 import contextlib
 import json
 import logging
+import math
 import sys
 
 import numpy as np
 
 from .bench import RunResult, extract_patches, report_to_dict, run_benchmark
-from .coding import LearnConfig, _code_per_sample, block_omp
+from .coding import LearnConfig, _code_per_sample, _normalize_atoms, block_omp
 from .io import (
     ParseError,
     load_matrix,
@@ -27,7 +28,7 @@ from .io import (
     save_sparse,
     write_report_json,
 )
-from .linalg import NumericalError
+from .linalg import NumericalError, _sq_norm
 
 
 def _add_solver_flags(sub, iters_default=None):
@@ -43,9 +44,6 @@ def _add_solver_flags(sub, iters_default=None):
                      help="run pairwise switching when the inner phase improves less than this")
     sub.add_argument("--pair-fraction", type=float, default=None,
                      help="fraction of row pairs visited by the pairwise phase")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--normalize", action="store_true",
-                     help="scale input columns to unit norm before learning")
 
 
 def _config_from_args(args) -> LearnConfig:
@@ -64,10 +62,10 @@ def _config_from_args(args) -> LearnConfig:
 
 def _load_samples(args) -> np.ndarray:
     Y = load_matrix(getattr(args, "in"))
-    if getattr(args, "normalize", False):
-        norms = np.linalg.norm(Y, axis=0)
-        nonzero = norms > 0
-        Y[:, nonzero] /= norms[nonzero]
+    if not math.isfinite(_sq_norm(Y)):
+        raise ValueError(f"{getattr(args, 'in')}: the samples' squared norm overflows float64")
+    if args.normalize:
+        _normalize_atoms(Y)
     return Y
 
 
@@ -153,6 +151,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="log ridge fallbacks, re-seeded atoms and other "
                              "diagnostics to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
+    samples = argparse.ArgumentParser(add_help=False)  # flags of the verbs that read samples
+    samples.add_argument("--in", required=True, help="input sample matrix")
+    samples.add_argument("--seed", type=int, default=0)
+    samples.add_argument("--normalize", action="store_true", help="scale columns to unit norm first")
+    samples.add_argument("--report-out", help="write the JSON report here")
 
     p = sub.add_parser("patches", help="sample training patches from a PGM image")
     p.add_argument("--in", required=True, help="input PGM image (P2 or P5)")
@@ -162,45 +165,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output matrix file")
     p.set_defaults(func=cmd_patches)
 
-    p = sub.add_parser("learn", help="learn a dictionary with one algorithm")
-    p.add_argument("--in", required=True, help="input sample matrix")
+    p = sub.add_parser("learn", parents=[samples], help="learn a dictionary with one algorithm")
     p.add_argument("--algo", choices=("batch", "ksvd", "rnd-omp"), default="batch")
     p.add_argument("--atoms", type=int, required=True, help="dictionary size n")
     _add_solver_flags(p)
     p.add_argument("--dict-out", help="write the learned dictionary here")
     p.add_argument("--coef-out", help="write the sparse coefficients here")
-    p.add_argument("--report-out", help="write the JSON report here")
     p.set_defaults(func=cmd_learn)
 
-    p = sub.add_parser("encode", help="sparse-code samples against a fixed dictionary")
-    p.add_argument("--in", required=True, help="input sample matrix")
+    p = sub.add_parser("encode", parents=[samples],
+                       help="sparse-code samples against a fixed dictionary")
     p.add_argument("--dict", required=True, help="dictionary matrix file")
     p.add_argument("--per-sample", type=int, default=None, help="atoms per sample")
     p.add_argument("--budget", type=int, default=None, help="total batch budget")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--normalize", action="store_true")
     p.add_argument("--coef-out", help="write the sparse coefficients here")
-    p.add_argument("--report-out", help="write the JSON report here")
     p.set_defaults(func=cmd_encode)
 
-    p = sub.add_parser("eval", help="score an existing factorization")
-    p.add_argument("--in", required=True, help="input sample matrix")
+    p = sub.add_parser("eval", parents=[samples], help="score an existing factorization")
     p.add_argument("--dict", required=True, help="dictionary matrix file")
     p.add_argument("--coef", required=True, help="sparse coefficient file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--normalize", action="store_true")
-    p.add_argument("--report-out", help="write the JSON report here")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("compare", help="equal-budget multi-algorithm comparison")
-    p.add_argument("--in", required=True, help="input sample matrix")
+    p = sub.add_parser("compare", parents=[samples], help="equal-budget multi-algorithm comparison")
     p.add_argument("--atoms", type=int, required=True, help="dictionary size n")
     p.add_argument("--algos", default="batch,ksvd,rnd-omp",
                    help="comma-separated subset of batch,ksvd,rnd-omp")
     p.add_argument("--ksvd-iters", type=int, default=100)
     p.add_argument("--holdout", help="held-out sample matrix for open-set encoding")
     _add_solver_flags(p, iters_default=20)
-    p.add_argument("--report-out", help="write the JSON report array here")
     p.set_defaults(func=cmd_compare)
     return parser
 
@@ -227,7 +219,8 @@ def _log_to_stderr(enabled: bool):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with _log_to_stderr(args.verbose):
+        # numpy's floating-point warnings would break the one-line JSON error on stderr
+        with _log_to_stderr(args.verbose), np.errstate(all="ignore"):
             return args.func(args)
     except (ValueError, NumericalError, ParseError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

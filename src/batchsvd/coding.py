@@ -32,16 +32,16 @@ ZERO_RESIDUAL_RTOL = 1e-12
 class SparseCoeff:
     """Immutable sparse n x p coefficient matrix held as triplet arrays.
 
-    The one constructor, ``SparseCoeff(n, p, rows, cols, vals)`` or its alias
-    :meth:`from_triplets`, takes aligned row-index, column-index and value
-    arrays; no triplets give the empty matrix. Every index must lie in range,
-    every value be finite and every ``(row, col)`` pair appear once. Entries
-    are structural: a stored value may be numerically zero and still counts
-    toward the nonzero budget. The store is three read-only arrays, ``intp``
-    rows, ``intp`` columns and ``float64`` values, in the canonical order: by
-    column, then row. :meth:`entries` returns them; code that edits rows
-    splits them with :func:`_split_rows` and joins its edits back with
-    :func:`_join_rows`.
+    The one constructor, ``SparseCoeff(n, p, rows, cols, vals)``, takes
+    aligned row-index, column-index and value arrays (:meth:`from_dense`
+    passes it a dense array's nonzeros); no triplets give the empty matrix.
+    Every index must lie in range, every value be finite and every
+    ``(row, col)`` pair appear once. Entries are structural: a stored value
+    may be numerically zero and still counts toward the nonzero budget. The
+    store is three read-only arrays, ``intp`` rows, ``intp`` columns and
+    ``float64`` values, in the canonical order: by column, then row.
+    :meth:`entries` returns them; code that edits rows splits them with
+    :func:`_split_rows` and joins its edits back with :func:`_join_rows`.
     """
 
     __slots__ = ("n", "p", "_rows", "_cols", "_vals")
@@ -69,14 +69,12 @@ class SparseCoeff:
         for a in self.entries():
             a.flags.writeable = False
 
-    from_triplets = classmethod(lambda cls, n, p, rows, cols, vals: cls(n, p, rows, cols, vals))
-
     @classmethod
     def from_dense(cls, arr) -> "SparseCoeff":
         """Build from a dense array; structural support = exact nonzeros."""
         arr = as_matrix(arr, "coefficient matrix")
         rows, cols = np.nonzero(arr)
-        return cls.from_triplets(*arr.shape, rows, cols, arr[rows, cols])
+        return cls(*arr.shape, rows, cols, arr[rows, cols])
 
     @property
     def nnz(self) -> int:
@@ -113,7 +111,7 @@ def _split_rows(X: SparseCoeff):
 def _join_rows(n: int, p: int, supports, values) -> SparseCoeff:
     """The n x p store whose row i holds ``supports[i]`` with ``values[i]``; checked as any triplets."""
     rows = np.repeat(np.arange(n), [s.size for s in supports])
-    return SparseCoeff.from_triplets(n, p, rows, np.concatenate(supports), np.concatenate(values))
+    return SparseCoeff(n, p, rows, np.concatenate(supports), np.concatenate(values))
 
 
 def _indices(a, kind: str) -> np.ndarray:
@@ -292,7 +290,7 @@ def block_omp(Y, A, budget: int) -> SparseCoeff:
             if stop is not None:
                 used = stop
                 break
-    return SparseCoeff.from_triplets(n, p, *paths.triplets(used))
+    return SparseCoeff(n, p, *paths.triplets(used))
 
 
 def _zero_stop(paths, sample, step, kappa, picks, grow, zero_tol):
@@ -344,7 +342,7 @@ def _top_k(mag: np.ndarray, k: int, rank=None) -> np.ndarray:
 def _code_per_sample(Y, A, k: int) -> SparseCoeff:
     """OMP-code every column of Y with at most ``k`` atoms each, all in one :class:`_Paths`."""
     A, Y = as_matrix(A, "A"), as_matrix(Y, "Y")
-    return SparseCoeff.from_triplets(A.shape[1], Y.shape[1], *_pursue(Y, A, k))
+    return SparseCoeff(A.shape[1], Y.shape[1], *_pursue(Y, A, k))
 
 
 def _pursue(Y: np.ndarray, A: np.ndarray, k: int):
@@ -501,7 +499,7 @@ def dict_approx_init(Y, A0, budget: int, iters: int):
         used_ever[used] = True
         factors = _normalize_atoms(A)  # the next coding round sees unit atoms
     rows, cols, vals = X.entries()  # each round recodes from A: only the last X is rescaled
-    X = SparseCoeff.from_triplets(n, X.p, rows, cols, vals * factors[rows])
+    X = SparseCoeff(n, X.p, rows, cols, vals * factors[rows])
 
     dead = np.flatnonzero(~used_ever)
     if dead.size:

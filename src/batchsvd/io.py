@@ -2,7 +2,7 @@
 
 Plain-text matrices ("m p" header then one row per line), plain-text sparse
 coefficients ("n p nnz" header then 1-based "row col value" lines sorted by
-column then row), 8-bit PGM images (P2 and P5), and deterministic JSON
+column then row), 8-bit PGM images (P2 and P5 read, P5 written), and deterministic JSON
 reports. Floats are written with shortest round-trip formatting so a
 save/load cycle is bit-identical.
 
@@ -177,7 +177,7 @@ def load_sparse(path) -> SparseCoeff:
     t = _canonical_order(rows, cols)[1]
     if t is not None:
         raise ParseError(f"{path}: line {t + 2}: duplicate entry ({rows[t] + 1}, {cols[t] + 1})")
-    return SparseCoeff.from_triplets(n, p, rows, cols, np.frombuffer(vals))
+    return SparseCoeff(n, p, rows, cols, np.frombuffer(vals))
 
 
 def save_sparse(path, X: SparseCoeff):
@@ -243,7 +243,8 @@ def load_pgm(path):
     return img.astype(np.uint8).reshape(height, width), maxval
 
 
-def save_pgm(path, pixels, maxval: int = 255, binary: bool = True):
+def save_pgm(path, pixels, maxval: int = 255):
+    """Write an 8-bit binary PGM (P5); :func:`load_pgm` reads it back, and P2 files too."""
     pixels = np.asarray(pixels)
     if pixels.ndim != 2:
         raise ValueError("PGM pixels must be a 2-D array")
@@ -252,14 +253,9 @@ def save_pgm(path, pixels, maxval: int = 255, binary: bool = True):
     if not (0 < maxval <= 255):
         raise ValueError("only 8-bit PGM supported")
     height, width = pixels.shape
-    header = f"P5 {width} {height} {maxval}\n" if binary else f"P2\n{width} {height}\n{maxval}\n"
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        if binary:
-            fh.write(pixels.astype(np.uint8).tobytes())
-        else:
-            for row in pixels:
-                fh.write((" ".join(str(int(v)) for v in row) + "\n").encode("ascii"))
+        fh.write(f"P5 {width} {height} {maxval}\n".encode("ascii"))
+        fh.write(pixels.astype(np.uint8).tobytes())
 
 
 def write_report_json(path, payload):

@@ -22,6 +22,8 @@ log = logging.getLogger(__name__)
 # times its mean diagonal.
 COND_LIMIT = 1e12
 RIDGE_SCALE = 1e-10
+RANK1_TOL = 1e-10  # the power iteration stops at ||M v - sigma u|| <= RANK1_TOL ||M||_F
+RANK1_MAX_ITER = 500  # or after this many sweeps
 _BLOCK = 256  # columns per block of a batched kernel: bounds its c x n or n x c arrays
 
 
@@ -125,34 +127,30 @@ def solve_gram(G: np.ndarray, B: np.ndarray) -> np.ndarray:
     return Z[..., 0] if vectors else Z
 
 
-def rank1_svd(M, tol: float = 1e-10, max_iter: int = 500, start=None) -> SingularTriple:
+def rank1_svd(M, start=None) -> SingularTriple:
     """Leading singular triple of M by power iteration: :func:`_rank1` after every check.
 
-    A non-finite, non-2-D or all-zero M, ``tol <= 0``, ``max_iter < 1``, or a
-    non-finite start or one whose length is not M's row count, raises ValueError.
+    A non-finite, non-2-D or all-zero M, or a non-finite start or one whose
+    length is not M's row count, raises ValueError.
     """
     M = as_matrix(M, "M")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     if not M.any():
         raise ValueError("all-zero matrix has no leading singular triple")
     if start is not None:
         start = as_vector(start, "start")
         if start.shape[0] != M.shape[0]:
             raise ValueError(f"start has length {start.shape[0]}, M has {M.shape[0]} rows")
-    return _rank1(M, start, tol, max_iter)
+    return _rank1(M, start)
 
 
-def _rank1(M, start=None, tol: float = 1e-10, max_iter: int = 500) -> SingularTriple:
+def _rank1(M, start=None) -> SingularTriple:
     """:func:`rank1_svd`'s power iteration on ``M M^T``, for a float64 M not all zero, unchecked.
 
     Starts from ``start / ||start||``, a float64 vector of length m, or by default (a zero
     start too) from the normalized all-ones vector. A start orthogonal to the column space of
     M falls back to the default one, and a default start in the null space of ``M^T`` restarts
-    from successive basis vectors. Stops once ``||M v - sigma u|| <= tol * ||M||_F``; after
-    ``max_iter`` sweeps the best iterate is returned with ``converged=False``.
+    from successive basis vectors. Stops once ``||M v - sigma u|| <= RANK1_TOL * ||M||_F``;
+    after ``RANK1_MAX_ITER`` sweeps the best iterate is returned with ``converged=False``.
     """
     m = M.shape[0]
     fnorm = math.sqrt(_sq_norm(M))  # as np.linalg.norm computes it
@@ -162,7 +160,7 @@ def _rank1(M, start=None, tol: float = 1e-10, max_iter: int = 500) -> SingularTr
     if nrm > 0.0:
         u, basis_next = start / nrm, -1
     converged = False
-    for _ in range(max_iter):
+    for _ in range(RANK1_MAX_ITER):
         w = M.T @ u
         wn = math.sqrt(w @ w)  # np.linalg.norm's own formula, without its overhead
         if wn == 0.0:
@@ -176,7 +174,7 @@ def _rank1(M, start=None, tol: float = 1e-10, max_iter: int = 500) -> SingularTr
         sigma = math.sqrt(z @ z)
         gap = z - sigma * u
         u = z / sigma
-        if math.sqrt(gap @ gap) <= tol * fnorm:
+        if math.sqrt(gap @ gap) <= RANK1_TOL * fnorm:
             converged = True
             break
     # make the returned triple self-consistent: sigma and v derived from u
@@ -189,16 +187,14 @@ def _rank1(M, start=None, tol: float = 1e-10, max_iter: int = 500) -> SingularTr
 
 
 def objective(Y, A, X) -> float:
-    """Squared Frobenius reconstruction error ``||Y - A X||_F^2``.
+    """Squared Frobenius reconstruction error ``||Y - A X||_F^2`` for a ``SparseCoeff`` X.
 
-    ``X`` may be a dense array or the sparse coefficient matrix. A sparse X
-    is summed over its :func:`_entry_blocks`, with no dense product, as
+    Any other X raises TypeError (``SparseCoeff.from_dense`` wraps a dense array).
+    X is summed over its :func:`_entry_blocks`, with no dense product, as
     ``amplitude_adjust`` sums the residual rows of its :func:`_refit` calls.
     """
     if not hasattr(X, "entries"):
-        Xd = as_matrix(X, "X")
-        Y, A = _factors(Y, A, Xd.shape)
-        return _sq_norm(Y - A @ Xd)
+        raise TypeError(f"X must be a SparseCoeff, got {type(X).__name__}")
     Y, A = _factors(Y, A, (X.n, X.p))
     rows, cols, vals = X.entries()
     At = np.ascontiguousarray(A.T)

@@ -41,14 +41,15 @@ log = logging.getLogger(__name__)
 PHASES = ("inner", "inter", "amplitude", "outer")
 # phases whose consecutive trace values must never increase
 MONOTONE_PHASES = frozenset({"inner", "inter", "amplitude"})
+TRACE_RTOL = 1e-9  # a trace value rises when it exceeds the last by this fraction of either
 
 
 class BudgetError(NumericalError):
     """The structural nonzero count drifted away from the fixed budget."""
 
 
-def _rises(a: float, b: float, rtol: float) -> bool:
-    return b - a > rtol * max(abs(a), abs(b))
+def _rises(a: float, b: float) -> bool:
+    return b - a > TRACE_RTOL * max(abs(a), abs(b))
 
 
 class ObjectiveTrace:
@@ -73,18 +74,18 @@ class ObjectiveTrace:
             return [v for _, v in self._entries]
         return [v for ph, v in self._entries if ph == phase]
 
-    def phase_violations(self, rtol: float = 1e-9) -> list:
-        """Monotonicity breaks within contiguous runs of a monotone phase."""
+    def phase_violations(self) -> list:
+        """Rises (by :data:`TRACE_RTOL`) within contiguous runs of a monotone phase."""
         bad = []
         for (ph_a, a), (ph_b, b) in zip(self._entries, self._entries[1:]):
-            if ph_a == ph_b and ph_b in MONOTONE_PHASES and _rises(a, b, rtol):
+            if ph_a == ph_b and ph_b in MONOTONE_PHASES and _rises(a, b):
                 bad.append((ph_b, a, b))
         return bad
 
-    def outer_violations(self, rtol: float = 1e-9) -> list:
-        """Monotonicity breaks across the outer objective sequence."""
+    def outer_violations(self) -> list:
+        """Rises (by :data:`TRACE_RTOL`) across the outer objective sequence."""
         seq = self.values("outer")
-        return [(a, b) for a, b in zip(seq, seq[1:]) if _rises(a, b, rtol)]
+        return [(a, b) for a, b in zip(seq, seq[1:]) if _rises(a, b)]
 
 
 def _row_arrays(support, values, p: int):
@@ -136,8 +137,8 @@ def inner_row_switch(residual, atom, support, values, n_iters: int):
     returned the round's own support: an odd length) or when an all-zero
     support block zeroed the values (an even length). The rounds and their
     half-step objectives come from :func:`_inner_row`, the kernel
-    ``batch_svd`` calls directly; this function prepends the entry one, by
-    :func:`_add_row` on a copy of the residual.
+    ``batch_svd`` calls directly; this function prepends the entry one,
+    :func:`_add_row`'s update formula on the support block alone.
     """
     R = as_matrix(residual, "residual")
     _count(n_iters, "n_iters")
@@ -149,7 +150,8 @@ def inner_row_switch(residual, atom, support, values, n_iters: int):
         raise ValueError("inner-row switching needs a nonempty support")
 
     fnorm_sq = _sq_norm(R)
-    entry = _add_row(R.copy(), a, supp, -vals, fnorm_sq)[1]
+    block = R[:, supp]
+    entry = fnorm_sq - _sq_norm(block) + _sq_norm(block + a[:, None] * -vals)
     a, supp, vals, halfsteps = _inner_row(R, a, supp, vals, n_iters, fnorm_sq)
     return a, supp, vals, [entry] + halfsteps
 
@@ -285,7 +287,7 @@ def amplitude_adjust(Y, A, X: SparseCoeff, n_iters: int):
             vals[pos], R = _refit(Y.T, At, G, slot[pos], js)
             parts.append(_sq_norm(R))
         objectives.append(sum(parts))
-    return A, SparseCoeff.from_triplets(X.n, X.p, rows, cols, vals), objectives
+    return A, SparseCoeff(X.n, X.p, rows, cols, vals), objectives
 
 
 def _sample_pairs(n: int, fraction: float, rng: np.random.Generator) -> list:
@@ -335,7 +337,7 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)  # new index of each old row
     A = A[:, order]  # a copy: the caller's A is never written
-    X = SparseCoeff.from_triplets(n, p, rank[rows], cols, vals)
+    X = SparseCoeff(n, p, rank[rows], cols, vals)
 
     rng = np.random.default_rng(cfg.seed)
     trace = ObjectiveTrace()
@@ -395,7 +397,7 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
 
     factors = _normalize_atoms(A)  # unit-norm atoms on the way out
     rows, cols, vals = X.entries()
-    return A, SparseCoeff.from_triplets(n, p, rows, cols, vals * factors[rows]), trace
+    return A, SparseCoeff(n, p, rows, cols, vals * factors[rows]), trace
 
 
 def ksvd(Y, A0, k: int, iters: int):

@@ -28,7 +28,7 @@ def _random_instance(rng, m, n, p, ensure_used_rows=True):
             rows.append(i)
             cols.append(int(rng.integers(p)))
             vals.append(float(rng.standard_normal()))
-    return Y, A, SparseCoeff.from_triplets(n, p, rows, cols, vals)
+    return Y, A, SparseCoeff(n, p, rows, cols, vals)
 
 
 def _col_rows(X):
@@ -125,7 +125,7 @@ def test_local_optimality_against_perturbations():
     for _ in range(20):
         A_pert = A2 + 0.01 * rng.standard_normal(A2.shape)
         X_pert = X2d + 0.01 * rng.standard_normal(X2d.shape) * mask
-        assert objective(Y, A_pert, X_pert) >= base - 1e-12
+        assert objective(Y, A_pert, SparseCoeff.from_dense(X_pert)) >= base - 1e-12
 
 
 def test_empty_rows_left_alone():
@@ -135,7 +135,7 @@ def test_empty_rows_left_alone():
     A /= np.linalg.norm(A, axis=0)
     vals = [float(rng.standard_normal()) for _ in range(10)]
     # rows 3 and 4 stay empty
-    X = SparseCoeff.from_triplets(5, 10, np.arange(10) % 3, np.arange(10), vals)
+    X = SparseCoeff(5, 10, np.arange(10) % 3, np.arange(10), vals)
     dead_atoms = A[:, 3:].copy()
     A2, X2, _ = amplitude_adjust(Y, A, X, 2)
     assert np.array_equal(A2[:, 3:], dead_atoms)
@@ -158,7 +158,7 @@ def test_memory_is_bounded_by_the_samples():
     A /= np.linalg.norm(A, axis=0)
     rows = np.concatenate([rng.choice(n, size=2, replace=False) for _ in range(p)])
     cols = np.repeat(np.arange(p), 2)
-    X = SparseCoeff.from_triplets(n, p, rows, cols, rng.standard_normal(2 * p))
+    X = SparseCoeff(n, p, rows, cols, rng.standard_normal(2 * p))
     amplitude_adjust(Y, A, X, 1)  # numpy's first np.unique call imports about 1 MiB
     tracemalloc.start()
     try:
@@ -184,7 +184,7 @@ def test_coefficient_halfstep_matches_per_column_least_squares(caplog):
         rows += (2 + rng.choice(n - 3, size=k, replace=False)).tolist()
         cols += [j] * k
         vals += rng.standard_normal(k).tolist()
-    X = SparseCoeff.from_triplets(n, p, rows, cols, vals)
+    X = SparseCoeff(n, p, rows, cols, vals)
     assert n - 1 not in X.entries()[0]
     assert {r.size for r in _col_rows(X)} >= set(range(1, m + 1))
 
@@ -231,7 +231,7 @@ def sparse_problems(draw):
     Y[:, rng.random(p) < 0.3] = 0.0
     K = draw(st.integers(0, n * p) | st.just(n * p))
     flat = rng.choice(n * p, size=K, replace=False)
-    return Y, A, SparseCoeff.from_triplets(n, p, flat // p, flat % p, rng.standard_normal(K))
+    return Y, A, SparseCoeff(n, p, flat // p, flat % p, rng.standard_normal(K))
 
 
 @settings(max_examples=150, deadline=None)

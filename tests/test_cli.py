@@ -236,6 +236,25 @@ def test_oversized_header_is_a_parse_error(verb, tmp_path, capsys):
     assert "expected 100000 data rows" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("algo", ["batch", "ksvd", "rnd-omp"])
+def test_overflowing_samples_are_a_one_line_error(algo, tmp_path):
+    # a separate interpreter, so numpy's RuntimeWarnings would reach its stderr
+    Y = np.random.default_rng(0).standard_normal((4, 6))
+    for scale, rc in ((1e155, 1), (1e150, 0)):  # ||Y||^2 overflows only at the first
+        path = tmp_path / f"Y{scale:.0e}.mat"
+        save_matrix(path, Y * scale)
+        proc = subprocess.run(
+            [sys.executable, "-m", "batchsvd", "learn", "--in", str(path), "--algo", algo,
+             "--atoms", "3", "--budget", "12", "--iters", "2", "--init-iters", "2"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == rc, proc.stderr
+        if rc:
+            assert proc.stderr.count("\n") == 1
+            assert json.loads(proc.stderr) == {
+                "error": f"{path}: the samples' squared norm overflows float64"}
+
+
 def test_compare_deterministic_bytes(sample_matrix, tmp_path):
     # full-fidelity determinism check through separate interpreter runs
     args = ["compare", "--in", str(sample_matrix), "--atoms", "10",

@@ -306,7 +306,7 @@ class TestFitAtoms:
             used = np.unique(rows)
             expected = solve_gram(Xd[used] @ Xd[used].T, Xd[used] @ Y.T).T
             got = A.copy()
-            X = SparseCoeff.from_triplets(*Xd.shape, rows, cols, vals)
+            X = SparseCoeff(*Xd.shape, rows, cols, vals)
             _atom_fitter(X)[2](Y, got, X.entries()[2])
             assert np.allclose(got[:, used], expected, rtol=0, atol=1e-12 * np.abs(expected).max())
             unused = np.setdiff1d(np.arange(A.shape[1]), used)
@@ -317,10 +317,10 @@ class TestFitAtoms:
         Y, A, rows, cols, vals = self._problem(rng)
         first, second = A.copy(), A.copy()
         n, p = A.shape[1], Y.shape[1]
-        X = SparseCoeff.from_triplets(n, p, rows, cols, vals)
+        X = SparseCoeff(n, p, rows, cols, vals)
         _atom_fitter(X)[2](Y, first, X.entries()[2])
         perm = rng.permutation(rows.size)
-        X = SparseCoeff.from_triplets(n, p, rows[perm], cols[perm], vals[perm])
+        X = SparseCoeff(n, p, rows[perm], cols[perm], vals[perm])
         _atom_fitter(X)[2](Y, second, X.entries()[2])
         assert np.allclose(first, second, rtol=0, atol=1e-12)
 
@@ -343,7 +343,7 @@ class TestFitAtoms:
             dense_lines = [r.getMessage() for r in caplog.records]
             caplog.clear()
             A = _unit_cols(rng, 4, 3)
-            X = SparseCoeff.from_triplets(3, 6, rows, cols, vals)
+            X = SparseCoeff(3, 6, rows, cols, vals)
             _atom_fitter(X)[2](Y, A, X.entries()[2])
             lines = [r.getMessage() for r in caplog.records]
         assert len(dense_lines) == 1 and dense_lines[0].startswith("gram solve: cond=")

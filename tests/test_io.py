@@ -300,7 +300,7 @@ class TestPipe:
 
     def test_sparse(self, tmp_path):
         X = _through_pipe(tmp_path, load_sparse, b"2 3 2\n1 1 5.0\n2 3 -1.5\n")
-        assert X == SparseCoeff.from_triplets(2, 3, [0, 1], [0, 2], [5.0, -1.5])
+        assert X == SparseCoeff(2, 3, [0, 1], [0, 2], [5.0, -1.5])
 
     @pytest.mark.parametrize("reader, data, message", [
         (load_matrix, b"3 2\n1 2\n3 4\n", "expected 3 data rows, file ends after line 3"),
@@ -314,7 +314,7 @@ class TestPipe:
 class TestSparseFormat:
     def test_round_trip(self, tmp_path):
         # (3, 3) is a structural zero, which survives serialization
-        X = SparseCoeff.from_triplets(4, 6, [2, 0, 3], [0, 3, 3], [1.5, -2.25, 0.0])
+        X = SparseCoeff(4, 6, [2, 0, 3], [0, 3, 3], [1.5, -2.25, 0.0])
         path = tmp_path / "x.txt"
         save_sparse(path, X)
         X2 = load_sparse(path)
@@ -323,7 +323,7 @@ class TestSparseFormat:
         assert X2.nnz == 3 and cols[rows == 3].tolist() == [3]
 
     def test_sorted_by_col_then_row(self, tmp_path):
-        X = SparseCoeff.from_triplets(3, 3, [2, 0, 1], [1, 1, 0], [1.0, 2.0, 3.0])
+        X = SparseCoeff(3, 3, [2, 0, 1], [1, 1, 0], [1.0, 2.0, 3.0])
         path = tmp_path / "x.txt"
         save_sparse(path, X)
         lines = path.read_text().strip().split("\n")
@@ -400,8 +400,8 @@ class TestSparseFormat:
         rng = np.random.default_rng(3)
         n, p = 256, 3000
         rows = np.concatenate([rng.choice(n, 2, replace=False) for _ in range(p)])
-        X = SparseCoeff.from_triplets(n, p, rows, np.repeat(np.arange(p), 2),
-                                      rng.standard_normal(2 * p))
+        X = SparseCoeff(n, p, rows, np.repeat(np.arange(p), 2),
+                        rng.standard_normal(2 * p))
         path = tmp_path / "x.txt"
         save_sparse(path, X)
         load_sparse(path)  # the first call also sets up numpy's own state
@@ -445,9 +445,10 @@ class TestSparseFormat:
 
 class TestPgm:
     def test_p2_round_trip(self, tmp_path):
+        # save_pgm writes P5 only; P2 is outside input, which load_pgm still reads
         img = np.arange(12, dtype=np.uint8).reshape(3, 4)
         path = tmp_path / "a.pgm"
-        save_pgm(path, img, binary=False)
+        path.write_text("P2\n4 3\n255\n" + "".join(" ".join(map(str, r)) + "\n" for r in img))
         loaded, maxval = load_pgm(path)
         assert np.array_equal(loaded, img)
         assert maxval == 255
@@ -456,7 +457,8 @@ class TestPgm:
         rng = np.random.default_rng(0)
         img = rng.integers(0, 256, size=(5, 7)).astype(np.uint8)
         path = tmp_path / "b.pgm"
-        save_pgm(path, img, binary=True)
+        save_pgm(path, img)
+        assert path.read_bytes() == b"P5 7 5 255\n" + img.tobytes()
         loaded, maxval = load_pgm(path)
         assert np.array_equal(loaded, img)
 

@@ -244,7 +244,7 @@ def merge_problems(draw):
 def test_block_omp_matches_the_heap_merge_bit_for_bit(problem):
     Y, A, budget = problem
     n, p = A.shape[1], Y.shape[1]
-    assert block_omp(Y, A, budget) == SparseCoeff.from_triplets(
+    assert block_omp(Y, A, budget) == SparseCoeff(
         n, p, *heap_merge_omp(Y, A, budget, _Paths))
 
 
@@ -257,7 +257,7 @@ def test_zero_residual_stop_sums_every_sample(size, nnz):
     Y[0] = size
     X = block_omp(Y, np.eye(2), 4)
     assert X.nnz == nnz
-    assert X == SparseCoeff.from_triplets(2, 2, *heap_merge_omp(Y, np.eye(2), 4, _Paths))
+    assert X == SparseCoeff(2, 2, *heap_merge_omp(Y, np.eye(2), 4, _Paths))
 
 
 def test_block_omp_computes_few_levels_past_its_picks(monkeypatch):

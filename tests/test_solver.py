@@ -90,8 +90,8 @@ class TestBatchSvd:
             )
             A, X, trace = batch_svd(Y, A0, X0, cfg)
             assert X.nnz == nnz
-            assert trace.phase_violations(rtol=1e-9) == []
-            assert trace.outer_violations(rtol=1e-9) == []
+            assert trace.phase_violations() == []
+            assert trace.outer_violations() == []
             outer = trace.values("outer")
             assert outer[-1] <= outer[0]
 
@@ -218,7 +218,7 @@ def _in_visiting_order(seed, m=8, n=12, p=60, budget=150):
     order = np.argsort(-np.bincount(rows, minlength=n), kind="stable")
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
-    return Y, A0[:, order], SparseCoeff.from_triplets(n, p, rank[rows], cols, vals)
+    return Y, A0[:, order], SparseCoeff(n, p, rank[rows], cols, vals)
 
 
 @pytest.mark.parametrize("seed", [5, 6, 7])
@@ -336,8 +336,8 @@ def test_inter_phase_skips_a_pair_with_equal_supports(monkeypatch):
     n, p = 2, 7
     Y = rng.standard_normal((4, p))
     A0 = initial_dictionary(Y, n, rng)
-    X0 = SparseCoeff.from_triplets(n, p, np.repeat(np.arange(n), p), np.tile(np.arange(p), n),
-                                   rng.standard_normal(n * p))
+    X0 = SparseCoeff(n, p, np.repeat(np.arange(n), p), np.tile(np.arange(p), n),
+                     rng.standard_normal(n * p))
     pairs, edits = [], []
     real_pairs, real_add = solver._sample_pairs, solver._add_row
 

@@ -10,7 +10,7 @@ from batchsvd.coding import _join_rows, _split_rows
 def _sc(n, p, *triplets):
     """Store holding the given (row, col, value) triplets."""
     rows, cols, vals = zip(*triplets) if triplets else ((), (), ())
-    return SparseCoeff.from_triplets(n, p, rows, cols, vals)
+    return SparseCoeff(n, p, rows, cols, vals)
 
 
 def _triplets(X):
@@ -37,13 +37,13 @@ def test_from_triplets_index_checked(row, col, kind, bad):
 def test_from_triplets_rejects_non_integer_rows(bad):
     # a float or bool index used to be truncated: 1.5 and True both landed in row 1
     with pytest.raises(ValueError, match="row indices must be integers"):
-        SparseCoeff.from_triplets(3, 3, [bad], [0], [1.0])
+        SparseCoeff(3, 3, [bad], [0], [1.0])
 
 
 @pytest.mark.parametrize("bad", [1.5, float("nan"), float("inf"), True])
 def test_from_triplets_rejects_non_integer_columns(bad):
     with pytest.raises(ValueError, match="column indices must be integers"):
-        SparseCoeff.from_triplets(3, 3, [0], [bad], [1.0])
+        SparseCoeff(3, 3, [0], [bad], [1.0])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -51,11 +51,11 @@ def test_from_triplets_rejects_non_finite_values(bad):
     # a NaN value used to be stored, and objective() then returned nan;
     # from_dense and load_sparse refuse such values too
     with pytest.raises(ValueError, match="coefficient values must be finite"):
-        SparseCoeff.from_triplets(2, 2, [0, 1], [0, 1], [1.0, bad])
+        SparseCoeff(2, 2, [0, 1], [0, 1], [1.0, bad])
 
 
 def test_from_triplets_builds_empty_store_from_empty_lists():
-    X = SparseCoeff.from_triplets(3, 3, [], [], [])
+    X = SparseCoeff(3, 3, [], [], [])
     assert X == SparseCoeff(3, 3) and X.nnz == 0
 
 
@@ -63,7 +63,7 @@ def test_from_triplets_rejects_duplicates_and_ragged_input():
     with pytest.raises(ValueError, match=r"duplicate entry \(2, 1\)"):
         _sc(3, 4, (0, 0, 1.0), (2, 1, 2.0), (1, 3, 3.0), (2, 1, 4.0), (0, 0, 5.0))
     with pytest.raises(ValueError, match="differ in length"):
-        SparseCoeff.from_triplets(3, 4, [0, 1], [0, 1], [1.0])
+        SparseCoeff(3, 4, [0, 1], [0, 1], [1.0])
 
 
 def test_emptied_rows_compare_equal_to_never_used_rows():
