@@ -21,7 +21,7 @@ from .coding import (
     dict_approx_init,
     initial_dictionary,
 )
-from .linalg import _factors, _residual, _sq_norm, as_matrix
+from .linalg import _col_norms, _factors, _residual, _sq_norm, as_matrix
 from .solver import ObjectiveTrace, batch_svd, ksvd
 
 ALGO_LABELS = ("batch", "ksvd", "rnd-omp")
@@ -84,7 +84,7 @@ class RunResult:
                      trace: ObjectiveTrace | None = None) -> "RunResult":
         """Check shapes and score the factors from one residual ``Y - A X``.
 
-        The residual comes from :func:`linalg._residual`, which forms no n x p array.
+        Residual by :func:`linalg._residual` (no n x p array), norms by :func:`linalg._col_norms`.
         Without a solver trace, the final objective is recorded as the one entry.
         """
         Y, A = _factors(Y, A, (X.n, X.p))
@@ -92,7 +92,7 @@ class RunResult:
         if trace is None:
             trace = ObjectiveTrace()
             trace.append("outer", _sq_norm(R))
-        errors = np.linalg.norm(R, axis=0)
+        errors = _col_norms(R)
         mean, std = report_stats(errors)
         return cls(label, seed, A, X, budget, trace, errors, mean, std)
 

@@ -4,7 +4,8 @@ Verbs: ``patches`` (sample training columns from a PGM image), ``learn``
 (run one algorithm), ``encode`` (sparse-code samples against a fixed
 dictionary), ``eval`` (score an existing factorization), and ``compare``
 (equal-budget multi-algorithm runs). All randomness comes from ``--seed``;
-identical inputs and seeds give byte-identical outputs.
+identical inputs and seeds give byte-identical outputs at a fixed BLAS thread
+count; another count may move values in the last bits.
 """
 from __future__ import annotations
 
@@ -60,11 +61,11 @@ def _config_from_args(args) -> LearnConfig:
     )
 
 
-def _load_samples(args) -> np.ndarray:
-    Y = load_matrix(getattr(args, "in"))
+def _load_samples(path, normalize: bool = False) -> np.ndarray:
+    Y = load_matrix(path)
     if not math.isfinite(_sq_norm(Y)):
-        raise ValueError(f"{getattr(args, 'in')}: the samples' squared norm overflows float64")
-    if args.normalize:
+        raise ValueError(f"{path}: the samples' squared norm overflows float64")
+    if normalize:
         _normalize_atoms(Y)
     return Y
 
@@ -94,7 +95,7 @@ def cmd_patches(args) -> int:
 
 
 def cmd_learn(args) -> int:
-    Y = _load_samples(args)
+    Y = _load_samples(getattr(args, "in"), args.normalize)
     if args.iters is None:
         args.iters = 20 if args.algo == "batch" else 100
     cfg = _config_from_args(args)
@@ -104,7 +105,7 @@ def cmd_learn(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    Y = _load_samples(args)
+    Y = _load_samples(getattr(args, "in"), args.normalize)
     A = load_matrix(args.dict)
     if (args.per_sample is None) == (args.budget is None):
         raise ValueError("encode needs exactly one of --per-sample or --budget")
@@ -119,7 +120,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    Y = _load_samples(args)
+    Y = _load_samples(getattr(args, "in"), args.normalize)
     A = load_matrix(args.dict)
     X = load_sparse(args.coef)
     _emit_result(args, RunResult.from_factors(Y, A, X, "eval", args.seed, X.nnz), None)
@@ -127,10 +128,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    Y = _load_samples(args)
+    Y = _load_samples(getattr(args, "in"), args.normalize)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     cfg = _config_from_args(args)
-    holdout = load_matrix(args.holdout) if args.holdout else None
+    holdout = _load_samples(args.holdout) if args.holdout else None
     results = run_benchmark(
         Y, cfg, algos, args.atoms, ksvd_iters=args.ksvd_iters, holdout=holdout
     )

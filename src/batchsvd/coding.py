@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _blocks, _factors, _refit, _residual, as_matrix, as_vector, solve_gram
+from .linalg import _blocks, _col_norms, _factors, _refit, _residual, as_matrix, as_vector, solve_gram
 
 log = logging.getLogger(__name__)
 
@@ -103,7 +103,7 @@ class SparseCoeff:
 def _split_rows(X: SparseCoeff):
     """Per-row ``(supports, values)`` lists of X: row i's columns ascending, aligned values."""
     rows, cols, vals = X.entries()
-    order = np.lexsort((cols, rows))
+    order = np.argsort(rows, kind="stable")  # the store is column-sorted: columns ascend per row
     bounds = np.cumsum(np.bincount(rows, minlength=X.n))[:-1]
     return np.split(cols[order], bounds), np.split(vals[order], bounds)
 
@@ -353,7 +353,7 @@ def _pursue(Y: np.ndarray, A: np.ndarray, k: int):
         raise ValueError(f"k must satisfy 1 <= k <= min(m, n) = {min(m, n)}, got {k}")
     if np.any(np.linalg.norm(A, axis=0) == 0.0):
         raise ValueError("dictionary has an all-zero column")
-    zero_tol = ZERO_RESIDUAL_RTOL * np.maximum(1.0, np.linalg.norm(Y, axis=0))
+    zero_tol = ZERO_RESIDUAL_RTOL * np.maximum(1.0, _col_norms(Y))
     depth = np.zeros(Y.shape[1], dtype=np.intp)
     live = np.arange(Y.shape[1])
     for d in range(k):
@@ -466,7 +466,7 @@ def reseed_dead_atoms(A: np.ndarray, dead_rows, Y, residual) -> int:
         raise ValueError(f"dead atom indices must be distinct and in range for {n} atoms")
     if not dead.size:
         return 0
-    order = np.argsort(-np.linalg.norm(residual, axis=0), kind="stable")
+    order = np.argsort(-_col_norms(residual), kind="stable")
     samples = _unit_samples(Y, order, dead.size)
     for t, i in enumerate(dead):
         A[:, i] = samples[t] if t < len(samples) else np.eye(m)[i % m]

@@ -258,6 +258,13 @@ def _factors(Y, A, x_shape=None):
     return Y, A
 
 
+def _col_norms(M) -> np.ndarray:
+    """``np.linalg.norm(M, axis=0)`` bit for bit, squaring equal runs of at most ``_BLOCK``
+    columns: numpy would sum a lone C-ordered column pairwise, not row by row as in a wider run."""
+    runs = np.array_split(np.arange(M.shape[1]), -(-M.shape[1] // _BLOCK))
+    return np.concatenate([np.linalg.norm(M[:, js[0]:js[-1] + 1], axis=0) for js in runs])
+
+
 def _sq_norm(R) -> float:
     """Squared Frobenius norm of a residual: the objective every trace records."""
     R = R.ravel("K")  # in memory order: no copy of a non-C-ordered block

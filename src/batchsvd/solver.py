@@ -8,13 +8,12 @@ columns), and amplitude adjustment (alternating least squares with the
 support frozen). ``batch_svd`` runs the switches' array kernels directly;
 the public switches validate, then run them. A row's inner rounds end early
 at a fixed point: once a converged rank-1 fit re-selects the support the
-round began with. Every residual edit, a row's add-back or take-out (K-SVD's
-too), is one :func:`_add_row`, which keeps ``||R||^2`` current for the trace.
-A K-SVD baseline with a per-sample budget serves equal-budget comparisons.
+round began with. Every residual edit of the switching phases, a row's add-back
+or take-out, is one :func:`_add_row`, which keeps ``||R||^2`` current for the
+trace. A K-SVD baseline with a per-sample budget serves equal-budget comparisons.
 """
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
@@ -35,8 +34,6 @@ from .coding import (
 )
 from .linalg import (NumericalError, _entry_blocks, _factors, _rank1, _refit, _residual,
                      _sq_norm, as_matrix, as_vector)
-
-log = logging.getLogger(__name__)
 
 PHASES = ("inner", "inter", "amplitude", "outer")
 # phases whose consecutive trace values must never increase
@@ -104,17 +101,16 @@ def _row_arrays(support, values, p: int):
     return supp, vals
 
 
-def _add_row(R, a, supp, vals, sq: float):
+def _add_row(R, a, supp, vals, sq: float) -> float:
     """Add ``a vals^T`` into R's columns ``supp`` in place; negated ``vals`` take it out.
 
-    Returns the new block, the fresh row-major sum ``R[:, supp] + a[:, None] * vals``
-    (bit for bit ``+ np.outer(a, vals)``, or ``- np.outer`` with ``-vals``; a rank-1
-    fit's bits depend on layout), and ``sq - ||old block||^2 + ||new block||^2``.
+    The block becomes ``R[:, supp] + a[:, None] * vals``, bit for bit ``+ np.outer(a, vals)``
+    (or ``- np.outer`` with ``-vals``). Returns ``sq - ||old block||^2 + ||new block||^2``.
     """
     old = R[:, supp]
     new = old + a[:, None] * vals
     R[:, supp] = new
-    return new, sq - _sq_norm(old) + _sq_norm(new)
+    return sq - _sq_norm(old) + _sq_norm(new)
 
 
 def inner_row_switch(residual, atom, support, values, n_iters: int):
@@ -152,11 +148,11 @@ def inner_row_switch(residual, atom, support, values, n_iters: int):
     fnorm_sq = _sq_norm(R)
     block = R[:, supp]
     entry = fnorm_sq - _sq_norm(block) + _sq_norm(block + a[:, None] * -vals)
-    a, supp, vals, halfsteps = _inner_row(R, a, supp, vals, n_iters, fnorm_sq)
+    a, supp, vals, halfsteps = _inner_row(R, a, supp, n_iters, fnorm_sq)
     return a, supp, vals, [entry] + halfsteps
 
 
-def _inner_row(R, a, supp, vals, n_iters: int, fnorm_sq: float):
+def _inner_row(R, a, supp, n_iters: int, fnorm_sq: float):
     """The rounds of :func:`inner_row_switch` on arrays, unchecked.
 
     ``R`` is the residual with the row added back, ``fnorm_sq`` its squared
@@ -355,11 +351,11 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
             supp = supports[i]
             if supp.size == 0:
                 continue
-            obj = _add_row(R, A[:, i], supp, values[i], obj)[1]
-            a, supp, vals, _ = _inner_row(R, A[:, i], supp, values[i], cfg.inner_sweeps, obj)
+            obj = _add_row(R, A[:, i], supp, values[i], obj)
+            a, supp, vals, _ = _inner_row(R, A[:, i], supp, cfg.inner_sweeps, obj)
             A[:, i] = a
             supports[i], values[i] = supp, vals
-            obj = _add_row(R, a, supp, -vals, obj)[1]
+            obj = _add_row(R, a, supp, -vals, obj)
             trace.append("inner", obj)
         inner_decrement = outer_start - obj
 
@@ -373,11 +369,11 @@ def batch_svd(Y, A, X: SparseCoeff, cfg: LearnConfig):
                 if np.array_equal(supports[i], supports[j]):
                     continue  # equal (sorted) supports: empty symmetric difference, no-op
                 for r in (i, j):
-                    obj = _add_row(R, A[:, r], supports[r], values[r], obj)[1]
+                    obj = _add_row(R, A[:, r], supports[r], values[r], obj)
                 (supports[i], values[i]), (supports[j], values[j]) = _inter_row(
                     R, A[:, i], A[:, j], supports[i], values[i], supports[j], values[j])
                 for r in (i, j):
-                    obj = _add_row(R, A[:, r], supports[r], -values[r], obj)[1]
+                    obj = _add_row(R, A[:, r], supports[r], -values[r], obj)
                 trace.append("inter", obj)
 
         # --- re-seed unused atoms (objective-neutral: their rows are zero) ---
@@ -406,14 +402,14 @@ def ksvd(Y, A0, k: int, iters: int):
     Each pass codes every sample independently with OMP (at most ``k`` atoms
     each) and forms the residual ``R = Y - A X`` once, by
     :func:`linalg._residual` (no n x p array). It then updates atoms one at a
-    time, as the inner phase of :func:`batch_svd` does: atom i's contribution
-    is added back to R on the samples using it, a rank-1 fit of that block
-    replaces the atom and its coefficients, and the refit contribution is taken
-    out of R again, both by :func:`_add_row`. Atoms no sample used in the pass
-    are re-seeded from the worst-represented samples once, after the atom
-    loop, all in one call. Records ``||R||^2`` after coding and, as
-    :func:`_add_row` kept it, after the updates; the trace is not guaranteed
-    monotone, since the greedy coding step can increase it.
+    time, as the inner phase of :func:`batch_svd` does, reading and writing
+    each atom's block of R once: ``E = R[:, cols] + a v^T`` on the samples
+    using atom i, whose rank-1 fit ``a' v'^T`` replaces the atom and its
+    coefficients, goes back as ``E - a' v'^T``. Atoms no sample used in the
+    pass are re-seeded from the worst-represented samples once, after the atom
+    loop, all in one call. Records ``||R||^2`` after coding and after the
+    updates, both exact; R is released before the next pass codes. The trace
+    is not guaranteed monotone, since the greedy coding step can increase it.
     """
     Y, A = _factors(Y, A0)
     _require_unit_atoms(A, "A0")
@@ -427,24 +423,24 @@ def ksvd(Y, A0, k: int, iters: int):
         coded = _code_per_sample(Y, A, k)
         supports, values = _split_rows(coded)
         R = _residual(Y, A, coded)
-        obj = _sq_norm(R)
-        trace.append("outer", obj)
+        trace.append("outer", _sq_norm(R))
 
         # atom-by-atom rank-1 updates on the running residual
         for i in range(n):
             cols = supports[i]
             if not cols.size:
                 continue
-            E, obj = _add_row(R, A[:, i], cols, values[i], obj)
+            E = R[:, cols] + A[:, i, None] * values[i]  # the block with atom i's part added back
             if E.any():
                 triple = _rank1(E)
                 A[:, i] = triple.u
                 values[i] = triple.sigma * triple.v
             else:
                 values[i] = np.zeros(cols.size)
-            obj = _add_row(R, A[:, i], cols, -values[i], obj)[1]
+            R[:, cols] = E + A[:, i, None] * -values[i]
 
         reseed_dead_atoms(A, [i for i in range(n) if supports[i].size == 0], Y, R)
-        trace.append("outer", obj)
+        trace.append("outer", _sq_norm(R))
+        del R  # the next pass codes without it
 
     return A, _join_rows(n, p, supports, values), trace

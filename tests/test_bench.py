@@ -160,6 +160,27 @@ class TestRunResult:
                                    X, "demo", seed=0, budget=1)
 
 
+    def test_memory_is_the_residual_plus_column_blocks(self):
+        # one 64 x 3000 residual, scored by column norms that square at most a
+        # block of columns at a time: whole-matrix norms would square all of it
+        from batchsvd import SparseCoeff
+
+        rng = np.random.default_rng(4)
+        m, n, p = 64, 256, 3000
+        Y, A = rng.standard_normal((m, p)), rng.standard_normal((m, n))
+        A /= np.linalg.norm(A, axis=0)
+        rows = np.concatenate([rng.choice(n, size=2, replace=False) for _ in range(p)])
+        X = SparseCoeff(n, p, rows, np.repeat(np.arange(p), 2), rng.standard_normal(2 * p))
+        RunResult.from_factors(Y, A, X, "demo", seed=0, budget=X.nnz)  # sets up numpy's state
+        tracemalloc.start()
+        try:
+            RunResult.from_factors(Y, A, X, "demo", seed=0, budget=X.nnz)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * Y.nbytes  # 1.52 measured; 2.03 with whole-matrix norms
+
+
 class TestRunBenchmark:
     def _run(self, seed=0, algos=("batch", "ksvd", "rnd-omp"), holdout=None):
         rng = np.random.default_rng(seed)

@@ -1,5 +1,6 @@
 import json
 import logging
+import os
 import subprocess
 import sys
 
@@ -253,6 +254,60 @@ def test_overflowing_samples_are_a_one_line_error(algo, tmp_path):
             assert proc.stderr.count("\n") == 1
             assert json.loads(proc.stderr) == {
                 "error": f"{path}: the samples' squared norm overflows float64"}
+
+
+def test_overflowing_holdout_is_refused_before_training(tmp_path):
+    # the holdout gets the --in refusal, naming its file, before any algorithm runs
+    Y = np.random.default_rng(0).standard_normal((4, 6))
+    train, holdout = tmp_path / "Y.mat", tmp_path / "H.mat"
+    save_matrix(train, Y)
+    save_matrix(holdout, Y * 1e155)
+    proc = subprocess.run(
+        [sys.executable, "-m", "batchsvd", "compare", "--in", str(train), "--holdout",
+         str(holdout), "--algos", "ksvd,rnd-omp", "--atoms", "3", "--budget", "12",
+         "--ksvd-iters", "2", "--report-out", str(tmp_path / "r.json")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == "" and not (tmp_path / "r.json").exists()
+    assert proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr) == {
+        "error": f"{holdout}: the samples' squared norm overflows float64"}
+
+
+def test_reports_agree_across_blas_thread_counts(tmp_path):
+    # byte-identical reports are promised at a fixed BLAS thread count only: a
+    # threaded product may sum in another order, which moves the last bits but
+    # must leave the supports alone
+    rng = np.random.default_rng(3)
+    Y, _, _ = make_planted(32, 64, 600, [1 + j % 4 for j in range(600)], rng, snr_db=25)
+    path = tmp_path / "Y.mat"
+    save_matrix(path, Y)
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "batchsvd", "learn", "--in", str(path), "--atoms", "64",
+             "--budget", "1500", "--iters", "2", "--init-iters", "2", "--seed", "1",
+             "--dict-out", str(out / "D.mat"), "--coef-out", str(out / "X.txt"),
+             "--report-out", str(out / "r.json")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((out / "r.json").read_text())
+        runs.append((load_matrix(out / "D.mat"), load_sparse(out / "X.txt").entries(), report))
+    (D1, (r1, c1, v1), rep1), (D2, (r2, c2, v2), rep2) = runs
+    assert np.array_equal(r1, r2) and np.array_equal(c1, c2)
+    for a, b in ((D1, D2), (v1, v2)):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
+    assert [ph for ph, _ in rep1["objective_trace"]] == [ph for ph, _ in rep2["objective_trace"]]
+    np.testing.assert_allclose([v for _, v in rep2["objective_trace"]],
+                               [v for _, v in rep1["objective_trace"]], rtol=1e-12, atol=0)
+    for key in ("mean_error", "std_error"):
+        assert rep2[key] == pytest.approx(rep1[key], rel=1e-12, abs=0)
 
 
 def test_compare_deterministic_bytes(sample_matrix, tmp_path):

@@ -218,9 +218,9 @@ def test_matches_set_based_oracle(problem):
         R[:, supp] -= np.outer(a, values)
     start = sq = _sq_norm(R)
     for a, supp, values in (wi, wj):
-        sq = _add_row(R, a, supp, values, sq)[1]
+        sq = _add_row(R, a, supp, values, sq)
     for a, (supp, values) in zip((wi[0], wj[0]), out):
-        sq = _add_row(R, a, supp, -values, sq)[1]
+        sq = _add_row(R, a, supp, -values, sq)
     direct = _joint_objective(Yt, (wi[0], *out[0]), (wj[0], *out[1])) - _joint_objective(Yt, wi, wj)
     scale = np.sum(Yt**2) + sum(float(v @ v) for v in (wi[2], wj[2], out[0][1], out[1][1]))
     assert abs((sq - start) - direct) <= 1e-12 * scale

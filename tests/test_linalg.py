@@ -15,7 +15,8 @@ from batchsvd import (
     objective,
     rank1_svd,
 )
-from batchsvd.linalg import _BLOCK, COND_LIMIT, RIDGE_SCALE, _rank1, _residual, solve_gram
+from batchsvd.linalg import (_BLOCK, COND_LIMIT, RIDGE_SCALE, _col_norms, _rank1, _residual,
+                             solve_gram)
 
 from oracles import align_sign, eigvalsh_ridges, jacobi_svd, qr_solve, reference_ridge
 
@@ -574,6 +575,26 @@ class TestResidual:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * Y.nbytes
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("p", [1, 2, _BLOCK, _BLOCK + 1, _BLOCK + 2, 3000])
+def test_col_norms_match_numpy_bit_for_bit(layout, p):
+    # the report's per-sample errors, the OMP zero bound and the re-seed order
+    # all read these norms. Columns cycle through plain, zero-riddled, tiny
+    # (squares near underflow) and huge Gaussians, so every column's sum
+    # rounds by its order; at p = _BLOCK + 1 a lone last column would be
+    # summed pairwise, not row by row
+    rng = np.random.default_rng(p)
+    m = 64
+    base = rng.standard_normal((2 * m, 3 * p))
+    kind = np.arange(base.shape[1]) % 4
+    base[:, kind == 1] *= rng.random((2 * m, np.count_nonzero(kind == 1))) < 0.7
+    base[:, kind == 2] *= 1e-150
+    base[:, kind == 3] *= 1e100
+    M = {"C": np.ascontiguousarray(base[:m, :p]), "F": np.asfortranarray(base[:m, :p]),
+         "strided": base[::2, ::3]}[layout]
+    assert np.array_equal(_col_norms(M), np.linalg.norm(M, axis=0))
 
 
 def test_import_does_not_load_scipy():

@@ -1,4 +1,5 @@
-"""Package hygiene: typed errors that survive ``python -O``, no dead imports, helpers or exports.
+"""Package hygiene: typed errors that survive ``python -O``; no dead imports, helpers, globals
+or exports.
 
 A bare ``assert`` is stripped under ``-O``, so no module of the package may
 contain one.
@@ -82,3 +83,35 @@ def test_every_export_has_a_reader():
     unread = [name for name in batchsvd.__all__
               if name not in read and not re.search(rf"\b{name}\b", readme)]
     assert not unread, f"exports nothing outside the package reads: {unread}"
+
+
+def test_every_module_global_has_a_reader():
+    # a module-level name (a constant, logger, function or class) must be read
+    # in its own module or imported from it by another module of the package;
+    # __init__.py re-exports, and dunders such as __all__ are read by Python
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    imported = {(node.module.lstrip("."), alias.name)
+                for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    unread = []
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound[node.name] = node.lineno
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            bound[name.id] = node.lineno
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{module}.py:{line} {name}" for name, line in bound.items()
+                   if not name.startswith("__") and name not in read
+                   and (module, name) not in imported]
+    assert not unread, f"module globals nothing in the package reads: {unread}"

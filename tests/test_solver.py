@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,9 +240,9 @@ def test_inner_objective_tracks_the_factorization_row_by_row(seed, monkeypatch):
         return atom, supp, vals, halfsteps
 
     def recording_add(*args):
-        block, sq = real_add(*args)
+        sq = real_add(*args)
         edits.append(sq)
-        return block, sq
+        return sq
 
     monkeypatch.setattr(solver, "_inner_row", recording)
     monkeypatch.setattr(solver, "_add_row", recording_add)
@@ -368,8 +369,8 @@ def test_inter_phase_skips_a_pair_with_equal_supports(monkeypatch):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 8), st.integers(1, 12))
 def test_add_row_keeps_the_squared_norm_current(seed, m, p, steps):
     # random add-backs and take-outs: R matches a dense reference edited by
-    # np.outer bit for bit, the returned block is the fresh row-major sum, and
-    # the running value tracks ||R||^2 to within rounding of the touched norms
+    # np.outer bit for bit, and the running value tracks ||R||^2 to within
+    # rounding of the touched norms
     rng = np.random.default_rng(seed)
     R = rng.standard_normal((m, p)) * 10.0 ** rng.integers(-3, 4)
     ref = R.copy()
@@ -380,14 +381,13 @@ def test_add_row_keeps_the_squared_norm_current(seed, m, p, steps):
         vals = rng.standard_normal(supp.size)
         before = _sq_norm(R[:, supp])
         if rng.random() < 0.5:
-            block, sq_new = solver._add_row(R, a, supp, vals, sq)
+            sq_new = solver._add_row(R, a, supp, vals, sq)
             ref[:, supp] += np.outer(a, vals)
         else:
-            block, sq_new = solver._add_row(R, a, supp, -vals, sq)
+            sq_new = solver._add_row(R, a, supp, -vals, sq)
             ref[:, supp] -= np.outer(a, vals)
         assert np.array_equal(R, ref)
-        assert np.array_equal(block, ref[:, supp]) and block.flags.c_contiguous
-        touched += abs(sq) + before + _sq_norm(block)
+        touched += abs(sq) + before + _sq_norm(R[:, supp])
         sq = sq_new
         assert abs(sq - _sq_norm(R)) <= (m * p + 2) * np.finfo(float).eps * touched
 
@@ -400,8 +400,8 @@ class TestBudgetCheck:
         real = solver._inner_row
         dropped = []
 
-        def leaky(R, atom, supp, vals, n_iters, fnorm_sq):
-            atom, supp, vals, halfsteps = real(R, atom, supp, vals, n_iters, fnorm_sq)
+        def leaky(R, atom, supp, n_iters, fnorm_sq):
+            atom, supp, vals, halfsteps = real(R, atom, supp, n_iters, fnorm_sq)
             if not dropped and supp.size > 1:  # lose exactly one entry
                 dropped.append(supp)
                 supp, vals = supp[:-1], vals[:-1]
@@ -498,6 +498,37 @@ class TestKsvd:
         np.testing.assert_allclose(A, A_ref, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(trace.values("outer"), outer_ref, rtol=1e-9)
         assert np.isclose(trace.values("outer")[-1], objective(Y, A, X), rtol=1e-9, atol=0)
+
+    def test_memory_is_one_residual_at_a_time(self):
+        # each pass releases its residual before the next one codes, and the
+        # OMP zero bound squares the samples a block of columns at a time
+        rng = np.random.default_rng(4)
+        Y = rng.standard_normal((64, 3000))
+        A0 = initial_dictionary(Y, 256, rng)
+        ksvd(Y, A0, 2, 1)  # the first call also sets up numpy's own state
+        tracemalloc.start()
+        try:
+            ksvd(Y, A0, 2, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * Y.nbytes  # 1.96 measured; 3.14 with two residuals and whole norms
+
+    def test_post_update_objective_is_the_exact_residual_norm(self, monkeypatch):
+        # the entry after each pass's updates is ||R||^2 of the residual the
+        # pass edited, recomputed, not a running sum of block changes
+        rng = np.random.default_rng(5)
+        Y = rng.standard_normal((8, 60))
+        A0 = initial_dictionary(Y, 12, rng)
+        norms, real = [], solver.reseed_dead_atoms
+
+        def recording(A, dead, Y, R):
+            norms.append(_sq_norm(R))
+            return real(A, dead, Y, R)
+
+        monkeypatch.setattr(solver, "reseed_dead_atoms", recording)
+        trace = ksvd(Y, A0, 2, 3)[2]
+        assert trace.values("outer")[1::2] == norms
 
     def test_dead_atoms_reseeded_with_distinct_samples(self):
         # only atoms 0 and 1 can code these samples, so atoms 2-5 die together
