@@ -81,14 +81,17 @@ class RunResult:
 
     @classmethod
     def from_factors(cls, Y, A, X: SparseCoeff, label: str, seed: int, budget: int,
-                     trace: ObjectiveTrace | None = None) -> "RunResult":
+                     trace: ObjectiveTrace | None = None, R=None) -> "RunResult":
         """Check shapes and score the factors from one residual ``Y - A X``.
 
-        Residual by :func:`linalg._residual` (no n x p array), norms by :func:`linalg._col_norms`.
-        Without a solver trace, the final objective is recorded as the one entry.
+        ``R`` is that residual when the coder that made X handed it back (see
+        :func:`coding._code_per_sample`); without it, :func:`linalg._residual`
+        forms it (no n x p array). Norms by :func:`linalg._col_norms`. Without a
+        solver trace, the final objective is recorded as the one entry.
         """
         Y, A = _factors(Y, A, (X.n, X.p))
-        R = _residual(Y, A, X)
+        if R is None:
+            R = _residual(Y, A, X)
         if trace is None:
             trace = ObjectiveTrace()
             trace.append("outer", _sq_norm(R))
@@ -158,8 +161,10 @@ def run_benchmark(
         ksvd_iters = cfg.max_outer
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(2)
-    rng_init = np.random.default_rng(seeds[0])
     rng_rnd = np.random.default_rng(seeds[1])
+
+    def start():  # made where it is used: no copy is held while a later run codes
+        return initial_dictionary(Y, n_atoms, np.random.default_rng(seeds[0]))
 
     per_sample_k = min(cfg.budget // p, m, n_atoms)
     if per_sample_k < 1 and any(a in ("ksvd", "rnd-omp") for a in algos):
@@ -167,29 +172,31 @@ def run_benchmark(
             f"budget {cfg.budget} gives a zero per-sample budget for the baselines"
         )
 
-    A0 = initial_dictionary(Y, n_atoms, rng_init)
     results: list[RunResult] = []
     for algo in ALGO_LABELS:  # canonical order, independent of input order
         if algo not in algos:
             continue
+        R = None  # the coder's residual, when a coder made X
         if algo == "batch":
-            A_init, X_init = dict_approx_init(Y, A0, cfg.budget, cfg.init_iters)
+            A_init, X_init = dict_approx_init(Y, start(), cfg.budget, cfg.init_iters)
             A, X, trace = batch_svd(Y, A_init, X_init, cfg)
         elif algo == "ksvd":
-            A, X, trace = ksvd(Y, A0, per_sample_k, ksvd_iters)
+            A, X, trace = ksvd(Y, start(), per_sample_k, ksvd_iters)
         else:  # rnd-omp
             A = rng_rnd.standard_normal((m, n_atoms))
             _normalize_atoms(A)
-            X, trace = _code_per_sample(Y, A, per_sample_k), None
+            (X, R), trace = _code_per_sample(Y, A, per_sample_k), None
         budget = cfg.budget if algo == "batch" else per_sample_k * p
-        result = RunResult.from_factors(Y, A, X, algo, cfg.seed, budget, trace)
+        result = RunResult.from_factors(Y, A, X, algo, cfg.seed, budget, trace, R)
+        del R  # scored: released before the next batch is coded
         results.append(result)
 
         if holdout is not None:
             avg = max(1, int(round(result.coefficients.nnz / p)))
             k_open = min(avg, m, n_atoms)
-            X_open = _code_per_sample(holdout, A, k_open)
+            X_open, R = _code_per_sample(holdout, A, k_open)
             results.append(RunResult.from_factors(
-                holdout, A, X_open, f"{algo}-open", cfg.seed, k_open * holdout.shape[1]
+                holdout, A, X_open, f"{algo}-open", cfg.seed, k_open * holdout.shape[1], R=R
             ))
+            del R
     return results

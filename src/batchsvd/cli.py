@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .bench import RunResult, extract_patches, report_to_dict, run_benchmark
-from .coding import LearnConfig, _code_per_sample, _normalize_atoms, block_omp
+from .coding import LearnConfig, _code_per_sample, _normalize_atoms, _require_unit_atoms, block_omp
 from .io import (
     ParseError,
     load_matrix,
@@ -109,13 +109,14 @@ def cmd_encode(args) -> int:
     A = load_matrix(args.dict)
     if (args.per_sample is None) == (args.budget is None):
         raise ValueError("encode needs exactly one of --per-sample or --budget")
+    _require_unit_atoms(A, "dictionary")  # both modes code against unit atoms
     if args.per_sample is not None:
-        X = _code_per_sample(Y, A, args.per_sample)
+        X, R = _code_per_sample(Y, A, args.per_sample)
         label, budget = "encode-omp", args.per_sample * Y.shape[1]
     else:
-        X = block_omp(Y, A, args.budget)
+        X, R = block_omp(Y, A, args.budget), None
         label, budget = "encode-block", args.budget
-    _emit_result(args, RunResult.from_factors(Y, A, X, label, args.seed, budget), None)
+    _emit_result(args, RunResult.from_factors(Y, A, X, label, args.seed, budget, R=R), None)
     return 0
 
 
@@ -131,7 +132,7 @@ def cmd_compare(args) -> int:
     Y = _load_samples(getattr(args, "in"), args.normalize)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     cfg = _config_from_args(args)
-    holdout = _load_samples(args.holdout) if args.holdout else None
+    holdout = _load_samples(args.holdout, args.normalize) if args.holdout else None
     results = run_benchmark(
         Y, cfg, algos, args.atoms, ksvd_iters=args.ksvd_iters, holdout=holdout
     )

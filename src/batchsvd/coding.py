@@ -25,7 +25,7 @@ from .linalg import _blocks, _col_norms, _factors, _refit, _residual, as_matrix,
 log = logging.getLogger(__name__)
 
 UNIT_NORM_TOL = 1e-8
-# residuals below this (relative to the input norm, floored at 1) count as zero
+# residuals at most this fraction of the input norm count as zero
 ZERO_RESIDUAL_RTOL = 1e-12
 
 
@@ -241,7 +241,9 @@ def omp(y, A, k: int):
     come back when the residual reaches zero early.
     """
     A, y = as_matrix(A, "A"), as_vector(y, "y")
-    return _pursue(y[:, None], A, k)[::2]  # (rows, vals)
+    paths, depth = _pursue(y[:, None], A, k)
+    rows, _, vals = paths.triplets(depth)
+    return rows, vals
 
 
 def block_omp(Y, A, budget: int) -> SparseCoeff:
@@ -267,7 +269,7 @@ def block_omp(Y, A, budget: int) -> SparseCoeff:
         raise ValueError(f"budget must satisfy 1 <= budget <= n*p = {n * p}, got {budget}")
     _require_unit_atoms(A, "dictionary")
 
-    zero_tol = ZERO_RESIDUAL_RTOL * max(1.0, np.linalg.norm(Y))  # the residual-is-zero bound
+    zero_tol = ZERO_RESIDUAL_RTOL * np.linalg.norm(Y)  # the residual-is-zero bound
     paths = _Paths(Y, A)
     running = np.full(p, np.inf)  # running-minimum gain of each path's last computed step
     first_zero = np.full(p, n + 1)  # the first level at which a sample's residual is zero
@@ -339,28 +341,40 @@ def _top_k(mag: np.ndarray, k: int, rank=None) -> np.ndarray:
     return np.sort(np.concatenate((above, ties[: k - above.size])))
 
 
-def _code_per_sample(Y, A, k: int) -> SparseCoeff:
-    """OMP-code every column of Y with at most ``k`` atoms each, all in one :class:`_Paths`."""
+def _code_per_sample(Y, A, k: int):
+    """OMP-code every column of Y with at most ``k`` atoms each, all in one :class:`_Paths`.
+
+    Returns the coefficients X and the residual ``R = Y - A X``. Each
+    column's final refit forms both its coefficients and its residual rows,
+    so R costs no product of its own; it is allocated once the pursuit's
+    level arrays are released.
+    """
     A, Y = as_matrix(A, "A"), as_matrix(Y, "Y")
-    return SparseCoeff(A.shape[1], Y.shape[1], *_pursue(Y, A, k))
+    paths, depth = _pursue(Y, A, k)
+    R = Y.copy()
+    return SparseCoeff(A.shape[1], Y.shape[1], *paths.triplets(depth, R)), R
 
 
 def _pursue(Y: np.ndarray, A: np.ndarray, k: int):
-    """Per-sample OMP triplets; a column stops early once its residual is zero."""
+    """Per-sample OMP paths and each column's depth; a column stops early once its residual is zero.
+
+    The returned paths keep only what :meth:`_Paths.triplets` reads.
+    """
     m, n = A.shape
-    paths = _Paths(Y, A)
     if _count(k, "k") > min(m, n):
         raise ValueError(f"k must satisfy 1 <= k <= min(m, n) = {min(m, n)}, got {k}")
+    paths = _Paths(Y, A, k)  # k levels at most: never grown
     if np.any(np.linalg.norm(A, axis=0) == 0.0):
         raise ValueError("dictionary has an all-zero column")
-    zero_tol = ZERO_RESIDUAL_RTOL * np.maximum(1.0, _col_norms(Y))
+    zero_tol = ZERO_RESIDUAL_RTOL * _col_norms(Y)
     depth = np.zeros(Y.shape[1], dtype=np.intp)
     live = np.arange(Y.shape[1])
     for d in range(k):
         paths.extend(live)
         live = live[~(np.sqrt(paths.sq[live, d]) <= zero_tol[live])]
         depth[live] = d + 1
-    return paths.triplets(depth)
+    paths.gain = paths.sq = None  # read no more
+    return paths, depth
 
 
 class _Paths:
@@ -372,15 +386,17 @@ class _Paths:
     |correlation| and ``sq[j, d]`` the squared residual norm. A block of
     equal-depth columns costs one GEMM and one :func:`linalg._refit` on
     Grams gathered from ``A^T A``, whose :func:`solve_gram` keeps its ridge rule.
+    ``levels`` is the initial depth capacity; :meth:`extend` doubles it as
+    needed, up to n + 1.
     """
 
-    def __init__(self, Y, A):
+    def __init__(self, Y, A, levels: int = 8):
         if Y.shape[0] != A.shape[0]:
             raise ValueError(f"dimension mismatch: A is {A.shape[0]}x{A.shape[1]}, "
                              f"Y is {Y.shape[0]}x{Y.shape[1]}")
         self.Yt, self.A, self.At, self.G = Y.T, A, np.ascontiguousarray(A.T), A.T @ A
         self.known = np.zeros(Y.shape[1], dtype=np.intp)
-        self.atom = np.zeros((Y.shape[1], min(A.shape[1] + 1, 8)), dtype=np.intp)
+        self.atom = np.zeros((Y.shape[1], min(A.shape[1] + 1, levels)), dtype=np.intp)
         self.gain, self.sq = np.zeros(self.atom.shape), np.zeros(self.atom.shape)
 
     def extend(self, cols):
@@ -404,11 +420,19 @@ class _Paths:
                 self.gain[js, d] = scores[np.arange(js.size), self.atom[js, d]]
             self.known[js] = d + 1
 
-    def triplets(self, depth):
-        """Triplets of each column j's first ``depth[j]`` picks, refit once per depth."""
+    def triplets(self, depth, R=None):
+        """Triplets of each column j's first ``depth[j]`` picks, refit once per depth.
+
+        With ``R`` given, an m x p copy of Y, the same refits also write each
+        refit column's residual ``y_j - A_S c`` into it; a column with no pick
+        keeps ``y_j``, as a refit on no atoms returns it.
+        """
         coef = np.zeros(self.atom.shape)
         for d, js in _blocks(np.flatnonzero(depth), depth):
-            coef[js, :d] = _refit(self.Yt, self.At, self.G, self.atom[js, :d], js)[0]
+            coef[js, :d], res = _refit(self.Yt, self.At, self.G, self.atom[js, :d], js)
+            if R is not None:
+                R[:, js] = res.T
+            del res  # before the next refit: one block of residual rows at a time
         keep = np.arange(coef.shape[1]) < depth[:, None]
         return self.atom[keep], np.repeat(np.arange(depth.size), depth), coef[keep]
 

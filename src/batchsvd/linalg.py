@@ -226,7 +226,8 @@ def _refit(Yt, At, G, S, js):
         return np.zeros(S.shape), Yt[js]
     AS, Yc = At[S], Yt[js]  # AS is (c, d, m)
     C = solve_gram(G[S[:, :, None], S[:, None, :]], np.einsum("cdm,cm->cd", AS, Yc))
-    return C, Yc - np.einsum("cdm,cd->cm", AS, C)
+    Yc -= np.einsum("cdm,cd->cm", AS, C)  # in place: the gathered rows are a copy
+    return C, Yc
 
 
 def _residual(Y, A, X) -> np.ndarray:

@@ -400,16 +400,17 @@ def ksvd(Y, A0, k: int, iters: int):
     """Classic K-SVD with a fixed per-sample budget.
 
     Each pass codes every sample independently with OMP (at most ``k`` atoms
-    each) and forms the residual ``R = Y - A X`` once, by
-    :func:`linalg._residual` (no n x p array). It then updates atoms one at a
-    time, as the inner phase of :func:`batch_svd` does, reading and writing
-    each atom's block of R once: ``E = R[:, cols] + a v^T`` on the samples
-    using atom i, whose rank-1 fit ``a' v'^T`` replaces the atom and its
-    coefficients, goes back as ``E - a' v'^T``. Atoms no sample used in the
-    pass are re-seeded from the worst-represented samples once, after the atom
-    loop, all in one call. Records ``||R||^2`` after coding and after the
-    updates, both exact; R is released before the next pass codes. The trace
-    is not guaranteed monotone, since the greedy coding step can increase it.
+    each) and starts from the residual ``R = Y - A X`` that the coder's final
+    refits formed (:func:`coding._code_per_sample`), with no product of its
+    own. It then updates atoms one at a time, as the inner phase of
+    :func:`batch_svd` does, reading and writing each atom's block of R once:
+    ``E = R[:, cols] + a v^T`` on the samples using atom i, whose rank-1 fit
+    ``a' v'^T`` replaces the atom and its coefficients, goes back as
+    ``E - a' v'^T``. Atoms no sample used in the pass are re-seeded from the
+    worst-represented samples once, after the atom loop, all in one call.
+    Records ``||R||^2`` after coding and after the updates, both exact; R is
+    released before the next pass codes. The trace is not guaranteed
+    monotone, since the greedy coding step can increase it.
     """
     Y, A = _factors(Y, A0)
     _require_unit_atoms(A, "A0")
@@ -420,9 +421,8 @@ def ksvd(Y, A0, k: int, iters: int):
     trace = ObjectiveTrace()
 
     for _ in range(iters):
-        coded = _code_per_sample(Y, A, k)
+        coded, R = _code_per_sample(Y, A, k)
         supports, values = _split_rows(coded)
-        R = _residual(Y, A, coded)
         trace.append("outer", _sq_norm(R))
 
         # atom-by-atom rank-1 updates on the running residual
@@ -430,14 +430,20 @@ def ksvd(Y, A0, k: int, iters: int):
             cols = supports[i]
             if not cols.size:
                 continue
-            E = R[:, cols] + A[:, i, None] * values[i]  # the block with atom i's part added back
+            # the block with atom i's part added back, edited in place: one
+            # m x |cols| temporary fewer each way. The sum starts from the
+            # C-ordered outer product; R[:, cols] alone comes back F-ordered,
+            # on which _rank1 would round differently
+            E = A[:, i, None] * values[i]
+            E += R[:, cols]
             if E.any():
                 triple = _rank1(E)
                 A[:, i] = triple.u
                 values[i] = triple.sigma * triple.v
             else:
                 values[i] = np.zeros(cols.size)
-            R[:, cols] = E + A[:, i, None] * -values[i]
+            E -= A[:, i, None] * values[i]
+            R[:, cols] = E
 
         reseed_dead_atoms(A, [i for i in range(n) if supports[i].size == 0], Y, R)
         trace.append("outer", _sq_norm(R))

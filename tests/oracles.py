@@ -143,7 +143,7 @@ def reference_omp(y, D, k):
     coef = np.zeros(0)
     residual = y.copy()
     for _ in range(k):
-        if np.linalg.norm(residual) <= 1e-12 * max(1.0, ynorm):
+        if np.linalg.norm(residual) <= 1e-12 * ynorm:
             break
         scores = np.abs(D.T @ residual)
         scores[support] = -1.0
@@ -180,13 +180,13 @@ def heap_merge_omp(Y, A, budget, paths, zero_rtol=1e-12):
     extends that path and every path within four levels of its end whose
     last computed gain is at least half the gain just taken. Before each
     pick it stops once ``sqrt(col_sq.sum())``, the residual norm, is at most
-    ``zero_rtol * max(1, ||Y||)``; it sums only after the residual of the
+    ``zero_rtol * ||Y||``; it sums only after the residual of the
     sample that was largest at the last sum has fallen that far. Returns
     the kernel's triplets.
     """
     lookahead, gain_band = 4, 0.5
     n, p = A.shape[1], Y.shape[1]
-    zero_tol = zero_rtol * max(1.0, np.linalg.norm(Y))
+    zero_tol = zero_rtol * np.linalg.norm(Y)
     kernel = paths(Y, A)
     kernel.extend(np.arange(p))
     used = [0] * p

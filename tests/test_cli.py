@@ -134,6 +134,28 @@ def test_encode_needs_exactly_one_mode(sample_matrix, tmp_path, capsys):
     assert json.loads(err.strip())["error"]
 
 
+@pytest.mark.parametrize("mode", [["--per-sample", "2"], ["--budget", "20"]])
+def test_encode_modes_refuse_a_non_unit_dictionary_alike(mode, tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    samples, dictionary = tmp_path / "Y.mat", tmp_path / "D.mat"
+    save_matrix(samples, rng.standard_normal((4, 10)))
+    save_matrix(dictionary, 3.0 * rng.standard_normal((4, 6)))
+    assert main(["encode", "--in", str(samples), "--dict", str(dictionary), *mode]) == 1
+    assert _one_line_error(capsys) == "dictionary columns must be unit-normalized"
+
+
+def test_compare_normalizes_the_holdout_too(sample_matrix, tmp_path):
+    # with --normalize, the training file as its own holdout codes the same
+    # samples against the same dictionary, so the two entries score alike
+    out = tmp_path / "cmp.json"
+    rc = main(["compare", "--in", str(sample_matrix), "--holdout", str(sample_matrix),
+               "--algos", "rnd-omp", "--atoms", "10", "--budget", "60", "--normalize",
+               "--report-out", str(out)])
+    assert rc == 0
+    entries = {r["algo"]: r for r in json.loads(out.read_text())}
+    assert entries["rnd-omp-open"]["mean_error"] == entries["rnd-omp"]["mean_error"]
+
+
 def test_compare_writes_report_array(sample_matrix, tmp_path):
     out = tmp_path / "cmp.json"
     rc = main(["compare", "--in", str(sample_matrix), "--atoms", "10",

@@ -218,4 +218,4 @@ def test_code_per_sample_golden(instance):
     _, H, A0 = instance
     S = np.column_stack([H[:, :4], A0[:, 3], np.zeros(6), -2.5 * A0[:, 7], H[:, 4:8],
                          A0[:, 0] + A0[:, 5]])
-    _check_fit("per-sample", S, A0, _code_per_sample(S, A0, 3))
+    _check_fit("per-sample", S, A0, _code_per_sample(S, A0, 3)[0])

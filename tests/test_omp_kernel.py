@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from batchsvd import SparseCoeff, block_omp, coding, omp
 from batchsvd.coding import _Paths, _code_per_sample
-from batchsvd.linalg import _BLOCK
+from batchsvd.linalg import _BLOCK, _residual
 
 from oracles import heap_merge_omp, kron_omp, reference_omp
 
@@ -111,7 +111,7 @@ def _assert_smaller_copies_first(first, support):
 
 def _check_per_sample(Y, A, k):
     first = _first_copy(A)
-    rows, cols, vals = _code_per_sample(Y, A, k).entries()
+    rows, cols, vals = _code_per_sample(Y, A, k)[0].entries()
     for j in range(Y.shape[1]):
         ref_supp, ref_coef = reference_omp(Y[:, j], A, k)
         mine = cols == j
@@ -151,6 +151,26 @@ def test_kernel_matches_oracles_on_exact_problems(problem):
     Y, A, budget, k = problem
     _check_per_sample(Y, A, k)
     _check_block(Y, A, budget)
+
+
+@settings(max_examples=80, deadline=None)
+@given(generic_problems(), st.booleans())
+def test_per_sample_residual_is_the_dense_residual(problem, full):
+    # the residual the coder hands back is its final refits' y_j - A_S c:
+    # a dense Y - A X to rounding, column by column, zero columns and
+    # exact atoms that stop early included; omp reads the same triplets
+    Y, A, _, k = problem
+    k = min(A.shape) if full else k
+    X, R = _code_per_sample(Y, A, k)
+    dense = Y - A @ X.to_dense()
+    assert R.shape == Y.shape
+    assert np.all(np.linalg.norm(R - dense, axis=0) <= 1e-12 * np.linalg.norm(Y, axis=0))
+    rows, cols, vals = X.entries()
+    for j in range(Y.shape[1]):
+        supp, coef = omp(Y[:, j], A, k)
+        order = np.argsort(supp)
+        assert np.array_equal(supp[order], rows[cols == j])
+        assert np.array_equal(coef[order], vals[cols == j])
 
 
 def test_column_blocks_bound_memory():
@@ -250,14 +270,39 @@ def test_block_omp_matches_the_heap_merge_bit_for_bit(problem):
 
 @pytest.mark.parametrize("size, nnz", [(0.8e-12, 1), (0.7e-12, 0)])
 def test_zero_residual_stop_sums_every_sample(size, nnz):
-    # each sample's residual is below the zero bound (1e-12 here) on its own,
-    # but the stop reads the norm of the whole residual: two samples of norm
-    # 0.8e-12 make 1.13e-12 and need one pick; two of 0.7e-12 make 0.99e-12
-    Y = np.full((2, 2), 0.0)
-    Y[0] = size
-    X = block_omp(Y, np.eye(2), 4)
-    assert X.nnz == nnz
-    assert X == SparseCoeff(2, 2, *heap_merge_omp(Y, np.eye(2), 4, _Paths))
+    # a sample of norm 1 sets ||Y|| = 1, so the zero bound is 1e-12, and one
+    # pick clears it exactly; each small sample's residual is below the bound
+    # on its own, but the stop reads the norm of the whole residual: two of
+    # 0.8e-12 make 1.13e-12 and need one more pick; two of 0.7e-12 make 0.99e-12
+    Y = np.zeros((2, 3))
+    Y[0, :2], Y[1, 2] = size, 1.0
+    assert np.linalg.norm(Y) == 1.0
+    X = block_omp(Y, np.eye(2), 6)
+    assert X.nnz == 1 + nnz
+    assert X == SparseCoeff(2, 3, *heap_merge_omp(Y, np.eye(2), 6, _Paths))
+
+
+@pytest.mark.parametrize("k", [-40, 40])
+def test_coders_are_scale_equivariant(k):
+    # the zero bound is relative and a power of two scales every rounding
+    # exactly, so 2^k Y codes on the same supports, with values and residuals
+    # scaled by exactly 2^k; zero columns and exact atoms stop early on both
+    rng = np.random.default_rng(9)
+    m, n, p = 6, 10, 30
+    A = _unit_atoms(rng, m, n)
+    Y = rng.standard_normal((m, p))
+    Y[:, :4] = 0.0
+    Y[:, 4:8] = A[:, :4] * 2.5
+    scale = 2.0**k
+    X, R = _code_per_sample(Y, A, m)
+    X_s, R_s = _code_per_sample(scale * Y, A, m)
+    B, B_s = block_omp(Y, A, m * p), block_omp(scale * Y, A, m * p)
+    for (rows, cols, vals), (rows_s, cols_s, vals_s) in (
+            (X.entries(), X_s.entries()), (B.entries(), B_s.entries())):
+        assert np.array_equal(rows, rows_s) and np.array_equal(cols, cols_s)
+        assert np.array_equal(scale * vals, vals_s)
+    assert np.array_equal(scale * R, R_s)
+    assert np.array_equal(scale * _residual(Y, A, B), _residual(scale * Y, A, B_s))
 
 
 def test_block_omp_computes_few_levels_past_its_picks(monkeypatch):

@@ -487,7 +487,7 @@ class TestKsvd:
             raise AssertionError("instance has a dead atom")
 
         def code(Y, A, k):
-            return _code_per_sample(Y, A, k).entries()
+            return _code_per_sample(Y, A, k)[0].entries()
 
         A_ref, (rows, cols, vals), outer_ref = reference_ksvd(
             Y, A0, k, 3, code, rank1_svd, no_dead_atoms)
